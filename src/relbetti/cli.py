@@ -35,6 +35,7 @@ from relbetti.errors import (
     RelbettiError,
     SizeBoundExceeded,
 )
+from relbetti.fieldlin import FieldConfig
 from relbetti.homalg import (
     BettiDiagram,
     betti,
@@ -81,17 +82,38 @@ def _read_payload(path):
     return obj
 
 
+def _field(p, source):
+    try:
+        return FieldConfig(p).p
+    except ValueError as exc:
+        raise InputError(f"{source}: {exc}") from None
+
+
 def _resolve_p(obj, field):
     stored = obj.get("p")
-    if stored is not None and field is not None and int(stored) != field:
+    if stored is not None:
+        stored = _field(stored, "payload p")
+    if field is not None:
+        field = _field(field, "--field")
+    if stored is not None and field is not None and stored != field:
         raise InputError(
             f"payload says p={stored} but --field says {field}"
         )
     if stored is not None:
-        return int(stored)
+        return stored
     if field is not None:
         return field
     raise InputError('no characteristic: give a "p" key or --field')
+
+
+def _nonnegative(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def _load_module(obj, p):
@@ -105,7 +127,7 @@ def _load_module(obj, p):
 
 
 def _load_collection_json(obj, p):
-    if obj.get("p") is not None and int(obj["p"]) != p:
+    if obj.get("p") is not None and _field(obj["p"], "collection p") != p:
         raise InputError("collection payload disagrees about p")
     obj = dict(obj, p=p)
     try:
@@ -335,7 +357,7 @@ def _render_diagram(args, diagram, poset, payload):
 def _cmd_demo(args):
     if args.target != "m0":
         raise InputError(f"unknown demo target {args.target!r}; have: m0")
-    p = 2 if args.field is None else args.field
+    p = 2 if args.field is None else _field(args.field, "--field")
     m = m0_demo(p)
     if args.format == "json":
         _emit({"p": p, "module": m.to_json()})
@@ -607,7 +629,7 @@ def _parser():
                        help="standard multiplicity table")
     s.add_argument("--method", choices=("resolution", "koszul"),
                    default="resolution")
-    s.add_argument("--dmax", type=int, default=None,
+    s.add_argument("--dmax", type=_nonnegative, default=None,
                    help="truncation degree (default: poset size)")
     s.set_defaults(fn=_cmd_betti)
 
@@ -617,7 +639,7 @@ def _parser():
                    default="koszul")
     s.add_argument("--collection", default=None,
                    help="builtin name, inline JSON, or file")
-    s.add_argument("--dmax", type=int, default=None,
+    s.add_argument("--dmax", type=_nonnegative, default=None,
                    help="truncation degree (default: index size)")
     s.add_argument("--force", action="store_true",
                    help="run the local route even if the degeneracy "
@@ -627,13 +649,13 @@ def _parser():
 
     s = sub.add_parser("resolve", parents=[common, payload],
                        help="minimal free resolution")
-    s.add_argument("--dmax", type=int, default=None)
+    s.add_argument("--dmax", type=_nonnegative, default=None)
     s.set_defaults(fn=_cmd_resolve)
 
     s = sub.add_parser("rresolve", parents=[common, payload],
                        help="relative minimal resolution")
     s.add_argument("--collection", default=None)
-    s.add_argument("--dmax", type=int, default=None)
+    s.add_argument("--dmax", type=_nonnegative, default=None)
     s.add_argument("--max-antichains", type=int, default=None)
     s.set_defaults(fn=_cmd_rresolve)
 

@@ -5,8 +5,12 @@ RREF implemented here: pivots are chosen leftmost-column-first and within a
 column the first nonzero row wins, so every basis this module emits is a
 function of the input entries alone. Matrices are dense, immutable and carry
 their modulus.
+
+All arithmetic stays in int64 and is exact: entries are residues below
+p < 2^31, so one product of two entries stays below 2^62.
 """
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +35,7 @@ __all__ = [
 _P_LIMIT = 1 << 31
 
 
+@lru_cache(maxsize=64)
 def is_prime(n):
     if n < 2:
         return False
@@ -51,16 +56,17 @@ class FieldConfig:
     p: int = 2
 
     def __post_init__(self):
-        if not (2 <= self.p < _P_LIMIT):
-            raise ValueError(f"modulus must be a prime below 2^31, got {self.p}")
-        if not is_prime(self.p):
-            raise ValueError(f"modulus must be prime, got {self.p}")
+        _check_p(self.p)
 
 
 def _check_p(p):
+    """The one modulus validator: an integer prime below 2^31, as an int."""
     if not isinstance(p, (int, np.integer)) or not (2 <= p < _P_LIMIT):
-        raise ValueError(f"bad modulus {p!r}")
-    return int(p)
+        raise ValueError(f"modulus must be an integer prime below 2^31, got {p!r}")
+    p = int(p)
+    if not is_prime(p):
+        raise ValueError(f"modulus must be prime, got {p}")
+    return p
 
 
 class Matrix:
@@ -77,6 +83,17 @@ class Matrix:
         a.setflags(write=False)
         self.a = a
         self.p = p
+
+    @classmethod
+    def _trusted(cls, a, p):
+        """Wrap an int64 2-D array already reduced mod p, a modulus some
+        Matrix has passed through _check_p. Takes the array over: it is
+        made read-only, not copied or checked."""
+        m = object.__new__(cls)
+        a.setflags(write=False)
+        m.a = a
+        m.p = p
+        return m
 
     @staticmethod
     def zeros(rows, cols, p):
@@ -101,7 +118,7 @@ class Matrix:
         return not self.a.any()
 
     def transpose(self):
-        return Matrix(self.a.T, self.p)
+        return Matrix._trusted(self.a.T, self.p)
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
@@ -112,7 +129,7 @@ class Matrix:
             raise ValueError(
                 f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        return Matrix(_matmul_exact(self.a, other.a, self.p), self.p)
+        return Matrix._trusted(_matmul_exact(self.a, other.a, self.p), self.p)
 
     def __add__(self, other):
         self._same_shape(other)
@@ -146,13 +163,13 @@ class Matrix:
     __hash__ = None
 
     def take_cols(self, idx):
-        return Matrix(self.a[:, list(idx)], self.p)
+        return Matrix._trusted(self.a[:, list(idx)], self.p)
 
     def take_rows(self, idx):
-        return Matrix(self.a[list(idx), :], self.p)
+        return Matrix._trusted(self.a[list(idx), :], self.p)
 
     def col(self, j):
-        return Matrix(self.a[:, j : j + 1], self.p)
+        return Matrix._trusted(self.a[:, j : j + 1], self.p)
 
     def __repr__(self):
         return f"Matrix({self.a.tolist()}, p={self.p})"
@@ -169,14 +186,21 @@ def _matmul_exact(a, b, p):
     return (prod % p).astype(np.int64)
 
 
+def _common_p(mats):
+    p = mats[0].p
+    if any(m.p != p for m in mats):
+        raise ValueError("modulus mismatch")
+    return p
+
+
 def hstack(mats, rows=None, p=None):
     mats = list(mats)
     if not mats:
         if rows is None or p is None:
             raise ValueError("empty hstack needs explicit rows and p")
         return Matrix.zeros(rows, 0, p)
-    p = mats[0].p
-    return Matrix(np.concatenate([m.a for m in mats], axis=1), p)
+    p = _common_p(mats)
+    return Matrix._trusted(np.concatenate([m.a for m in mats], axis=1), p)
 
 
 def vstack(mats, cols=None, p=None):
@@ -185,48 +209,51 @@ def vstack(mats, cols=None, p=None):
         if cols is None or p is None:
             raise ValueError("empty vstack needs explicit cols and p")
         return Matrix.zeros(0, cols, p)
-    p = mats[0].p
-    return Matrix(np.concatenate([m.a for m in mats], axis=0), p)
+    p = _common_p(mats)
+    return Matrix._trusted(np.concatenate([m.a for m in mats], axis=0), p)
 
 
 def kron(a, b):
     if a.p != b.p:
         raise ValueError("modulus mismatch")
-    if a.a.size == 0 or b.a.size == 0:
-        return Matrix.zeros(a.rows * b.rows, a.cols * b.cols, a.p)
-    prod = np.kron(a.a.astype(object), b.a.astype(object))
-    return Matrix((prod % a.p).astype(np.int64), a.p)
+    (ar, ac), (br, bc) = a.a.shape, b.a.shape
+    prod = a.a[:, None, :, None] * b.a[None, :, None, :]
+    np.remainder(prod, a.p, out=prod)
+    return Matrix._trusted(prod.reshape(ar * br, ac * bc), a.p)
 
 
 def rref(m):
     """Reduced row echelon form. Returns (Matrix, pivot column tuple).
 
     Deterministic: columns scanned left to right, first nonzero row at or
-    below the current row becomes the pivot.
+    below the current row becomes the pivot. Each pivot clears its column
+    in every other row with one outer-product update; left of the pivot
+    column the pivot row is zero, so only the columns from it on change.
     """
     p = m.p
-    a = m.a.astype(np.int64).copy()
+    a = m.a.copy()
     rows, cols = a.shape
     pivots = []
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
         inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        mask = np.nonzero(a[:, c])[0]
-        for j in mask:
-            if j != r:
-                a[j] = (a[j] - a[j, c] * a[r]) % p
+        if inv != 1:
+            a[r, c:] = (a[r, c:] * inv) % p
+        hit = np.flatnonzero(a[:, c])
+        hit = hit[hit != r]
+        if hit.size:
+            a[hit, c:] = (a[hit, c:] - np.outer(a[hit, c], a[r, c:])) % p
         pivots.append(c)
         r += 1
-    return Matrix(a, p), tuple(pivots)
+    return Matrix._trusted(a, p), tuple(pivots)
 
 
 def rank(m):
@@ -241,13 +268,14 @@ def kernel_basis(m):
     """
     r, pivots = rref(m)
     p = m.p
-    free = [c for c in range(m.cols) if c not in set(pivots)]
+    pset = set(pivots)
+    free = [c for c in range(m.cols) if c not in pset]
     k = np.zeros((m.cols, len(free)), dtype=np.int64)
-    for out, f in enumerate(free):
-        k[f, out] = 1
-        for i, c in enumerate(pivots):
-            k[c, out] = (-r.a[i, f]) % p
-    return Matrix(k, p)
+    if free:
+        k[free, range(len(free))] = 1
+        if pivots:
+            k[list(pivots)] = (-r.a[: len(pivots), free]) % p
+    return Matrix._trusted(k, p)
 
 
 def solve(m, b):
@@ -258,13 +286,12 @@ def solve(m, b):
         raise ValueError("row mismatch")
     aug = hstack([m, b])
     r, pivots = rref(aug)
-    for c in pivots:
-        if c >= m.cols:
-            raise NoSolution(f"inconsistent system (pivot in column {c})")
+    bad = [c for c in pivots if c >= m.cols]
+    if bad:
+        raise NoSolution(f"inconsistent system (pivot in column {bad[0]})")
     x = np.zeros((m.cols, b.cols), dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c, :] = r.a[i, m.cols :]
-    return Matrix(x, m.p)
+    x[list(pivots)] = r.a[: len(pivots), m.cols :]
+    return Matrix._trusted(x, m.p)
 
 
 def homology_dims(dims, diffs, p):

@@ -193,7 +193,8 @@ def nat_basis(f, g):
             block[:, offs[b]:offs[b + 1]] = (-right.a) % p
         rows.append(block)
     if rows:
-        system = Matrix(np.concatenate(rows, axis=0), p)
+        # reduced blocks over p, which every cover map's Matrix has checked
+        system = Matrix._trusted(np.concatenate(rows, axis=0), p)
     else:
         system = Matrix.zeros(0, total, p)
     basis = kernel_basis(system)
@@ -202,10 +203,9 @@ def nat_basis(f, g):
         comps = []
         vec = basis.a[:, k]
         for a in range(poset.n):
-            chunk = vec[offs[a]:offs[a + 1]]
-            comps.append(
-                Matrix(chunk.reshape(g.dims[a], f.dims[a]), p)
-            )
+            # a copy of its own, so a kept component pins no kernel basis
+            chunk = vec[offs[a]:offs[a + 1]].reshape(g.dims[a], f.dims[a])
+            comps.append(Matrix._trusted(chunk.copy(), p))
         out.append(NatTransformation(f, g, comps))
     return out
 

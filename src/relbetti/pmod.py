@@ -303,13 +303,6 @@ def h0(m):
     return tuple(m.dims[a] - r.dim(a) for a in range(m.poset.n))
 
 
-def h0_complement_indices(m, a):
-    """Coordinates of standard vectors spanning a complement of rad at a."""
-    r = radical(m)
-    _, pivots = rref(r.basis[a].transpose())
-    return tuple(j for j in range(m.dims[a]) if j not in set(pivots))
-
-
 def is_filtration(m):
     return all(
         rank(m.cover_map(a, b)) == m.dims[a] for a, b in m.poset.covers

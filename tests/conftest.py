@@ -2,6 +2,10 @@
 
 sympy_rank is the independent linear-algebra oracle: sympy's DomainMatrix
 over GF(p) knows nothing about our RREF, so agreements are meaningful.
+oracle_rref, oracle_kernel_basis, oracle_solve and oracle_kron are the
+plain elimination kernel (one row at a time, object-dtype Kronecker
+product) that the vectorised one in relbetti.fieldlin must match bit for
+bit.
 indicator_hom_dim is the independent Hom oracle for 0/1 indicator modules:
 it counts components of overlapping supports and solves no linear system.
 """
@@ -17,6 +21,64 @@ def sympy_rank(entries, p):
     K = GF(p)
     rows = [[K(int(x)) for x in row] for row in a]
     return DomainMatrix(rows, a.shape, K).rank()
+
+
+def oracle_rref(a, p):
+    """RREF of an int64 array reduced mod p: (array, pivot tuple)."""
+    a = np.array(a, dtype=np.int64)
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        inv = pow(int(a[r, c]), p - 2, p)
+        a[r] = (a[r] * inv) % p
+        mask = np.nonzero(a[:, c])[0]
+        for j in mask:
+            if j != r:
+                a[j] = (a[j] - a[j, c] * a[r]) % p
+        pivots.append(c)
+        r += 1
+    return a, tuple(pivots)
+
+
+def oracle_kernel_basis(a, p):
+    r, pivots = oracle_rref(a, p)
+    cols = a.shape[1]
+    free = [c for c in range(cols) if c not in set(pivots)]
+    k = np.zeros((cols, len(free)), dtype=np.int64)
+    for out, f in enumerate(free):
+        k[f, out] = 1
+        for i, c in enumerate(pivots):
+            k[c, out] = (-r[i, f]) % p
+    return k
+
+
+def oracle_solve(a, b, p):
+    """Particular solution with free variables 0, or the NoSolution text."""
+    r, pivots = oracle_rref(np.concatenate([a, b], axis=1), p)
+    for c in pivots:
+        if c >= a.shape[1]:
+            return f"inconsistent system (pivot in column {c})"
+    x = np.zeros((a.shape[1], b.shape[1]), dtype=np.int64)
+    for i, c in enumerate(pivots):
+        x[c, :] = r[i, a.shape[1]:]
+    return x
+
+
+def oracle_kron(a, b, p):
+    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    if a.size == 0 or b.size == 0:
+        return np.zeros((rows, cols), dtype=np.int64)
+    prod = np.kron(a.astype(object), b.astype(object))
+    return (prod % p).astype(np.int64)
 
 
 def _indicator_support(m):

@@ -527,3 +527,35 @@ class TestUsageErrors:
         demo = run_cli("demo", "m0").stdout
         r = run_cli("betti", "--method", "magic", stdin=demo)
         assert r.returncode == 4
+
+
+def assert_input_error(r):
+    """Exit 4, nothing on stdout, one error line and no traceback."""
+    assert r.returncode == 4, r.stderr
+    assert r.stdout == ""
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr
+    assert "Traceback" not in r.stderr
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("p", [4, "x", 1, 1 << 31, 2.5, True])
+    def test_bad_payload_modulus(self, p):
+        obj = json.loads(run_cli("demo", "m0").stdout)
+        obj["p"] = p
+        assert_input_error(run_cli("betti", stdin=json.dumps(obj)))
+
+    def test_nonprime_field_flag(self):
+        m = constant(chain(1), 3)
+        payload = json.dumps({"module": m.to_json()})
+        assert_input_error(run_cli("validate", "--field", "4", stdin=payload))
+        assert_input_error(run_cli("demo", "m0", "--field", "4"))
+
+    @pytest.mark.parametrize("verb", ["betti", "rbetti", "resolve", "rresolve"])
+    def test_negative_dmax(self, verb):
+        demo = run_cli("demo", "m0").stdout
+        relative = verb in ("rbetti", "rresolve")
+        extra = ["--collection", "lower_hooks"] if relative else []
+        r = run_cli(verb, "--dmax", "-1", *extra, stdin=demo)
+        assert_input_error(r)
+        assert "--dmax" in r.stderr

@@ -8,13 +8,21 @@ from relbetti.fieldlin import (
     ComplexInvalid,
     NoSolution,
     homology_dims,
+    hstack,
     kernel_basis,
     kron,
     rank,
     rref,
     solve,
+    vstack,
 )
-from conftest import sympy_rank
+from conftest import (
+    oracle_kernel_basis,
+    oracle_kron,
+    oracle_rref,
+    oracle_solve,
+    sympy_rank,
+)
 
 
 def M(entries, p=2):
@@ -35,6 +43,20 @@ class TestFieldConfig:
 
     def test_accepts_odd_prime(self):
         assert FieldConfig(p=5).p == 5
+
+
+class TestModulus:
+    def test_matrix_rejects_composite(self):
+        with pytest.raises(ValueError, match="prime"):
+            Matrix([[1]], 4)
+
+    @pytest.mark.parametrize("p", [1, -3, 1 << 31, 5.0, "5", None])
+    def test_matrix_rejects_non_modulus(self, p):
+        with pytest.raises(ValueError):
+            Matrix([[1]], p)
+
+    def test_accepts_largest_prime_below_limit(self):
+        assert Matrix([[-1]], (1 << 31) - 1).tolist() == [[(1 << 31) - 2]]
 
 
 class TestMatrixBasics:
@@ -219,6 +241,21 @@ class TestHomologyDims:
                 assert got == expect
 
 
+class TestStack:
+    def test_hstack_rejects_mixed_moduli(self):
+        with pytest.raises(ValueError, match="modulus mismatch"):
+            hstack([M([[4]], 5), M([[2]], 3)])
+
+    def test_vstack_rejects_mixed_moduli(self):
+        with pytest.raises(ValueError, match="modulus mismatch"):
+            vstack([M([[4]], 5), M([[2]], 3)])
+
+    def test_stacks_keep_entries(self):
+        a, b = M([[4]], 5), M([[2]], 5)
+        assert hstack([a, b]).tolist() == [[4, 2]]
+        assert vstack([a, b]).tolist() == [[4], [2]]
+
+
 class TestKron:
     def test_kron_identity(self):
         a = M([[1, 1], [0, 1]])
@@ -263,3 +300,83 @@ def test_euler_characteristic_property(d0, d1, p, seed):
     euler_d = sum((-1) ** i * d for i, d in enumerate(dims))
     assert euler_h == euler_d
     assert all(h >= 0 for h in hs)
+
+
+# -- the vectorised kernel against the row-at-a-time oracle ------------
+
+ORACLE_PRIMES = [2, 3, 5, (1 << 31) - 1]
+
+
+@st.composite
+def residue_arrays(draw, p, rows=None):
+    """Entries mod p, biased towards 0, 1 and p - 1; empty shapes allowed."""
+    if rows is None:
+        rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 6))
+    entry = st.sampled_from([0, 0, 1, p - 1]) | st.integers(0, p - 1)
+    flat = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+    return np.array(flat, dtype=np.int64).reshape(rows, cols)
+
+
+def assert_well_formed(m, p):
+    assert m.p == p
+    assert m.a.dtype == np.int64 and m.a.ndim == 2
+    assert not m.a.flags.writeable
+    assert ((m.a >= 0) & (m.a < p)).all()
+
+
+def assert_same(m, expect, p):
+    assert_well_formed(m, p)
+    assert m.a.shape == expect.shape
+    assert m.tolist() == expect.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_kernel_bit_identical_to_oracle(data):
+    p = data.draw(st.sampled_from(ORACLE_PRIMES))
+    a = data.draw(residue_arrays(p))
+    b = data.draw(residue_arrays(p, rows=a.shape[0]))
+    c = data.draw(residue_arrays(p))
+    m, mb, mc = Matrix(a, p), Matrix(b, p), Matrix(c, p)
+
+    r, pivots = rref(m)
+    expect_r, expect_pivots = oracle_rref(a, p)
+    assert pivots == expect_pivots
+    assert_same(r, expect_r, p)
+
+    assert_same(kernel_basis(m), oracle_kernel_basis(a, p), p)
+
+    expect_x = oracle_solve(a, b, p)
+    if isinstance(expect_x, str):
+        with pytest.raises(NoSolution) as err:
+            solve(m, mb)
+        assert str(err.value) == expect_x
+    else:
+        assert_same(solve(m, mb), expect_x, p)
+
+    assert_same(kron(m, mc), oracle_kron(a, c, p), p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_structural_results_well_formed(data):
+    p = data.draw(st.sampled_from(ORACLE_PRIMES))
+    a = data.draw(residue_arrays(p))
+    b = data.draw(residue_arrays(p, rows=a.shape[1]))
+    m, mb = Matrix(a, p), Matrix(b, p)
+    assert_same(m.transpose(), a.T, p)
+    product = [
+        [sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T]
+        for row in a
+    ]
+    assert_same(m @ mb, np.array(product, dtype=np.int64).reshape(
+        a.shape[0], b.shape[1]), p)
+    rows = list(range(a.shape[0]))[::-1]
+    cols = list(range(a.shape[1]))[::-1]
+    assert_same(m.take_rows(rows), a[rows, :], p)
+    assert_same(m.take_cols(cols), a[:, cols], p)
+    for j in range(a.shape[1]):
+        assert_same(m.col(j), a[:, j:j + 1], p)
+    assert_same(hstack([m, m]), np.concatenate([a, a], axis=1), p)
+    assert_same(vstack([m, m]), np.concatenate([a, a], axis=0), p)
