@@ -35,14 +35,13 @@ from relbetti.errors import (
     RelbettiError,
     SizeBoundExceeded,
 )
-from relbetti.fieldlin import FieldConfig
+from relbetti.fieldlin import check_modulus
 from relbetti.homalg import (
     BettiDiagram,
     betti,
     betti_koszul,
     koszul,
     minimal_resolution,
-    resolution_dot,
 )
 from relbetti.pmod import PersistenceModule, m0_demo
 from relbetti.pmod import validate as validate_module
@@ -84,7 +83,7 @@ def _read_payload(path):
 
 def _field(p, source):
     try:
-        return FieldConfig(p).p
+        return check_modulus(p)
     except ValueError as exc:
         raise InputError(f"{source}: {exc}") from None
 
@@ -109,7 +108,7 @@ def _resolve_p(obj, field):
 def _nonnegative(text):
     try:
         value = int(text)
-    except ValueError:
+    except (TypeError, ValueError):
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
@@ -239,7 +238,10 @@ def _collection_from_flag(text, base, p, bound):
         if not isinstance(params, dict):
             raise InputError('"params" must be an object')
         if bound is None and params.get("max_antichains") is not None:
-            bound = int(params["max_antichains"])
+            try:
+                bound = _nonnegative(params["max_antichains"])
+            except argparse.ArgumentTypeError as exc:
+                raise InputError(f'"max_antichains": {exc}') from None
         name = obj["builtin"]
         return _build_builtin(name, params, base, p, bound), name
     if "J" in obj:
@@ -316,14 +318,15 @@ def _term_counts(gens, names):
     return [{"at": names[g], "mult": counts[g]} for g in sorted(counts)]
 
 
+def _term_label(d, term):
+    parts = [
+        e["at"] if e["mult"] == 1 else f'{e["at"]}^{e["mult"]}' for e in term
+    ]
+    return f"C{d} = " + (" + ".join(parts) if parts else "0")
+
+
 def _chain_table(terms):
-    lines = []
-    for d, term in enumerate(terms):
-        parts = [
-            e["at"] if e["mult"] == 1 else f'{e["at"]}^{e["mult"]}'
-            for e in term
-        ]
-        lines.append(f"C{d} = " + (" + ".join(parts) if parts else "0"))
+    lines = [_term_label(d, term) for d, term in enumerate(terms)]
     return "\n".join(lines) + "\n"
 
 
@@ -331,12 +334,7 @@ def _chain_dot(terms, total_dim):
     lines = ["digraph resolution {", "  rankdir=LR;"]
     lines.append(f'  M [shape=box, label="target (total dim {total_dim})"];')
     for d, term in enumerate(terms):
-        parts = [
-            e["at"] if e["mult"] == 1 else f'{e["at"]}^{e["mult"]}'
-            for e in term
-        ]
-        label = " + ".join(parts) if parts else "0"
-        lines.append(f'  C{d} [label="C{d} = {label}"];')
+        lines.append(f'  C{d} [label="{_term_label(d, term)}"];')
         lines.append(f"  C{d} -> {'M' if d == 0 else f'C{d - 1}'};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -464,7 +462,7 @@ def _cmd_resolve(args):
         sys.stdout.write(_chain_table(terms))
         return
     if args.format == "dot":
-        sys.stdout.write(resolution_dot(res))
+        sys.stdout.write(_chain_dot(terms, sum(m.dims)))
         return
     _emit({
         "complete": res.complete,
@@ -598,10 +596,6 @@ def _parser():
         "--format", choices=("json", "dot", "table"), default="json",
         help="output rendering (default json; not every verb has all three)",
     )
-    common.add_argument(
-        "--seed", type=int, default=None,
-        help="reserved for randomized tooling; no current verb uses it",
-    )
 
     payload = argparse.ArgumentParser(add_help=False)
     payload.add_argument(
@@ -644,7 +638,7 @@ def _parser():
     s.add_argument("--force", action="store_true",
                    help="run the local route even if the degeneracy "
                    "hypothesis fails; output is then tagged unverified")
-    s.add_argument("--max-antichains", type=int, default=None)
+    s.add_argument("--max-antichains", type=_nonnegative, default=None)
     s.set_defaults(fn=_cmd_rbetti)
 
     s = sub.add_parser("resolve", parents=[common, payload],
@@ -656,7 +650,7 @@ def _parser():
                        help="relative minimal resolution")
     s.add_argument("--collection", default=None)
     s.add_argument("--dmax", type=_nonnegative, default=None)
-    s.add_argument("--max-antichains", type=int, default=None)
+    s.add_argument("--max-antichains", type=_nonnegative, default=None)
     s.set_defaults(fn=_cmd_rresolve)
 
     s = sub.add_parser("koszul", parents=[common, payload],
@@ -670,7 +664,7 @@ def _parser():
     s.add_argument("--thin", action="store_true")
     s.add_argument("--flat", action="store_true")
     s.add_argument("--degeneracy", action="store_true")
-    s.add_argument("--max-antichains", type=int, default=None)
+    s.add_argument("--max-antichains", type=_nonnegative, default=None)
     s.set_defaults(fn=_cmd_check)
 
     return parser

@@ -21,10 +21,10 @@ import numpy as np
 from relbetti.errors import NotSemilattice, SizeBoundExceeded
 from relbetti.homalg import NatTransformation
 from relbetti.pmod import (
-    PersistenceModule,
     cached_identity,
     cached_zeros,
     free,
+    indicator,
     zero_module,
 )
 from relbetti.poset import (
@@ -32,7 +32,6 @@ from relbetti.poset import (
     antichain_bound,
     antichain_name,
     antichain_poset,
-    from_covers,
 )
 from relbetti.relative import CollectionFunctor
 
@@ -47,16 +46,6 @@ __all__ = [
     "rectangles_naive",
     "rectangles_grid",
 ]
-
-
-def _member(base, support, p):
-    # indicator module of a convex subset, identity transitions inside
-    dims = [1 if x in support else 0 for x in range(base.n)]
-    maps = {}
-    for a, b in base.covers:
-        if dims[a] and dims[b]:
-            maps[(a, b)] = cached_identity(1, p)
-    return PersistenceModule(base, p, dims, maps)
 
 
 def _overlap_arrows(index, objs, p):
@@ -82,7 +71,7 @@ def _require_semilattice(base):
 def singleton(m):
     """One-member collection; no status is claimed (a doubled free member
     already fails thinness)."""
-    index = from_covers(["pt"], [])
+    index = Poset.from_covers(["pt"], [])
     return CollectionFunctor(m.poset, index, m.p, [m], {})
 
 
@@ -113,7 +102,7 @@ def _pair_covers(base, slots, names):
 def _pair_index(base):
     slots = _pair_slots(base)
     names = _pair_names(base, slots)
-    index = from_covers(names, _pair_covers(base, slots, names))
+    index = Poset.from_covers(names, _pair_covers(base, slots, names))
     assert index.names == tuple(names)
     return slots, index
 
@@ -127,7 +116,7 @@ def lower_hooks(base, p):
     objs = []
     for v, w in slots:
         mask = base.up_mask(v) & ~base.up_mask(w)
-        objs.append(_member(base, set(np.nonzero(mask)[0]), p))
+        objs.append(indicator(base, np.flatnonzero(mask), p))
     arrows = _overlap_arrows(index, objs, p)
     claims = {"thin": True, "degeneracy": True}
     return CollectionFunctor(base, index, p, objs, arrows, claims=claims)
@@ -155,12 +144,12 @@ def lower_hooks_inf(base, p):
                 covers.append((names[pos[(v, w)]], me))
     for v in maxima:
         covers.append((f"{base.names[v]}|inf", "inf|inf"))
-    index = from_covers(names, covers)
+    index = Poset.from_covers(names, covers)
     assert index.names == tuple(names)
     objs = []
     for v, w in slots:
         mask = base.up_mask(v) & ~base.up_mask(w)
-        objs.append(_member(base, set(np.nonzero(mask)[0]), p))
+        objs.append(indicator(base, np.flatnonzero(mask), p))
     objs.extend(free(base, v, p) for v in range(base.n))
     objs.append(zero_module(base, p))
     arrows = _overlap_arrows(index, objs, p)
@@ -177,7 +166,7 @@ def rectangles_naive(base, p):
     objs = []
     for v, w in slots:
         mask = base.up_mask(v) & base.down_mask(w)
-        objs.append(_member(base, set(np.nonzero(mask)[0]), p))
+        objs.append(indicator(base, np.flatnonzero(mask), p))
     arrows = _overlap_arrows(index, objs, p)
     claims = {"thin": True, "degeneracy": base.n < 2}
     return CollectionFunctor(base, index, p, objs, arrows, claims=claims)
@@ -193,7 +182,7 @@ def rectangles_grid(n, r, p):
     for v, w in slots:
         cv, cw = coords[v], coords[w]
         mask = np.all((coords >= cv) & (coords < cw), axis=1)
-        objs.append(_member(base, set(np.nonzero(mask)[0]), p))
+        objs.append(indicator(base, np.flatnonzero(mask), p))
     arrows = _overlap_arrows(index, objs, p)
     claims = {"thin": True, "degeneracy": True}
     return CollectionFunctor(base, index, p, objs, arrows, claims=claims)
@@ -250,9 +239,9 @@ def single_source_omega0(base, p, max_antichains=None):
         for w in base.max_elements(everything - u):
             if base.leq(v, w):
                 covers.append((names[pos[(v, u | {w})]], me))
-    index = from_covers(names, covers)
+    index = Poset.from_covers(names, covers)
     assert index.names == tuple(names)
-    objs = [_member(base, base.up(v) - u, p) for v, u in slots]
+    objs = [indicator(base, base.up(v) - u, p) for v, u in slots]
     arrows = _overlap_arrows(index, objs, p)
     claims = {"thin": True, "degeneracy": True}
     return CollectionFunctor(base, index, p, objs, arrows, claims=claims)
@@ -283,9 +272,9 @@ def spreads_omega(base, p, max_antichains=None):
         for b2 in ap.parents(b):
             if ap.leq(a, b2):
                 covers.append((names[pos[(a, b2)]], me))
-    index = from_covers(names, covers)
+    index = Poset.from_covers(names, covers)
     assert index.names == tuple(names)
-    objs = [_member(base, ups[a] - ups[b], p) for a, b in slots]
+    objs = [indicator(base, ups[a] - ups[b], p) for a, b in slots]
     arrows = _overlap_arrows(index, objs, p)
     return CollectionFunctor(base, index, p, objs, arrows)
 
@@ -297,7 +286,7 @@ def all_subfunctors(base, p, max_antichains=None):
     two maxima thinness already fails, so nothing is claimed then."""
     ap = antichain_poset(base, max_antichains)
     objs = [
-        _member(base, base.upset_of(s), p) for s in ap.antichains
+        indicator(base, base.upset_of(s), p) for s in ap.antichains
     ]
     arrows = _overlap_arrows(ap, objs, p)
     claims = {}
@@ -340,7 +329,7 @@ def translated(base, translations, p):
     objs = []
     for v in coords:
         gens = [lookup[tuple(tc + vc for tc, vc in zip(t, v))] for t in tset]
-        objs.append(_member(base, base.upset_of(gens), p))
+        objs.append(indicator(base, base.upset_of(gens), p))
     arrows = _overlap_arrows(index, objs, p)
     claims = {"thin": True, "flat": True, "degeneracy": True}
     return CollectionFunctor(base, index, p, objs, arrows, claims=claims)

@@ -9,7 +9,6 @@ their modulus.
 All arithmetic stays in int64 and is exact: entries are residues below
 p < 2^31, so one product of two entries stays below 2^62.
 """
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -17,7 +16,6 @@ import numpy as np
 from .errors import ComplexInvalid, NoSolution
 
 __all__ = [
-    "FieldConfig",
     "Matrix",
     "NoSolution",
     "ComplexInvalid",
@@ -30,6 +28,9 @@ __all__ = [
     "hstack",
     "vstack",
     "is_prime",
+    "check_modulus",
+    "complement_coords",
+    "quotient",
 ]
 
 _P_LIMIT = 1 << 31
@@ -49,17 +50,7 @@ def is_prime(n):
     return True
 
 
-@dataclass(frozen=True)
-class FieldConfig:
-    """Session-level field choice; the CLI realizes --field through this."""
-
-    p: int = 2
-
-    def __post_init__(self):
-        _check_p(self.p)
-
-
-def _check_p(p):
+def check_modulus(p):
     """The one modulus validator: an integer prime below 2^31, as an int."""
     if not isinstance(p, (int, np.integer)) or not (2 <= p < _P_LIMIT):
         raise ValueError(f"modulus must be an integer prime below 2^31, got {p!r}")
@@ -75,7 +66,7 @@ class Matrix:
     __slots__ = ("a", "p")
 
     def __init__(self, entries, p):
-        p = _check_p(p)
+        p = check_modulus(p)
         a = np.asarray(entries, dtype=np.int64)
         if a.ndim != 2:
             raise ValueError(f"matrix must be 2-dimensional, got shape {a.shape}")
@@ -87,7 +78,7 @@ class Matrix:
     @classmethod
     def _trusted(cls, a, p):
         """Wrap an int64 2-D array already reduced mod p, a modulus some
-        Matrix has passed through _check_p. Takes the array over: it is
+        Matrix has passed through check_modulus. Takes the array over: it is
         made read-only, not copied or checked."""
         m = object.__new__(cls)
         a.setflags(write=False)
@@ -294,6 +285,29 @@ def solve(m, b):
     return Matrix._trusted(x, m.p)
 
 
+def complement_coords(basis):
+    """Standard coordinates completing independent columns to a basis.
+
+    They are the non-pivot columns of the RREF of the transpose, ascending.
+    """
+    _, pivots = rref(basis.transpose())
+    pset = set(pivots)
+    return [q for q in range(basis.rows) if q not in pset]
+
+
+def quotient(basis):
+    """Projection onto the quotient by the span of independent columns.
+
+    The section is the identity's columns at complement_coords(basis); the
+    projection is the rows of [basis | section]^-1 past basis's columns, so
+    it kills basis and splits the section. Returns (proj, section).
+    """
+    eye = Matrix.identity(basis.rows, basis.p)
+    section = eye.take_cols(complement_coords(basis))
+    inv = solve(hstack([basis, section]), eye)
+    return inv.take_rows(range(basis.cols, basis.rows)), section
+
+
 def homology_dims(dims, diffs, p):
     """Homology dimensions of the chain complex C_0 <- C_1 <- ... <- C_k.
 
@@ -301,7 +315,7 @@ def homology_dims(dims, diffs, p):
     C_{i+1} -> C_i, a dims[i] x dims[i+1] matrix. Validates consecutive
     composites vanish before trusting rank arithmetic.
     """
-    p = _check_p(p)
+    p = check_modulus(p)
     dims = [int(d) for d in dims]
     if not dims:
         raise ComplexInvalid("complex needs at least one space")

@@ -16,10 +16,12 @@ from relbetti.errors import (
 )
 from relbetti.fieldlin import (
     Matrix,
+    complement_coords,
     hstack,
     homology_dims,
     kernel_basis,
     kron,
+    quotient,
     rank,
     rref,
     solve,
@@ -247,9 +249,9 @@ def image(f):
 def cokernel(f):
     """Pointwise cokernel with induced transitions, plus its projection.
 
-    At each element the image's complement coordinates (non-pivots of the
-    transposed image basis) index the quotient; the projection is read off
-    the inverse of [image basis | complement standard vectors].
+    At each element the pivot columns of the component are an image basis;
+    its quotient (fieldlin.quotient) gives the projection and the standard
+    section that index the cokernel by complement coordinates.
     """
     tgt = f.target
     poset = tgt.poset
@@ -258,23 +260,14 @@ def cokernel(f):
     sections = []
     for a in range(poset.n):
         c = f.component(a)
-        d = tgt.dims[a]
         _, pivots = rref(c)
-        b = c.take_cols(list(pivots))
-        _, cpiv = rref(b.transpose())
-        comp_idx = [q for q in range(d) if q not in set(cpiv)]
-        eq = np.zeros((d, len(comp_idx)), dtype=np.int64)
-        for out, q in enumerate(comp_idx):
-            eq[q, out] = 1
-        eq_m = Matrix(eq, p)
-        full = hstack([b, eq_m], rows=d, p=p)
-        inv = solve(full, cached_identity(d, p))
-        projs.append(inv.take_rows(list(range(b.cols, d))))
-        sections.append(eq_m)
+        proj, section = quotient(c.take_cols(list(pivots)))
+        projs.append(proj)
+        sections.append(section)
     dims = [pr.rows for pr in projs]
     maps = {}
-    for a, b_ in poset.covers:
-        maps[(a, b_)] = projs[b_] @ tgt.cover_map(a, b_) @ sections[a]
+    for a, b in poset.covers:
+        maps[(a, b)] = projs[b] @ tgt.cover_map(a, b) @ sections[a]
     mod = PersistenceModule(poset, p, dims, maps)
     proj = NatTransformation(tgt, mod, projs)
     return mod, proj
@@ -289,22 +282,11 @@ def section_of(f):
     return NatTransformation(f.target, f.source, comps)
 
 
-def _h0_lift_positions(m):
-    # per element: standard coordinates spanning a complement of the radical
-    rad = radical(m)
-    out = []
-    for a in range(m.poset.n):
-        _, pivots = rref(rad.basis[a].transpose())
-        pset = set(pivots)
-        out.append([q for q in range(m.dims[a]) if q not in pset])
-    return rad, out
-
-
 def minimal_cover(m):
     """Epimorphism onto m from a free module with one generator per
     complement coordinate of the radical, lifted in place."""
     poset = m.poset
-    _, lifts = _h0_lift_positions(m)
+    lifts = [complement_coords(b) for b in radical(m).basis]
     gens = []
     coords = []
     for a in range(poset.n):
@@ -588,26 +570,3 @@ def global_koszul(f):
                 coeffs[(subsets[d - 1][t], j)] = (-1) ** i
         diffs.append(free_nat(terms[d], terms[d - 1], coeffs))
     return Resolution(f, terms, diffs, minimal=False, complete=True)
-
-
-def resolution_dot(res):
-    """DOT rendering of a resolution: one node per term, labeled by its
-    generator multiset."""
-    poset = res.target.poset
-    lines = ["digraph resolution {", "  rankdir=LR;"]
-    lines.append(
-        f'  M [shape=box, label="target (total dim {sum(res.target.dims)})"];'
-    )
-    for d, t in enumerate(res.terms):
-        counts = {}
-        for g in t.free_generators:
-            counts[g] = counts.get(g, 0) + 1
-        parts = []
-        for g in sorted(counts):
-            nm = poset.names[g]
-            parts.append(nm if counts[g] == 1 else f"{nm}^{counts[g]}")
-        label = " + ".join(parts) if parts else "0"
-        lines.append(f'  C{d} [label="C{d} = {label}"];')
-        lines.append(f"  C{d} -> {'M' if d == 0 else f'C{d - 1}'};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

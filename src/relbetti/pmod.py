@@ -15,7 +15,7 @@ from relbetti.errors import (
     InvalidSpread,
     PosetMismatch,
 )
-from relbetti.fieldlin import Matrix, hstack, rank, rref, solve
+from relbetti.fieldlin import Matrix, check_modulus, hstack, rank, rref
 
 
 @lru_cache(maxsize=None)
@@ -37,7 +37,7 @@ class PersistenceModule:
 
     def __init__(self, poset, p, dims, cover_maps):
         self.poset = poset
-        self.p = int(p)
+        self.p = check_modulus(p)
         dims = tuple(int(d) for d in dims)
         if len(dims) != poset.n:
             raise ValueError("need one dimension per poset element")
@@ -207,13 +207,16 @@ def free(poset, a, p):
     return free_on(poset, [a], p)
 
 
-def _indicator(poset, mask, p):
-    # 0/1 module: identity transition exactly where both endpoints lie inside
-    dims = [1 if mask[i] else 0 for i in range(poset.n)]
-    maps = {}
-    for a, b in poset.covers:
-        if mask[a] and mask[b]:
-            maps[(a, b)] = cached_identity(1, p)
+def indicator(poset, support, p):
+    """0/1 module on a support, given as element indices: dimension one
+    inside, identity transitions on the covers with both ends inside."""
+    inside = frozenset(support)
+    dims = [1 if x in inside else 0 for x in range(poset.n)]
+    maps = {
+        (a, b): cached_identity(1, p)
+        for a, b in poset.covers
+        if a in inside and b in inside
+    }
     return PersistenceModule(poset, p, dims, maps)
 
 
@@ -221,11 +224,11 @@ def from_upset(poset, upset, p):
     u = frozenset(upset)
     if not poset.is_upset(u):
         raise ValueError("support is not an upset")
-    return _indicator(poset, [i in u for i in range(poset.n)], p)
+    return indicator(poset, u, p)
 
 
 def constant(poset, p):
-    return _indicator(poset, [True] * poset.n, p)
+    return indicator(poset, range(poset.n), p)
 
 
 def from_antichain(poset, s, p):
@@ -259,7 +262,7 @@ def spread(poset, sources, sinks, p):
     below = np.zeros(n, dtype=bool)
     for y in t:
         below |= poset.down_mask(y)
-    return _indicator(poset, above & below, p)
+    return indicator(poset, np.flatnonzero(above & below), p)
 
 
 def direct_sum(poset, p, parts):
@@ -325,9 +328,9 @@ def is_spread(m):
 
 def m0_demo(p=2):
     """Staircase demo module on the 6x6 grid: one generator, 14 cells."""
-    from relbetti.poset import grid
+    from relbetti.poset import Poset
 
-    g = grid(5, 2)
+    g = Poset.grid(5, 2)
     return spread(
         g,
         {g.index("0,0")},

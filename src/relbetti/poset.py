@@ -20,16 +20,7 @@ from .errors import (
 
 __all__ = [
     "Poset",
-    "from_covers",
-    "grid",
-    "join",
-    "meet_bounded",
-    "is_upper_semilattice",
-    "sublattice_closure",
     "antichain_poset",
-    "min_elements",
-    "max_elements",
-    "upset_of",
     "CyclicCovers",
     "RedundantCover",
     "SizeBoundExceeded",
@@ -356,42 +347,6 @@ class Poset:
 
     def __repr__(self):
         return f"Poset({self.n} elements, {len(self.covers)} covers)"
-
-
-def from_covers(names, covers, coords=None):
-    return Poset.from_covers(names, covers, coords=coords)
-
-
-def grid(n, r, max_elements=None):
-    return Poset.grid(n, r, max_elements=max_elements)
-
-
-def join(p, elements):
-    return p.join(elements)
-
-
-def meet_bounded(p, elements):
-    return p.meet_bounded(elements)
-
-
-def is_upper_semilattice(p):
-    return p.is_upper_semilattice()
-
-
-def sublattice_closure(p, elements):
-    return p.sublattice_closure(elements)
-
-
-def min_elements(p, subset):
-    return p.min_elements(subset)
-
-
-def max_elements(p, subset):
-    return p.max_elements(subset)
-
-
-def upset_of(p, subset):
-    return p.upset_of(subset)
 
 
 def antichain_name(p, antichain):

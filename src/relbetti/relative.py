@@ -21,7 +21,14 @@ from relbetti.errors import (
     NotSemilattice,
     NotThin,
 )
-from relbetti.fieldlin import Matrix, hstack, rref, solve
+from relbetti.fieldlin import (
+    Matrix,
+    check_modulus,
+    hstack,
+    quotient,
+    rref,
+    solve,
+)
 from relbetti.homalg import (
     NatTransformation,
     betti_koszul,
@@ -35,7 +42,6 @@ from relbetti.homalg import (
 from relbetti.pmod import (
     BettiDiagram,
     PersistenceModule,
-    cached_identity,
     direct_sum,
     free,
     h0,
@@ -58,6 +64,7 @@ class CollectionFunctor:
     """
 
     def __init__(self, domain, index, p, objs, arrows, claims=None):
+        p = check_modulus(p)
         objs = list(objs)
         if len(objs) != index.n:
             raise ValueError("need one member per index element")
@@ -230,8 +237,8 @@ def _flatten(f):
     return np.concatenate(parts)
 
 
-def _coords(basis, flat_cols, f, p):
-    """Coordinates of f in the chosen basis, via its flattened column."""
+def _coords(flat_cols, f, p):
+    """Coordinates of f in a basis, given the basis's _flat_columns."""
     vec = Matrix(_flatten(f).reshape(-1, 1), p)
     return solve(flat_cols, vec)
 
@@ -265,7 +272,7 @@ def _nat_module_data(coll, m, member=None):
             continue
         cols = []
         for phi in bases[a]:
-            cols.append(_coords(bases[b], flats[b], phi @ coll.arrow(a, b), p))
+            cols.append(_coords(flats[b], phi @ coll.arrow(a, b), p))
         maps[(a, b)] = hstack(cols, rows=dims[b], p=p)
     return PersistenceModule(index, p, dims, maps), bases, flats
 
@@ -282,16 +289,13 @@ def nat_module(coll, m):
 def nat_module_map(coll, f):
     """The map induced on hom modules by postcomposition with f."""
     src, sbases, _ = _nat_module_data(coll, f.source)
-    dst, dbases, dflats = _nat_module_data(coll, f.target)
+    dst, _, dflats = _nat_module_data(coll, f.target)
     comps = []
     for a in range(coll.index.n):
         if src.dims[a] == 0 or dst.dims[a] == 0:
             comps.append(Matrix.zeros(dst.dims[a], src.dims[a], coll.p))
             continue
-        cols = [
-            _coords(dbases[a], dflats[a], f @ phi, coll.p)
-            for phi in sbases[a]
-        ]
+        cols = [_coords(dflats[a], f @ phi, coll.p) for phi in sbases[a]]
         comps.append(hstack(cols, rows=dst.dims[a], p=coll.p))
     return NatTransformation(src, dst, comps)
 
@@ -321,9 +325,8 @@ def _realized(coll, f):
     sects = []
     dims = []
     for x in range(domain.n):
-        total = totals[x]
         width = sum(coll.obj(b).dims[x] * fdims[a] for a, b in covers)
-        rel = np.zeros((total, width), dtype=np.int64)
+        rel = np.zeros((totals[x], width), dtype=np.int64)
         c0 = 0
         for a, b in covers:
             w = coll.obj(b).dims[x] * fdims[a]
@@ -341,19 +344,10 @@ def _realized(coll, f):
             c0 += w
         rel = Matrix(rel, p)
         _, pivots = rref(rel)
-        image = rel.take_cols(list(pivots))
-        _, row_pivots = rref(image.transpose())
-        keep = [q for q in range(total) if q not in set(row_pivots)]
-        section = cached_identity(total, p).take_cols(keep)
-        full = hstack([image, section], rows=total, p=p)
-        if full.cols:
-            inv = solve(full, cached_identity(total, p))
-            proj = inv.take_rows(range(image.cols, total))
-        else:
-            proj = Matrix.zeros(0, total, p)
+        proj, section = quotient(rel.take_cols(list(pivots)))
         projs.append(proj)
         sects.append(section)
-        dims.append(len(keep))
+        dims.append(section.cols)
     maps = {}
     for x, y in domain.covers:
         pre = np.zeros((totals[y], totals[x]), dtype=np.int64)
@@ -403,13 +397,13 @@ def unit(coll, a):
     index = coll.index
     p = coll.p
     src = free(index, a, p)
-    target, bases, flats = _nat_module_data(coll, coll.obj(a), member=a)
+    target, _, flats = _nat_module_data(coll, coll.obj(a), member=a)
     comps = []
     for b in range(index.n):
         if not index.leq(a, b) or target.dims[b] == 0:
             comps.append(Matrix.zeros(target.dims[b], src.dims[b], p))
             continue
-        comps.append(_coords(bases[b], flats[b], coll.arrow_to(a, b), p))
+        comps.append(_coords(flats[b], coll.arrow_to(a, b), p))
     return NatTransformation(src, target, comps)
 
 
@@ -419,7 +413,7 @@ def unit_map(coll, f):
     domain = coll.domain
     p = coll.p
     lmod, projs, _, offsets = _realized(coll, f)
-    target, bases, flats = _nat_module_data(coll, lmod)
+    target, _, flats = _nat_module_data(coll, lmod)
     comps = []
     for a in range(index.n):
         if f.dims[a] == 0 or target.dims[a] == 0:
@@ -436,7 +430,7 @@ def unit_map(coll, f):
                     ins[offsets[x][a] + w * f.dims[a] + v, w] = 1
                 parts.append(projs[x] @ Matrix(ins, p))
             cand = NatTransformation(coll.obj(a), lmod, parts)
-            cols.append(_coords(bases[a], flats[a], cand, p))
+            cols.append(_coords(flats[a], cand, p))
         comps.append(hstack(cols, rows=target.dims[a], p=p))
     return NatTransformation(f, target, comps)
 

@@ -20,7 +20,7 @@ from relbetti.fieldlin import Matrix
 from relbetti.homalg import NatTransformation, betti, koszul
 from relbetti.pmod import PersistenceModule, constant, free, m0_demo
 from relbetti.pmod import validate as validate_module
-from relbetti.poset import Poset, from_covers
+from relbetti.poset import Poset
 from relbetti.relative import CollectionFunctor, relative_betti_diagram
 
 CLI = [sys.executable, "-m", "relbetti.cli"]
@@ -58,12 +58,12 @@ def table_of(out):
 
 def chain(n):
     names = [str(i) for i in range(n + 1)]
-    return from_covers(names, [(str(i), str(i + 1)) for i in range(n)])
+    return Poset.from_covers(names, [(str(i), str(i + 1)) for i in range(n)])
 
 
 def wedge():
     # one bottom, two incomparable tops: not an upper semilattice
-    return from_covers(["b", "l", "r"], [("b", "l"), ("b", "r")])
+    return Poset.from_covers(["b", "l", "r"], [("b", "l"), ("b", "r")])
 
 
 def yoneda_collection(poset, p):
@@ -458,6 +458,55 @@ class TestCheck:
         assert r.returncode == 1
 
 
+# The chain renderings of the demo module, byte for byte.
+GOLDEN_CHAINS = {
+    ("resolve", "dot"): (
+        "digraph resolution {\n"
+        "  rankdir=LR;\n"
+        '  M [shape=box, label="target (total dim 14)"];\n'
+        '  C0 [label="C0 = 0,0"];\n'
+        "  C0 -> M;\n"
+        '  C1 [label="C1 = 0,4 + 3,2 + 4,0"];\n'
+        "  C1 -> C0;\n"
+        '  C2 [label="C2 = 3,4 + 4,2"];\n'
+        "  C2 -> C1;\n"
+        "}\n"
+    ),
+    ("resolve", "table"): (
+        "C0 = 0,0\n"
+        "C1 = 0,4 + 3,2 + 4,0\n"
+        "C2 = 3,4 + 4,2\n"
+    ),
+    ("rresolve", "dot"): (
+        "digraph resolution {\n"
+        "  rankdir=LR;\n"
+        '  M [shape=box, label="target (total dim 14)"];\n'
+        '  C0 [label="C0 = 0,0|0,4 + 0,0|3,2 + 0,0|4,0"];\n'
+        "  C0 -> M;\n"
+        '  C1 [label="C1 = 0,0|3,4 + 0,0|4,2"];\n'
+        "  C1 -> C0;\n"
+        "}\n"
+    ),
+    ("rresolve", "table"): (
+        "C0 = 0,0|0,4 + 0,0|3,2 + 0,0|4,0\n"
+        "C1 = 0,0|3,4 + 0,0|4,2\n"
+    ),
+}
+
+
+class TestGoldenRenderings:
+    @pytest.mark.parametrize("verb,fmt", sorted(GOLDEN_CHAINS))
+    def test_chain_bytes(self, verb, fmt):
+        demo = run_cli("demo", "m0").stdout
+        extra = ["--collection", "lower_hooks", "--dmax", "2"]
+        argv = [verb, *(extra if verb == "rresolve" else []), "--format", fmt]
+        r = subprocess.run(
+            CLI + argv, input=demo.encode(), capture_output=True
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == GOLDEN_CHAINS[(verb, fmt)].encode()
+
+
 class TestFormats:
     def test_rbetti_table(self):
         demo = run_cli("demo", "m0").stdout
@@ -550,6 +599,29 @@ class TestInputErrors:
         payload = json.dumps({"module": m.to_json()})
         assert_input_error(run_cli("validate", "--field", "4", stdin=payload))
         assert_input_error(run_cli("demo", "m0", "--field", "4"))
+
+    @pytest.mark.parametrize("verb", ["rbetti", "rresolve", "check"])
+    def test_negative_max_antichains(self, verb):
+        demo = run_cli("demo", "m0").stdout
+        r = run_cli(
+            verb, "--collection", "all_subfunctors",
+            "--max-antichains", "-1", stdin=demo,
+        )
+        assert_input_error(r)
+        assert "--max-antichains" in r.stderr
+
+    @pytest.mark.parametrize(
+        "bound", ["x", -1, [1]], ids=["string", "negative", "list"]
+    )
+    def test_bad_max_antichains_param(self, bound):
+        demo = run_cli("demo", "m0").stdout
+        spec = {"builtin": "all_subfunctors",
+                "params": {"max_antichains": bound}}
+        r = run_cli(
+            "rbetti", "--collection", json.dumps(spec), stdin=demo
+        )
+        assert_input_error(r)
+        assert "max_antichains" in r.stderr
 
     @pytest.mark.parametrize("verb", ["betti", "rbetti", "resolve", "rresolve"])
     def test_negative_dmax(self, verb):

@@ -52,8 +52,6 @@ from relbetti.poset import (
     Poset,
     antichain_name,
     antichain_poset,
-    from_covers,
-    grid,
 )
 from relbetti.relative import (
     CollectionFunctor,
@@ -71,12 +69,14 @@ from relbetti.relative import (
 
 def chain(k):
     names = [str(i) for i in range(k)]
-    return from_covers(names, [(str(i), str(i + 1)) for i in range(k - 1)])
+    return Poset.from_covers(
+        names, [(str(i), str(i + 1)) for i in range(k - 1)]
+    )
 
 
 def vee():
     # two incomparable elements over a common bottom; joins fail
-    return from_covers(["b", "x", "y"], [("b", "x"), ("b", "y")])
+    return Poset.from_covers(["b", "x", "y"], [("b", "x"), ("b", "y")])
 
 
 def one_dim(poset, support, p=2):
@@ -178,7 +178,7 @@ class TestLowerHooks:
 
     def test_index_matches_raw_product_order(self):
         # cover formula vs the transitive reduction of the full relation
-        for base in [chain(3), grid(1, 2), grid(2, 2)]:
+        for base in [chain(3), Poset.grid(1, 2), Poset.grid(2, 2)]:
             coll = lower_hooks(base, 2)
             pairs = [
                 (v, w)
@@ -195,14 +195,14 @@ class TestLowerHooks:
             assert coll.index == Poset.from_order(names, leq)
 
     def test_diagonal_members_vanish(self):
-        base = grid(2, 2)
+        base = Poset.grid(2, 2)
         coll = lower_hooks(base, 2)
         for v in range(base.n):
             nm = f"{base.names[v]}|{base.names[v]}"
             assert coll.member_is_zero(coll.index.index(nm))
 
     def test_hom_dims_equal_transition_kernels(self):
-        base = grid(1, 2)
+        base = Poset.grid(1, 2)
         coll = lower_hooks(base, 5)
         rng = np.random.default_rng(7)
         for _ in range(8):
@@ -217,7 +217,7 @@ class TestLowerHooks:
                 assert nm.dims[i] == inter_kernel_dim(m, v, [w])
 
     def test_claims_match_honest_checks_small(self):
-        for base in [chain(2), chain(3), grid(1, 2)]:
+        for base in [chain(2), chain(3), Poset.grid(1, 2)]:
             coll = lower_hooks(base, 2)
             assert coll.claims == {"thin": True, "degeneracy": True}
             assert is_thin(coll)[0]
@@ -230,7 +230,7 @@ class TestLowerHooks:
     def test_staircase_multiplicities_on_big_grid(self):
         # frozen table: three degree-0 hooks at the staircase corners and
         # two degree-1 hooks at their pairwise joins, nothing above
-        coll = lower_hooks(grid(5, 2), 2)
+        coll = lower_hooks(Poset.grid(5, 2), 2)
         m0 = m0_demo(2)
         got = by_name(relative_betti_diagram(coll, m0, 2), coll.index)
         assert got == {
@@ -246,7 +246,7 @@ class TestLowerHooks:
         res.check(coll)
 
     def test_projective_dimension_bound_two_by_two(self):
-        base = grid(1, 2)
+        base = Poset.grid(1, 2)
         coll = lower_hooks(base, 2)
         rng = np.random.default_rng(8)
         for _ in range(20):
@@ -271,7 +271,7 @@ class TestLowerHooksInf:
         assert j.leq(j.index("0|inf"), j.index("1|inf"))
 
     def test_free_slots_have_evaluation_dims(self):
-        base = grid(1, 2)
+        base = Poset.grid(1, 2)
         coll = lower_hooks_inf(base, 2)
         rng = np.random.default_rng(9)
         for _ in range(6):
@@ -282,7 +282,7 @@ class TestLowerHooksInf:
                 assert nm.dims[i] == m.dims[v]
 
     def test_claims_match_honest_checks_small(self):
-        for base in [chain(2), chain(3), grid(1, 2)]:
+        for base in [chain(2), chain(3), Poset.grid(1, 2)]:
             coll = lower_hooks_inf(base, 2)
             assert coll.claims == {"thin": True, "degeneracy": True}
             assert is_thin(coll)[0]
@@ -301,7 +301,7 @@ class TestLowerHooksInf:
         assert module_rank(b) != module_rank(a) + module_rank(c)
 
     def test_split_sequences_are_exact_and_rank_additive(self):
-        base = grid(1, 2)
+        base = Poset.grid(1, 2)
         coll = lower_hooks_inf(base, 2)
         rng = np.random.default_rng(10)
         for _ in range(5):
@@ -336,7 +336,7 @@ class TestLowerHooksInf:
 
 class TestRectanglesNaive:
     def test_members_are_closed_boxes(self):
-        base = grid(1, 2)
+        base = Poset.grid(1, 2)
         coll = rectangles_naive(base, 2)
         coll.validate()
         check_all_arrows(coll)
@@ -372,7 +372,7 @@ class TestRectanglesNaive:
     def test_counterexample_box_on_big_grid(self):
         # local Koszul homology reports a phantom degree-1 class at the
         # box [(0,4),(2,4)] even though the honest resolution has none
-        coll = rectangles_naive(grid(5, 2), 2)
+        coll = rectangles_naive(Poset.grid(5, 2), 2)
         m0 = m0_demo(2)
         a = coll.index.index("0,4|2,4")
         nm = nat_module(coll, m0)
@@ -462,7 +462,7 @@ class TestSingleSourceOmega0:
         assert support_of(coll.obj(coll.index.index("1|{}"))) == {1}
 
     def test_index_matches_raw_order(self):
-        for base in [chain(3), grid(1, 2)]:
+        for base in [chain(3), Poset.grid(1, 2)]:
             coll = single_source_omega0(base, 2)
             slots = []
             for v in range(base.n):
@@ -485,7 +485,7 @@ class TestSingleSourceOmega0:
             assert coll.index == Poset.from_order(names, leq)
 
     def test_join_formula(self):
-        base = grid(1, 2)
+        base = Poset.grid(1, 2)
         coll = single_source_omega0(base, 2)
         j = coll.index
         assert j.is_upper_semilattice()
@@ -514,7 +514,7 @@ class TestSingleSourceOmega0:
                 assert nm.dims[i] == inter_kernel_dim(m, v, mins)
 
     def test_members_resolve_themselves(self):
-        coll = single_source_omega0(grid(2, 2), 2)
+        coll = single_source_omega0(Poset.grid(2, 2), 2)
         for a in [
             coll.index.index("0,0|{2,2}"),
             coll.index.index("0,1|{1,2}"),
@@ -525,7 +525,7 @@ class TestSingleSourceOmega0:
             assert res.multiplicities().entries == {(0, a): 1}
 
     def test_claims_match_honest_checks_small(self):
-        for base in [chain(2), chain(3), grid(1, 2)]:
+        for base in [chain(2), chain(3), Poset.grid(1, 2)]:
             coll = single_source_omega0(base, 2)
             assert coll.claims == {"thin": True, "degeneracy": True}
             assert is_thin(coll)[0]
@@ -537,7 +537,7 @@ class TestSingleSourceOmega0:
 
     def test_size_bound(self):
         with pytest.raises(SizeBoundExceeded):
-            single_source_omega0(grid(2, 2), 2, max_antichains=10)
+            single_source_omega0(Poset.grid(2, 2), 2, max_antichains=10)
 
 
 class TestSpreadsOmega:
@@ -556,7 +556,7 @@ class TestSpreadsOmega:
         assert coll.claims == {}
 
     def test_members_are_spreads(self):
-        for base in [chain(3), grid(1, 2)]:
+        for base in [chain(3), Poset.grid(1, 2)]:
             coll = spreads_omega(base, 2)
             for a in range(coll.index.n):
                 if not coll.member_is_zero(a):
@@ -568,18 +568,18 @@ class TestSpreadsOmega:
             assert is_thin(coll)[0]
 
     def test_not_thin_with_incomparable_pair(self):
-        for base in [vee(), grid(1, 2)]:
+        for base in [vee(), Poset.grid(1, 2)]:
             flag, witness = is_thin(spreads_omega(base, 2))
             assert not flag and witness is not None
 
     def test_size_bound(self):
         with pytest.raises(SizeBoundExceeded):
-            spreads_omega(grid(1, 2), 2, max_antichains=4)
+            spreads_omega(Poset.grid(1, 2), 2, max_antichains=4)
 
 
 class TestAllSubfunctors:
     def test_index_is_the_antichain_lattice(self):
-        for base in [chain(3), grid(1, 2), vee()]:
+        for base in [chain(3), Poset.grid(1, 2), vee()]:
             coll = all_subfunctors(base, 2)
             coll.validate()
             check_all_arrows(coll)
@@ -593,12 +593,14 @@ class TestAllSubfunctors:
 
     def test_cover_formula_matches_raw_containment_order(self):
         rng = np.random.default_rng(13)
-        posets = [chain(3), grid(1, 2), vee()]
+        posets = [chain(3), Poset.grid(1, 2), vee()]
         from conftest import random_poset_covers
         for _ in range(3):
             names, covers, _ = random_poset_covers(rng, 5)
             posets.append(
-                from_covers(names, [(names[a], names[b]) for a, b in covers])
+                Poset.from_covers(
+                    names, [(names[a], names[b]) for a, b in covers]
+                )
             )
         for base in posets:
             ap = antichain_poset(base)
@@ -611,7 +613,7 @@ class TestAllSubfunctors:
             assert ap == Poset.from_order(list(ap.names), leq)
 
     def test_unique_max_claims_and_honest_checks(self):
-        for base in [chain(3), grid(1, 2)]:
+        for base in [chain(3), Poset.grid(1, 2)]:
             coll = all_subfunctors(base, 2)
             assert coll.claims == {
                 "thin": True, "flat": True, "degeneracy": True,
@@ -629,7 +631,7 @@ class TestAllSubfunctors:
     def test_staircase_multiplicities_on_big_grid(self):
         # degree 0 settled by hand: the generator at the bottom upset and
         # a second one where the staircase support splits in two
-        coll = all_subfunctors(grid(5, 2), 2)
+        coll = all_subfunctors(Poset.grid(5, 2), 2)
         m0 = m0_demo(2)
         diagram = relative_betti_diagram(coll, m0, 2)
         got = by_name(diagram, coll.index)
@@ -645,7 +647,7 @@ class TestAllSubfunctors:
 
 class TestTranslated:
     def test_identity_translation_recovers_standard_betti(self):
-        base = grid(2, 2)
+        base = Poset.grid(2, 2)
         coll = translated(base, [(0, 0)], 2)
         assert coll.index == base
         for v in range(base.n):
@@ -657,7 +659,7 @@ class TestTranslated:
                 betti(m, 3).entries
 
     def test_box_shape_and_parents(self):
-        base = grid(5, 2)
+        base = Poset.grid(5, 2)
         coll = translated(base, [(0, 2), (1, 0)], 2)
         j = coll.index
         assert j.n == 20
@@ -674,7 +676,7 @@ class TestTranslated:
             assert set(j.parents(i)) == want
 
     def test_members_are_translated_upsets(self):
-        base = grid(2, 2)
+        base = Poset.grid(2, 2)
         coll = translated(base, [(0, 1), (1, 0)], 2)
         lookup = {c: i for i, c in enumerate(base.coords)}
         for i in range(coll.index.n):
@@ -683,7 +685,7 @@ class TestTranslated:
             assert coll.obj(i) == from_upset(base, base.upset_of(gens), 2)
 
     def test_inclusion_order(self):
-        base = grid(2, 2)
+        base = Poset.grid(2, 2)
         coll = translated(base, [(0, 1), (1, 0)], 2)
         j = coll.index
         for a in range(j.n):
@@ -692,7 +694,7 @@ class TestTranslated:
                 assert inc == j.leq(a, b)
 
     def test_claims_match_honest_checks_small(self):
-        coll = translated(grid(2, 2), [(0, 1), (1, 0)], 2)
+        coll = translated(Poset.grid(2, 2), [(0, 1), (1, 0)], 2)
         assert coll.claims == {"thin": True, "flat": True, "degeneracy": True}
         assert is_thin(coll)[0]
         assert is_flat(coll)[0]
@@ -701,7 +703,7 @@ class TestTranslated:
     def test_staircase_multiplicities_on_big_grid(self):
         # frozen from the hand computation: two generators, two relation
         # pairs, two second syzygies, total (2, 4, 2)
-        coll = translated(grid(5, 2), [(0, 2), (1, 0)], 2)
+        coll = translated(Poset.grid(5, 2), [(0, 2), (1, 0)], 2)
         m0 = m0_demo(2)
         diagram = relative_betti_diagram(coll, m0, 3)
         got = by_name(diagram, coll.index)
@@ -717,7 +719,7 @@ class TestTranslated:
         assert by_name(betti(nm, 3), coll.index) == got
 
     def test_rejects_bad_translation_sets(self):
-        base = grid(2, 2)
+        base = Poset.grid(2, 2)
         with pytest.raises(ValueError):
             translated(base, [], 2)
         with pytest.raises(ValueError):
@@ -731,17 +733,17 @@ class TestTranslated:
 class TestSerialization:
     def test_round_trip(self):
         for coll in [
-            lower_hooks(grid(1, 2), 2),
+            lower_hooks(Poset.grid(1, 2), 2),
             single_source_omega0(chain(2), 5),
-            translated(grid(2, 2), [(0, 1), (1, 0)], 2),
+            translated(Poset.grid(2, 2), [(0, 1), (1, 0)], 2),
         ]:
             blob = coll.to_json()
             again = CollectionFunctor.from_json(blob)
             assert again == coll
 
     def test_canonical_bytes_are_stable(self):
-        a = lower_hooks(grid(1, 2), 2).to_json()
-        b = lower_hooks(grid(1, 2), 2).to_json()
+        a = lower_hooks(Poset.grid(1, 2), 2).to_json()
+        b = lower_hooks(Poset.grid(1, 2), 2).to_json()
         ja = json.dumps(a, sort_keys=True, separators=(",", ":"))
         jb = json.dumps(b, sort_keys=True, separators=(",", ":"))
         assert ja == jb
@@ -761,7 +763,7 @@ class TestClaimsAgainstHonestChecks:
 
     def test_on_random_semilattices(self):
         rng = np.random.default_rng(15)
-        ambient = grid(2, 2)
+        ambient = Poset.grid(2, 2)
         for _ in range(6):
             base = random_semilattice(rng, ambient, 4)
             for build in [
@@ -776,7 +778,9 @@ class TestClaimsAgainstHonestChecks:
     def test_on_grids(self):
         for n, r in [(1, 2), (2, 1)]:
             self._verify(rectangles_grid(n, r, 2))
-            self._verify(translated(grid(n, r), [tuple(0 for _ in range(r))], 2))
+            self._verify(
+                translated(Poset.grid(n, r), [tuple(0 for _ in range(r))], 2)
+            )
 
     @settings(max_examples=12, deadline=None)
     @given(k=st.integers(min_value=1, max_value=4), p=st.sampled_from([2, 5]))

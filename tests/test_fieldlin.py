@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relbetti.fieldlin import (
-    FieldConfig,
     Matrix,
     ComplexInvalid,
     NoSolution,
+    check_modulus,
     homology_dims,
     hstack,
     kernel_basis,
@@ -30,19 +30,23 @@ def M(entries, p=2):
 
 
 class TestFieldConfig:
+    """The modulus validator behind --field, Matrix and the modules."""
+
     def test_default_is_two(self):
-        assert FieldConfig().p == 2
+        # the CLI's default field; a numpy integer comes back as an int
+        assert check_modulus(np.int64(2)) == 2
+        assert type(check_modulus(np.int64(2))) is int
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
-            FieldConfig(p=6)
+            check_modulus(6)
 
     def test_rejects_huge(self):
         with pytest.raises(ValueError):
-            FieldConfig(p=(1 << 31) + 11)
+            check_modulus((1 << 31) + 11)
 
     def test_accepts_odd_prime(self):
-        assert FieldConfig(p=5).p == 5
+        assert check_modulus(5) == 5
 
 
 class TestModulus:

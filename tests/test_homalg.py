@@ -37,20 +37,21 @@ from relbetti.homalg import (
     minimal_cover,
     minimal_resolution,
     nat_basis,
-    resolution_dot,
     section_of,
     zero_nat,
 )
-from relbetti.poset import from_covers, grid
+from relbetti.poset import Poset
 
 
 def chain(k):
     names = [str(i) for i in range(k)]
-    return from_covers(names, [(str(i), str(i + 1)) for i in range(k - 1)])
+    return Poset.from_covers(
+        names, [(str(i), str(i + 1)) for i in range(k - 1)]
+    )
 
 
 def diamond():
-    return from_covers(
+    return Poset.from_covers(
         ["bot", "x", "y", "top"],
         [("bot", "x"), ("bot", "y"), ("x", "top"), ("y", "top")],
     )
@@ -59,7 +60,7 @@ def diamond():
 def bowtie():
     # two incomparable minima under two incomparable middles under one top:
     # {x, y} is bounded below but has no meet
-    return from_covers(
+    return Poset.from_covers(
         ["b1", "b2", "x", "y", "top"],
         [("b1", "x"), ("b1", "y"), ("b2", "x"), ("b2", "y"),
          ("x", "top"), ("y", "top")],
@@ -100,7 +101,7 @@ class TestNatTransformation:
 
 class TestNatBasis:
     def test_yoneda_dimension(self):
-        g = grid(2, 2)
+        g = Poset.grid(2, 2)
         rng = np.random.default_rng(11)
         m = random_module(rng, g, 2)
         for a in range(g.n):
@@ -182,7 +183,7 @@ class TestKernelCokernel:
         assert (proj @ f).is_zero()
 
     def test_kernel_inclusion_composite_zero(self):
-        g = grid(1, 2)
+        g = Poset.grid(1, 2)
         rng = np.random.default_rng(3)
         f = random_free_map(rng, g, 5, 2, 2)
         k, incl = kernel(f)
@@ -194,7 +195,7 @@ class TestKernelCokernel:
             assert k.dims[a] == f.source.dims[a] - rank(f.component(a))
 
     def test_image_module(self):
-        g = grid(1, 2)
+        g = Poset.grid(1, 2)
         rng = np.random.default_rng(7)
         f = random_free_map(rng, g, 3, 2, 2)
         im, incl = image(f)
@@ -204,7 +205,7 @@ class TestKernelCokernel:
             assert im.dims[a] == rank(f.component(a))
 
     def test_section_of_epi(self):
-        g = grid(1, 2)
+        g = Poset.grid(1, 2)
         rng = np.random.default_rng(9)
         f = random_free_map(rng, g, 2, 2, 3)
         c, proj = cokernel(f)
@@ -243,7 +244,7 @@ class TestMinimalCover:
 
     def test_epi_iff_h0_epi(self):
         # surjectivity can be read off after quotienting by the radical
-        g = grid(1, 2)
+        g = Poset.grid(1, 2)
         rng = np.random.default_rng(21)
         for _ in range(20):
             tgt = random_module(rng, g, 3)
@@ -331,7 +332,7 @@ class TestMinimalResolution:
         assert b == expect
 
     def test_two_upset_union(self):
-        g = grid(1, 2)
+        g = Poset.grid(1, 2)
         u = g.up(g.index("0,1")) | g.up(g.index("1,0"))
         r = minimal_resolution(from_upset(g, u, 2), 4)
         assert r.multiplicities() == BettiDiagram({
@@ -346,7 +347,7 @@ class TestMinimalResolution:
         assert r.length == 1 and not r.complete
 
     def test_resolution_is_exact(self):
-        g = grid(1, 2)
+        g = Poset.grid(1, 2)
         rng = np.random.default_rng(17)
         for _ in range(10):
             m = random_module(rng, g, 2)
@@ -386,7 +387,7 @@ class TestBetti:
 
 class TestKoszul:
     def test_free_module_homology(self):
-        g = grid(2, 2)
+        g = Poset.grid(2, 2)
         for b in range(g.n):
             f = free(g, b, 2)
             for a in range(g.n):
@@ -437,7 +438,7 @@ class TestKoszul:
         assert k.dims[1] == sum(m.dims[s] for s in g.parents(a))
 
     def test_index_sets_recorded(self):
-        g = grid(1, 2)
+        g = Poset.grid(1, 2)
         k = koszul(constant(g, 2), g.index("1,1"))
         assert k.index_sets[0] == ((),)
         assert len(k.index_sets[1]) == 2
@@ -468,7 +469,7 @@ class TestKoszul:
     def test_betti_equals_koszul_random(self, seed):
         # the central equality: resolution route vs Koszul route
         rng = np.random.default_rng(seed)
-        ambient = grid(2, 2)
+        ambient = Poset.grid(2, 2)
         j = random_semilattice(rng, ambient)
         p = 2 if seed % 2 == 0 else 5
         m = random_module(rng, j, p)
@@ -482,7 +483,7 @@ class TestKoszul:
 
 class TestGlobalKoszul:
     def test_single_generator(self):
-        g = grid(1, 2)
+        g = Poset.grid(1, 2)
         a = g.index("1,0")
         r = global_koszul(free(g, a, 2))
         assert r.length == 0
@@ -490,7 +491,7 @@ class TestGlobalKoszul:
         r.check()
 
     def test_two_generators(self):
-        g = grid(1, 2)
+        g = Poset.grid(1, 2)
         s, t = g.index("0,1"), g.index("1,0")
         f = from_upset(g, g.up(s) | g.up(t), 2)
         r = global_koszul(f)
@@ -500,7 +501,7 @@ class TestGlobalKoszul:
         r.check()
 
     def test_exactness_random_antichains(self):
-        g = grid(2, 2)
+        g = Poset.grid(2, 2)
         rng = np.random.default_rng(13)
         for _ in range(10):
             seeds = {int(x) for x in rng.choice(g.n, 3, replace=False)}
@@ -510,12 +511,12 @@ class TestGlobalKoszul:
             r.check()
 
     def test_not_semilattice(self):
-        p = from_covers(["a", "b", "c"], [("a", "b"), ("a", "c")])
+        p = Poset.from_covers(["a", "b", "c"], [("a", "b"), ("a", "c")])
         with pytest.raises(NotSemilattice):
             global_koszul(constant(p, 2))
 
     def test_not_subfunctor(self):
-        g = grid(1, 2)
+        g = Poset.grid(1, 2)
         m = direct_sum(g, 2, [(free(g, 0, 2), 2)])
         with pytest.raises(NotSubfunctor):
             global_koszul(m)
@@ -523,7 +524,7 @@ class TestGlobalKoszul:
     def test_nonminimal_example_has_extra_terms(self):
         # three pairwise-joinable generators produce a length-2 complex even
         # when the minimal resolution stops earlier
-        g = grid(1, 2)
+        g = Poset.grid(1, 2)
         f = constant(g, 2)
         r = global_koszul(f)
         assert r.length == 0 or r.length >= minimal_resolution(f, 4).length
@@ -537,7 +538,7 @@ class TestIsExact:
         assert is_exact([zero_nat(z, m), identity_nat(m)])
 
     def test_ses_from_image(self):
-        g = grid(1, 2)
+        g = Poset.grid(1, 2)
         rng = np.random.default_rng(19)
         f = random_free_map(rng, g, 2, 2, 2)
         im, incl = image(f)
@@ -558,7 +559,7 @@ class TestContainments:
     @given(seed=st.integers(0, 10_000))
     def test_sublattice_discretization(self, seed):
         rng = np.random.default_rng(seed)
-        j = random_semilattice(rng, grid(2, 2))
+        j = random_semilattice(rng, Poset.grid(2, 2))
         m = random_module(rng, j, 2)
         dmax = longest_chain(j) + 1
         b = betti(m, dmax)
@@ -571,7 +572,7 @@ class TestContainments:
     @given(seed=st.integers(0, 10_000))
     def test_bounded_below_chain(self, seed):
         rng = np.random.default_rng(seed)
-        j = random_semilattice(rng, grid(2, 2))
+        j = random_semilattice(rng, Poset.grid(2, 2))
         m = random_module(rng, j, 2)
         dmax = longest_chain(j) + 1
         b = betti(m, dmax)
@@ -585,7 +586,7 @@ class TestContainments:
             assert hulls[d] <= hulls[d - 1]
 
     def test_subfunctor_containment(self):
-        g = grid(2, 2)
+        g = Poset.grid(2, 2)
         rng = np.random.default_rng(23)
         for _ in range(10):
             seeds = {int(x) for x in rng.choice(g.n, 3, replace=False)}
@@ -601,7 +602,7 @@ class TestContainments:
         # short exact sequence: middle and quotient agree wherever the
         # submodule's diagram vanishes in all degrees
         rng = np.random.default_rng(seed)
-        j = random_semilattice(rng, grid(2, 2))
+        j = random_semilattice(rng, Poset.grid(2, 2))
         m = random_module(rng, j, 2)
         f = random_free_map(rng, j, 2, 2, 1)
         maps = nat_basis(f.source, m)
@@ -622,11 +623,3 @@ class TestContainments:
             for d in range(dmax + 1):
                 assert b_mid.get(d, a) == b_quot.get(d, a), (seed, a, d)
 
-
-class TestDot:
-    def test_resolution_dot_mentions_terms(self):
-        m = m0_demo(2)
-        out = resolution_dot(minimal_resolution(m, 5))
-        assert "digraph" in out
-        assert "C0" in out and "C2" in out
-        assert "0,0" in out

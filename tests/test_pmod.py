@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relbetti.fieldlin import Matrix
-from relbetti.poset import from_covers, grid
+from relbetti.poset import Poset
 from relbetti.pmod import (
     BettiDiagram,
     FunctorialityViolation,
@@ -28,11 +28,13 @@ from relbetti.pmod import (
 
 def chain(k):
     names = [str(i) for i in range(k)]
-    return from_covers(names, [(str(i), str(i + 1)) for i in range(k - 1)])
+    return Poset.from_covers(
+        names, [(str(i), str(i + 1)) for i in range(k - 1)]
+    )
 
 
 def diamond():
-    return from_covers(
+    return Poset.from_covers(
         ["bot", "x", "y", "top"],
         [("bot", "x"), ("bot", "y"), ("x", "top"), ("y", "top")],
     )
@@ -63,6 +65,13 @@ class TestValidate:
         p = chain(2)
         with pytest.raises(ValueError):
             PersistenceModule(p, 2, [1, 1], {(0, 1): Matrix.zeros(2, 1, 2)})
+
+    @pytest.mark.parametrize("p", [4, 1, 2.5])
+    def test_bad_modulus_rejected(self, p):
+        # no cover map, so no Matrix would ever see p
+        antichain = Poset.from_covers(["a", "b"], [])
+        with pytest.raises(ValueError, match="modulus"):
+            PersistenceModule(antichain, p, [1, 1], {})
 
 
 class TestFree:
@@ -105,14 +114,14 @@ class TestIndicatorConstructors:
         assert m.map(0, 2) == Matrix.identity(1, 2)
 
     def test_from_antichain_is_upset_module(self):
-        g = grid(5, 2)
+        g = Poset.grid(5, 2)
         s = {g.index("0,2"), g.index("1,0")}
         m = from_antichain(g, s, 2)
         expect = from_upset(g, g.upset_of(s), 2)
         assert m == expect
 
     def test_spread_support(self):
-        g = grid(5, 2)
+        g = Poset.grid(5, 2)
         s = {g.index("0,0")}
         t = {g.index("2,3"), g.index("3,1")}
         m = spread(g, s, t, 2)
@@ -123,7 +132,7 @@ class TestIndicatorConstructors:
         validate(m)
 
     def test_invalid_spread(self):
-        g = grid(1, 2)
+        g = Poset.grid(1, 2)
         with pytest.raises(InvalidSpread):
             spread(g, {g.index("1,0")}, {g.index("0,1")}, 2)
 
@@ -230,7 +239,7 @@ class TestPredicates:
         assert not is_spread(m)
 
     def test_upset_module_is_filtration(self):
-        g = grid(2, 2)
+        g = Poset.grid(2, 2)
         rng = np.random.default_rng(4)
         for _ in range(10):
             s = {int(x) for x in rng.choice(g.n, 2, replace=False)}
@@ -240,7 +249,7 @@ class TestPredicates:
             assert all(d <= 1 for d in m.dims)
 
     def test_spread_reconstruction(self):
-        g = grid(2, 2)
+        g = Poset.grid(2, 2)
         m = spread(g, {g.index("0,0")}, {g.index("1,2"), g.index("2,0")}, 2)
         assert is_spread(m)
         supp = [i for i in range(g.n) if m.dims[i] == 1]

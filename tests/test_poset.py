@@ -11,26 +11,19 @@ from relbetti.poset import (
     RedundantCover,
     SizeBoundExceeded,
     antichain_poset,
-    from_covers,
-    grid,
-    is_upper_semilattice,
-    join,
-    max_elements,
-    meet_bounded,
-    min_elements,
-    sublattice_closure,
-    upset_of,
 )
 from conftest import random_poset_covers
 
 
 def chain(k):
     names = [str(i) for i in range(k)]
-    return from_covers(names, [(str(i), str(i + 1)) for i in range(k - 1)])
+    return Poset.from_covers(
+        names, [(str(i), str(i + 1)) for i in range(k - 1)]
+    )
 
 
 def diamond():
-    return from_covers(
+    return Poset.from_covers(
         ["bot", "x", "y", "top"],
         [("bot", "x"), ("bot", "y"), ("x", "top"), ("y", "top")],
     )
@@ -42,7 +35,7 @@ class TestFromCovers:
         assert p.leq(p.index("0"), p.index("2"))
 
     def test_incomparable_pair(self):
-        p = from_covers(["a", "b"], [])
+        p = Poset.from_covers(["a", "b"], [])
         a, b = p.index("a"), p.index("b")
         assert not p.leq(a, b) and not p.leq(b, a)
         assert p.leq(a, a)
@@ -54,19 +47,21 @@ class TestFromCovers:
 
     def test_cycle_rejected(self):
         with pytest.raises(CyclicCovers):
-            from_covers(["a", "b"], [("a", "b"), ("b", "a")])
+            Poset.from_covers(["a", "b"], [("a", "b"), ("b", "a")])
 
     def test_redundant_cover_rejected(self):
         with pytest.raises(RedundantCover):
-            from_covers(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+            Poset.from_covers(
+                ["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")]
+            )
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
-            from_covers(["a", "a"], [])
+            Poset.from_covers(["a", "a"], [])
 
     def test_indices_are_linear_extension(self):
         names, covers, _ = random_poset_covers(np.random.default_rng(3), 7)
-        p = from_covers(names, [(names[i], names[j]) for i, j in covers])
+        p = Poset.from_covers(names, [(names[i], names[j]) for i, j in covers])
         for i in range(p.n):
             for j in range(p.n):
                 if p.leq(i, j):
@@ -77,7 +72,9 @@ class TestFromCovers:
         for _ in range(15):
             n = int(rng.integers(2, 8))
             names, covers, _ = random_poset_covers(rng, n)
-            p = from_covers(names, [(names[i], names[j]) for i, j in covers])
+            p = Poset.from_covers(
+                names, [(names[i], names[j]) for i, j in covers]
+            )
             for a in range(p.n):
                 expect = {
                     b
@@ -94,90 +91,92 @@ class TestFromCovers:
 
 class TestGrid:
     def test_6x6(self):
-        g = grid(5, 2)
+        g = Poset.grid(5, 2)
         assert g.n == 36
         assert g.grid_shape == (5, 2)
 
     def test_tiny_chain(self):
-        g = grid(1, 1)
+        g = Poset.grid(1, 1)
         assert g.n == 2
         assert g.leq(0, 1)
 
     def test_parents_product_order(self):
-        g = grid(2, 2)
+        g = Poset.grid(2, 2)
         a = g.index("1,1")
         assert {g.names[i] for i in g.parents(a)} == {"0,1", "1,0"}
 
     def test_order_is_coordinatewise(self):
-        g = grid(2, 2)
+        g = Poset.grid(2, 2)
         assert g.leq(g.index("0,1"), g.index("2,2"))
         assert not g.leq(g.index("0,1"), g.index("2,0"))
 
     def test_size_guard(self):
         with pytest.raises(SizeBoundExceeded):
-            grid(9, 6)
+            Poset.grid(9, 6)
 
     def test_coords_roundtrip(self):
-        g = grid(3, 2)
+        g = Poset.grid(3, 2)
         for i in range(g.n):
             assert g.names[i] == ",".join(str(c) for c in g.coords[i])
 
 
 class TestJoinMeet:
     def test_grid_join_coordinatewise_max(self):
-        g = grid(5, 2)
+        g = Poset.grid(5, 2)
         s = [g.index("1,3"), g.index("2,2")]
-        assert join(g, s) == g.index("2,3")
+        assert g.join(s) == g.index("2,3")
 
     def test_chain_join_is_max(self):
         p = chain(4)
-        assert join(p, [0, 2, 1]) == 2
+        assert p.join([0, 2, 1]) == 2
 
     def test_no_join(self):
-        p = from_covers(["a", "b"], [])
-        assert join(p, [0, 1]) is None
+        p = Poset.from_covers(["a", "b"], [])
+        assert p.join([0, 1]) is None
 
     def test_grid_meet_coordinatewise_min(self):
-        g = grid(5, 2)
+        g = Poset.grid(5, 2)
         s = [g.index("1,3"), g.index("2,2")]
-        assert meet_bounded(g, s) == g.index("1,2")
+        assert g.meet_bounded(s) == g.index("1,2")
 
     def test_singleton_meet(self):
         p = chain(3)
-        assert meet_bounded(p, [1]) == 1
+        assert p.meet_bounded([1]) == 1
 
     def test_no_meet(self):
-        p = from_covers(["a", "b"], [])
-        assert meet_bounded(p, [0, 1]) is None
+        p = Poset.from_covers(["a", "b"], [])
+        assert p.meet_bounded([0, 1]) is None
 
     def test_empty_rejected(self):
         p = chain(2)
         with pytest.raises(ValueError):
-            join(p, [])
+            p.join([])
         with pytest.raises(ValueError):
-            meet_bounded(p, [])
+            p.meet_bounded([])
 
     def test_join_against_brute_force_random(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
             n = int(rng.integers(2, 8))
             names, covers, _ = random_poset_covers(rng, n)
-            p = from_covers(names, [(names[i], names[j]) for i, j in covers])
+            p = Poset.from_covers(
+                names, [(names[i], names[j]) for i, j in covers]
+            )
             for a in range(p.n):
                 for b in range(p.n):
                     ub = [x for x in range(p.n) if p.leq(a, x) and p.leq(b, x)]
                     least = [x for x in ub if all(p.leq(x, y) for y in ub)]
                     expect = least[0] if least else None
-                    assert join(p, [a, b]) == expect
+                    assert p.join([a, b]) == expect
 
 
 class TestSemilattice:
     def test_grid_true(self):
-        assert is_upper_semilattice(grid(3, 2))
+        assert Poset.grid(3, 2).is_upper_semilattice()
 
     def test_two_maxima_false(self):
-        p = from_covers(["bot", "a", "b"], [("bot", "a"), ("bot", "b")])
-        assert not is_upper_semilattice(p)
+        p = Poset.from_covers(["bot", "a", "b"], [("bot", "a"), ("bot", "b")])
+        assert not p.is_upper_semilattice()
 
     def test_pairwise_suffices_random(self):
         # pairwise joins existing forces all nonempty joins to exist
@@ -185,59 +184,61 @@ class TestSemilattice:
         for _ in range(10):
             n = int(rng.integers(2, 7))
             names, covers, _ = random_poset_covers(rng, n)
-            p = from_covers(names, [(names[i], names[j]) for i, j in covers])
-            if not is_upper_semilattice(p):
+            p = Poset.from_covers(
+                names, [(names[i], names[j]) for i, j in covers]
+            )
+            if not p.is_upper_semilattice():
                 continue
             elts = list(range(p.n))
             for size in range(1, p.n + 1):
                 for s in itertools.combinations(elts, size):
-                    assert join(p, list(s)) is not None
+                    assert p.join(list(s)) is not None
 
 
 class TestSublatticeClosure:
     def test_empty(self):
-        assert sublattice_closure(grid(1, 2), set()) == frozenset()
+        assert Poset.grid(1, 2).sublattice_closure(set()) == frozenset()
 
     def test_two_generators(self):
-        g = grid(1, 2)
+        g = Poset.grid(1, 2)
         s = {g.index("0,1"), g.index("1,0")}
         expect = s | {g.index("1,1")}
-        assert sublattice_closure(g, s) == frozenset(expect)
+        assert g.sublattice_closure(s) == frozenset(expect)
 
     def test_already_closed(self):
-        g = grid(2, 2)
+        g = Poset.grid(2, 2)
         s = frozenset({g.index("0,0"), g.index("1,1")})
-        assert sublattice_closure(g, s) == s
+        assert g.sublattice_closure(s) == s
 
     def test_requires_semilattice(self):
-        p = from_covers(["a", "b"], [])
+        p = Poset.from_covers(["a", "b"], [])
         with pytest.raises(NotSemilattice):
-            sublattice_closure(p, {0, 1})
+            p.sublattice_closure({0, 1})
 
     def test_matches_all_subset_joins(self):
-        g = grid(2, 2)
+        g = Poset.grid(2, 2)
         rng = np.random.default_rng(29)
         for _ in range(10):
             s = set(int(x) for x in rng.choice(g.n, size=3, replace=False))
             expect = set()
             for size in range(1, len(s) + 1):
                 for t in itertools.combinations(sorted(s), size):
-                    expect.add(join(g, list(t)))
-            assert sublattice_closure(g, s) == frozenset(expect)
+                    expect.add(g.join(list(t)))
+            assert g.sublattice_closure(s) == frozenset(expect)
 
 
 class TestAntichainSets:
     def test_min_of_upset_in_chain(self):
         p = chain(4)
-        assert min_elements(p, {1, 2, 3}) == frozenset({1})
+        assert p.min_elements({1, 2, 3}) == frozenset({1})
 
     def test_upset_of_empty(self):
-        assert upset_of(grid(1, 1), frozenset()) == frozenset()
+        assert Poset.grid(1, 1).upset_of(frozenset()) == frozenset()
 
     def test_upset_of_two_generators(self):
-        g = grid(5, 2)
+        g = Poset.grid(5, 2)
         s = {g.index("0,2"), g.index("1,0")}
-        got = upset_of(g, s)
+        got = g.upset_of(s)
         expect = {
             i
             for i in range(g.n)
@@ -246,8 +247,8 @@ class TestAntichainSets:
         assert got == frozenset(expect)
 
     def test_max_elements(self):
-        g = grid(1, 2)
-        assert max_elements(g, {0, 1, 2}) == frozenset(
+        g = Poset.grid(1, 2)
+        assert g.max_elements({0, 1, 2}) == frozenset(
             {g.index("0,1"), g.index("1,0")}
         )
 
@@ -256,13 +257,15 @@ class TestAntichainSets:
         for _ in range(10):
             n = int(rng.integers(2, 8))
             names, covers, _ = random_poset_covers(rng, n)
-            p = from_covers(names, [(names[i], names[j]) for i, j in covers])
+            p = Poset.from_covers(
+                names, [(names[i], names[j]) for i, j in covers]
+            )
             subset = {int(x) for x in rng.choice(p.n, rng.integers(0, p.n + 1), replace=False)}
-            u = upset_of(p, subset)
+            u = p.upset_of(subset)
             assert p.is_upset(u)
-            a = min_elements(p, u)
+            a = p.min_elements(u)
             assert p.is_antichain(a)
-            assert upset_of(p, a) == u
+            assert p.upset_of(a) == u
 
 
 class TestAntichainPoset:
@@ -271,28 +274,28 @@ class TestAntichainPoset:
         assert ap.n == 4  # empty + three singletons
 
     def test_two_point_antichain(self):
-        p = from_covers(["a", "b"], [])
+        p = Poset.from_covers(["a", "b"], [])
         ap = antichain_poset(p)
         assert ap.n == 4
         assert frozenset() in ap.antichains
 
     def test_square_grid_count(self):
         # 2x2 grid: empty, four singletons, one incomparable pair
-        ap = antichain_poset(grid(1, 2))
+        ap = antichain_poset(Poset.grid(1, 2))
         assert ap.n == 6
 
     def test_empty_is_maximum(self):
-        ap = antichain_poset(grid(1, 1))
+        ap = antichain_poset(Poset.grid(1, 1))
         empty = ap.antichain_index[frozenset()]
         assert all(ap.leq(i, empty) for i in range(ap.n))
 
     def test_order_matches_upset_containment(self):
-        g = grid(1, 1)
+        g = Poset.grid(1, 1)
         ap = antichain_poset(g)
         for i in range(ap.n):
             for j in range(ap.n):
-                ui = upset_of(g, ap.antichains[i])
-                uj = upset_of(g, ap.antichains[j])
+                ui = g.upset_of(ap.antichains[i])
+                uj = g.upset_of(ap.antichains[j])
                 assert ap.leq(i, j) == (ui >= uj)
 
     def test_singletons_embed(self):
@@ -310,28 +313,28 @@ class TestAntichainPoset:
         p = diamond()
         ap = antichain_poset(p)
         for t in range(ap.n):
-            ut = upset_of(p, ap.antichains[t])
+            ut = p.upset_of(ap.antichains[t])
             expect = set()
-            for v in max_elements(p, set(range(p.n)) - ut):
-                expect.add(min_elements(p, ut | {v}))
+            for v in p.max_elements(set(range(p.n)) - ut):
+                expect.add(p.min_elements(ut | {v}))
             got = {ap.antichains[s] for s in ap.parents(t)}
             assert got == expect
 
     def test_join_is_upset_intersection(self):
-        g = grid(1, 2)
+        g = Poset.grid(1, 2)
         ap = antichain_poset(g)
-        assert is_upper_semilattice(ap)
+        assert ap.is_upper_semilattice()
         rng = np.random.default_rng(41)
         for _ in range(20):
             i, j = (int(x) for x in rng.integers(0, ap.n, size=2))
-            k = join(ap, [i, j])
-            ui = upset_of(g, ap.antichains[i])
-            uj = upset_of(g, ap.antichains[j])
-            assert upset_of(g, ap.antichains[k]) == ui & uj
+            k = ap.join([i, j])
+            ui = g.upset_of(ap.antichains[i])
+            uj = g.upset_of(ap.antichains[j])
+            assert g.upset_of(ap.antichains[k]) == ui & uj
 
     def test_size_guard(self):
         with pytest.raises(SizeBoundExceeded):
-            antichain_poset(grid(5, 2), max_antichains=10)
+            antichain_poset(Poset.grid(5, 2), max_antichains=10)
 
 
 class TestPosetJson:
@@ -341,7 +344,7 @@ class TestPosetJson:
         assert q == p
 
     def test_roundtrip_grid(self):
-        g = grid(3, 2)
+        g = Poset.grid(3, 2)
         j = g.to_json()
         assert j == {"grid": {"n": 3, "r": 2}}
         assert Poset.from_json(j) == g
@@ -354,11 +357,13 @@ def test_upset_parents_lemma_random(seed, n):
     # up(T) plus one maximal complement element
     rng = np.random.default_rng(seed)
     names, covers, _ = random_poset_covers(rng, n)
-    p = from_covers(names, [(names[i], names[j]) for i, j in covers])
+    p = Poset.from_covers(names, [(names[i], names[j]) for i, j in covers])
     ap = antichain_poset(p)
     for t in range(ap.n):
-        ut = upset_of(p, ap.antichains[t])
+        ut = p.upset_of(ap.antichains[t])
         expect = {
-            min_elements(p, ut | {v}) for v in max_elements(p, set(range(p.n)) - ut)
+            p.min_elements(ut | {v}) for v in p.max_elements(
+                set(range(p.n)) - ut
+            )
         }
         assert {ap.antichains[s] for s in ap.parents(t)} == expect

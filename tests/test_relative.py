@@ -37,7 +37,7 @@ from relbetti.pmod import (
     validate,
     zero_module,
 )
-from relbetti.poset import Poset, from_covers, grid
+from relbetti.poset import Poset
 from relbetti.relative import (
     CollectionFunctor,
     counit_map,
@@ -60,7 +60,9 @@ from relbetti.relative import (
 
 def chain(k):
     names = [str(i) for i in range(k)]
-    return from_covers(names, [(str(i), str(i + 1)) for i in range(k - 1)])
+    return Poset.from_covers(
+        names, [(str(i), str(i + 1)) for i in range(k - 1)]
+    )
 
 
 def one_dim(poset, support, p=2):
@@ -133,7 +135,9 @@ def pruned_interval_collection(p=2):
     All members are nonzero, so failures of the degeneracy condition can no
     longer land on vanishing slots."""
     base = chain(3)
-    index = from_covers(["0|1", "0|2", "1|2"], [("0|1", "0|2"), ("0|2", "1|2")])
+    index = Poset.from_covers(
+        ["0|1", "0|2", "1|2"], [("0|1", "0|2"), ("0|2", "1|2")]
+    )
     supports = {"0|1": {0}, "0|2": {0, 1}, "1|2": {1}}
     objs = [one_dim(base, supports[n], p) for n in index.names]
     arrows = {(a, b): overlap_nat(objs[b], objs[a]) for a, b in index.covers}
@@ -144,7 +148,9 @@ def upset_collection(p=2):
     """Indicator modules of the upsets of chain(2), ordered by reverse
     inclusion, with a zero member at the empty upset on top."""
     base = chain(2)
-    index = from_covers(["full", "top", "none"], [("full", "top"), ("top", "none")])
+    index = Poset.from_covers(
+        ["full", "top", "none"], [("full", "top"), ("top", "none")]
+    )
     objs = {
         "full": one_dim(base, {0, 1}, p),
         "top": one_dim(base, {1}, p),
@@ -156,7 +162,7 @@ def upset_collection(p=2):
 
 
 def point_collection(m):
-    index = from_covers(["pt"], [])
+    index = Poset.from_covers(["pt"], [])
     return CollectionFunctor(m.poset, index, m.p, [m], {})
 
 
@@ -165,12 +171,12 @@ def twin_generator_collection(p=2):
     # four-dimensional, far from the one-dimensional bound
     base = chain(2)
     m = direct_sum(base, p, [(free(base, 0, p), 2)])
-    return CollectionFunctor(base, from_covers(["pt"], []), p, [m], {})
+    return CollectionFunctor(base, Poset.from_covers(["pt"], []), p, [m], {})
 
 
 def split_pair_collection(p=2):
     base = chain(2)
-    index = from_covers(["a", "b"], [])
+    index = Poset.from_covers(["a", "b"], [])
     objs = {"a": one_dim(base, {0}, p), "b": one_dim(base, {1}, p)}
     return CollectionFunctor(
         base, index, p, [objs[n] for n in index.names], {}
@@ -193,9 +199,16 @@ class TestCollectionFunctor:
         with pytest.raises(ValueError):
             CollectionFunctor(base, index, 2, objs, arrows)
 
+    @pytest.mark.parametrize("p", [4, 1, 2.5])
+    def test_bad_modulus_rejected(self, p):
+        # an empty index has no member whose modulus could catch p
+        base = chain(2)
+        with pytest.raises(ValueError, match="modulus"):
+            CollectionFunctor(base, Poset.from_covers([], []), p, [], {})
+
     def test_path_independence_checked(self):
         base = chain(2)
-        index = from_covers(
+        index = Poset.from_covers(
             ["bot", "x", "y", "top"],
             [("bot", "x"), ("bot", "y"), ("x", "top"), ("y", "top")],
         )
@@ -395,14 +408,15 @@ class TestThinFlat:
         assert is_thin(split_pair_collection()) == (True, None)
 
     def test_grid_interval_thin(self):
-        coll = interval_collection(grid(2, 2))
+        coll = interval_collection(Poset.grid(2, 2))
         assert is_thin(coll) == (True, None)
 
 
 class TestDegeneracy:
     def test_interval_fixtures_pass(self):
         assert degeneracy_hypothesis(interval_collection(chain(3))) == (True, None)
-        assert degeneracy_hypothesis(interval_collection(grid(2, 2))) == (True, None)
+        coll = interval_collection(Poset.grid(2, 2))
+        assert degeneracy_hypothesis(coll) == (True, None)
 
     def test_flat_fixture_passes(self):
         _, _, coll = upset_collection()
@@ -562,7 +576,7 @@ class TestMainEquality:
     @given(st.integers(0, 10**6), st.sampled_from([2, 5]))
     def test_oracle_matches_koszul_route(self, seed, p):
         rng = np.random.default_rng(seed)
-        base = grid(2, 2)
+        base = Poset.grid(2, 2)
         coll = interval_collection(base, p)
         m = random_module(rng, base, p)
         res = relative_minimal_resolution(coll, m, 6)
