@@ -45,7 +45,7 @@ from relbetti.homalg import (
 )
 from relbetti.pmod import PersistenceModule, m0_demo
 from relbetti.pmod import validate as validate_module
-from relbetti.poset import Poset
+from relbetti.poset import Poset, antichain_bound, parse_nonnegative
 from relbetti.relative import (
     CollectionFunctor,
     degeneracy_hypothesis,
@@ -107,12 +107,9 @@ def _resolve_p(obj, field):
 
 def _nonnegative(text):
     try:
-        value = int(text)
-    except (TypeError, ValueError):
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
+        return parse_nonnegative(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_module(obj, p):
@@ -179,6 +176,10 @@ def _build_builtin(name, params, base, p, bound):
     if name in _PLAIN_BUILTINS:
         return _PLAIN_BUILTINS[name](base, p)
     if name in _BOUNDED_BUILTINS:
+        try:
+            bound = antichain_bound(bound)
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
         return _BOUNDED_BUILTINS[name](base, p, max_antichains=bound)
     if name == "translated":
         T = params.get("T")

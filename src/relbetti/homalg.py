@@ -451,6 +451,15 @@ def koszul(f, a, parent_order=None):
     Degree d sums the module's values at the meets of the size-d bounded
     below subsets of the parents of a, with alternating-sign differentials
     induced by dropping one parent at a time.
+
+    The subsets are walked level by level: each one of size d extends one
+    of size d-1 by a later parent, so they come out in
+    itertools.combinations order of parent_order. A subset's common lower
+    bounds are the AND of its parents' down-set bitsets (Poset.down_bits);
+    it is bounded below iff that is nonzero, and its meet is the highest
+    set bit b0, accepted only when every lower bound lies below b0
+    (Poset.meet_of_bits, the rule of Poset.meet_bounded). Only blocks
+    between two nonzero values are placed.
     """
     poset = f.poset
     parents = poset.parents(a)
@@ -460,58 +469,68 @@ def koszul(f, a, parent_order=None):
         parent_order = tuple(parent_order)
         if sorted(parent_order) != sorted(parents):
             raise ValueError("parent_order must permute the parents")
-    leq = poset.leq_matrix
+    down = poset.down_bits()
+    fdims = f.dims
 
     index_sets = [((),)]
     meets = [(a,)]
-    dims = [f.dims[a]]
-    max_d = len(parent_order)
-    for d in range(1, max_d + 1):
-        subs = []
+    dims = [fdims[a]]
+    # (subset, position of its last parent, bitset of its lower bounds);
+    # the empty subset is bounded by everything, and -1 has every bit set
+    level = [((), -1, -1)]
+    while True:
+        grown = []
         mts = []
-        for s in itertools.combinations(parent_order, d):
-            if not bool(np.any(np.all(leq[:, list(s)], axis=1))):
-                continue
-            mt = poset.meet_bounded(s)
-            if mt is None:
-                names = [poset.names[x] for x in s]
-                raise MeetHypothesisFailed(
-                    f"parents {names} of {poset.names[a]!r} are bounded "
-                    "below but have no meet"
-                )
-            subs.append(s)
-            mts.append(mt)
-        if not subs:
+        for s, last, lower in level:
+            for j in range(last + 1, len(parent_order)):
+                x = parent_order[j]
+                below = lower & down[x]
+                if not below:
+                    continue
+                mt = poset.meet_of_bits(below)
+                if mt is None:
+                    names = [poset.names[y] for y in s + (x,)]
+                    raise MeetHypothesisFailed(
+                        f"parents {names} of {poset.names[a]!r} are bounded "
+                        "below but have no meet"
+                    )
+                grown.append((s + (x,), j, below))
+                mts.append(mt)
+        if not grown:
             break
-        index_sets.append(tuple(subs))
+        level = grown
+        index_sets.append(tuple(s for s, _, _ in grown))
         meets.append(tuple(mts))
-        dims.append(sum(f.dims[mt] for mt in mts))
+        dims.append(sum(fdims[mt] for mt in mts))
 
+    p = f.p
     diffs = []
     for d in range(1, len(index_sets)):
-        lower_pos = {s: i for i, s in enumerate(index_sets[d - 1])}
-        lower_off = np.concatenate(
-            [[0], np.cumsum([f.dims[mt] for mt in meets[d - 1]])]
-        )
-        upper_off = np.concatenate(
-            [[0], np.cumsum([f.dims[mt] for mt in meets[d]])]
-        )
         arr = np.zeros((dims[d - 1], dims[d]), dtype=np.int64)
-        for j, s in enumerate(index_sets[d]):
-            mt_s = meets[d][j]
-            for i in range(len(s)):
-                t = s[:i] + s[i + 1:]
-                pos = lower_pos[t]
-                mt_t = meets[d - 1][pos]
-                block = f.map(mt_s, mt_t)
-                if i % 2:
-                    block = -block
-                arr[
-                    lower_off[pos]:lower_off[pos + 1],
-                    upper_off[j]:upper_off[j + 1],
-                ] = block.a
-        diffs.append(Matrix(arr, f.p))
-    return KoszulComplex(a, dims, diffs, index_sets, meets, f.p)
+        if arr.size:
+            lower_pos = {s: i for i, s in enumerate(index_sets[d - 1])}
+            lower_meets = meets[d - 1]
+            lower_off = [0]
+            for mt in lower_meets:
+                lower_off.append(lower_off[-1] + fdims[mt])
+            col = 0
+            for s, mt_s in zip(index_sets[d], meets[d]):
+                width = fdims[mt_s]
+                if not width:
+                    continue
+                for i in range(len(s)):
+                    pos = lower_pos[s[:i] + s[i + 1:]]
+                    mt_t = lower_meets[pos]
+                    if not fdims[mt_t]:
+                        continue
+                    block = f.map(mt_s, mt_t).a
+                    arr[
+                        lower_off[pos]:lower_off[pos + 1],
+                        col:col + width,
+                    ] = (-block) % p if i % 2 else block
+                col += width
+        diffs.append(Matrix._trusted(arr, p))
+    return KoszulComplex(a, dims, diffs, index_sets, meets, p)
 
 
 def betti_koszul(f, a, dmax):

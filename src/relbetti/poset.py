@@ -27,17 +27,45 @@ __all__ = [
     "NotSemilattice",
     "DEFAULT_MAX_ANTICHAINS",
     "DEFAULT_MAX_ELEMENTS",
+    "antichain_bound",
+    "parse_nonnegative",
 ]
 
 DEFAULT_MAX_ANTICHAINS = 100_000
 DEFAULT_MAX_ELEMENTS = 10_000
 
 
+def parse_nonnegative(value):
+    """A nonnegative int from an int or a string that int() reads.
+
+    bool, float and every other type are refused, not truncated.
+    """
+    integral = isinstance(value, (int, np.integer, str))
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"not an integer: {value!r}")
+    try:
+        n = int(value)
+    except ValueError:
+        raise ValueError(f"not an integer: {value!r}") from None
+    if n < 0:
+        raise ValueError(f"must be nonnegative, got {n}")
+    return n
+
+
 def antichain_bound(override=None):
+    """The antichain bound: override, else RELBETTI_MAX_ANTICHAINS, else
+    the default; a malformed value raises ValueError naming its source."""
     if override is not None:
-        return int(override)
-    env = os.environ.get("RELBETTI_MAX_ANTICHAINS")
-    return int(env) if env else DEFAULT_MAX_ANTICHAINS
+        source, value = "max_antichains", override
+    else:
+        value = os.environ.get("RELBETTI_MAX_ANTICHAINS")
+        if not value:
+            return DEFAULT_MAX_ANTICHAINS
+        source = "RELBETTI_MAX_ANTICHAINS"
+    try:
+        return parse_nonnegative(value)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 class Poset:
@@ -63,6 +91,7 @@ class Poset:
         self._parents = tuple(tuple(sorted(x)) for x in par)
         self._children = tuple(tuple(sorted(x)) for x in chi)
         self._semilattice = semilattice
+        self._down_bits = None
         self._hash = hash((self.names, self.covers))
 
     # -- construction ---------------------------------------------------
@@ -245,18 +274,36 @@ class Poset:
             return b0
         return None
 
+    def down_bits(self):
+        """Down-sets as int bitsets (bit i set iff element i <= a), one per
+        element a; built on first use."""
+        if self._down_bits is None:
+            packed = np.packbits(self._leq.T, axis=1, bitorder="little")
+            self._down_bits = tuple(
+                int.from_bytes(row.tobytes(), "little") for row in packed
+            )
+        return self._down_bits
+
+    def meet_of_bits(self, lower):
+        """Greatest element of a bitset of common lower bounds, or None.
+
+        Index order is a linear extension, so the largest index b0 is the
+        only candidate; it is the meet iff every lower bound lies below it.
+        """
+        if not lower:
+            return None
+        b0 = lower.bit_length() - 1
+        return b0 if not lower & ~self.down_bits()[b0] else None
+
     def meet_bounded(self, elements):
         elements = list(elements)
         if not elements:
             raise ValueError("meet of the empty set is excluded")
-        cand = np.all(self._leq[:, elements], axis=1)
-        hits = np.nonzero(cand)[0]
-        if hits.size == 0:
-            return None
-        b0 = int(hits[-1])  # largest index is the only possible greatest element
-        if bool(np.all(~cand | self._leq[:, b0])):
-            return b0
-        return None
+        down = self.down_bits()
+        lower = down[elements[0]]
+        for x in elements[1:]:
+            lower &= down[x]
+        return self.meet_of_bits(lower)
 
     def is_upper_semilattice(self):
         if self._semilattice is None:

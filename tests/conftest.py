@@ -8,7 +8,12 @@ product) that the vectorised one in relbetti.fieldlin must match bit for
 bit.
 indicator_hom_dim is the independent Hom oracle for 0/1 indicator modules:
 it counts components of overlapping supports and solves no linear system.
+oracle_meet_bounded and oracle_koszul are the plain skeleton construction
+(itertools.combinations, numpy reductions over the order matrix) that the
+bitset walk in relbetti.homalg.koszul must match exactly.
 """
+import itertools
+
 import numpy as np
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
@@ -79,6 +84,86 @@ def oracle_kron(a, b, p):
         return np.zeros((rows, cols), dtype=np.int64)
     prod = np.kron(a.astype(object), b.astype(object))
     return (prod % p).astype(np.int64)
+
+
+def oracle_meet_bounded(poset, elements):
+    """Greatest common lower bound of a nonempty subset, or None."""
+    leq = poset.leq_matrix
+    cand = np.all(leq[:, list(elements)], axis=1)
+    hits = np.nonzero(cand)[0]
+    if hits.size == 0:
+        return None
+    b0 = int(hits[-1])  # largest index is the only possible greatest element
+    if bool(np.all(~cand | leq[:, b0])):
+        return b0
+    return None
+
+
+def oracle_koszul(f, a, parent_order=None):
+    """Local Koszul complex at a, every subset and block built directly."""
+    from relbetti.errors import MeetHypothesisFailed
+    from relbetti.fieldlin import Matrix
+    from relbetti.homalg import KoszulComplex
+
+    poset = f.poset
+    parents = poset.parents(a)
+    if parent_order is None:
+        parent_order = parents
+    else:
+        parent_order = tuple(parent_order)
+        if sorted(parent_order) != sorted(parents):
+            raise ValueError("parent_order must permute the parents")
+    leq = poset.leq_matrix
+
+    index_sets = [((),)]
+    meets = [(a,)]
+    dims = [f.dims[a]]
+    for d in range(1, len(parent_order) + 1):
+        subs = []
+        mts = []
+        for s in itertools.combinations(parent_order, d):
+            if not bool(np.any(np.all(leq[:, list(s)], axis=1))):
+                continue
+            mt = oracle_meet_bounded(poset, s)
+            if mt is None:
+                names = [poset.names[x] for x in s]
+                raise MeetHypothesisFailed(
+                    f"parents {names} of {poset.names[a]!r} are bounded "
+                    "below but have no meet"
+                )
+            subs.append(s)
+            mts.append(mt)
+        if not subs:
+            break
+        index_sets.append(tuple(subs))
+        meets.append(tuple(mts))
+        dims.append(sum(f.dims[mt] for mt in mts))
+
+    diffs = []
+    for d in range(1, len(index_sets)):
+        lower_pos = {s: i for i, s in enumerate(index_sets[d - 1])}
+        lower_off = np.concatenate(
+            [[0], np.cumsum([f.dims[mt] for mt in meets[d - 1]])]
+        )
+        upper_off = np.concatenate(
+            [[0], np.cumsum([f.dims[mt] for mt in meets[d]])]
+        )
+        arr = np.zeros((dims[d - 1], dims[d]), dtype=np.int64)
+        for j, s in enumerate(index_sets[d]):
+            mt_s = meets[d][j]
+            for i in range(len(s)):
+                t = s[:i] + s[i + 1:]
+                pos = lower_pos[t]
+                mt_t = meets[d - 1][pos]
+                block = f.map(mt_s, mt_t)
+                if i % 2:
+                    block = -block
+                arr[
+                    lower_off[pos]:lower_off[pos + 1],
+                    upper_off[j]:upper_off[j + 1],
+                ] = block.a
+        diffs.append(Matrix(arr, f.p))
+    return KoszulComplex(a, dims, diffs, index_sets, meets, f.p)
 
 
 def _indicator_support(m):

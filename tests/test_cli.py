@@ -611,7 +611,8 @@ class TestInputErrors:
         assert "--max-antichains" in r.stderr
 
     @pytest.mark.parametrize(
-        "bound", ["x", -1, [1]], ids=["string", "negative", "list"]
+        "bound", ["x", -1, [1], 2.5, True],
+        ids=["string", "negative", "list", "float", "bool"],
     )
     def test_bad_max_antichains_param(self, bound):
         demo = run_cli("demo", "m0").stdout
@@ -622,6 +623,17 @@ class TestInputErrors:
         )
         assert_input_error(r)
         assert "max_antichains" in r.stderr
+
+    @pytest.mark.parametrize("bound", ["-1", "x"])
+    def test_bad_max_antichains_env(self, bound, monkeypatch):
+        monkeypatch.setenv("RELBETTI_MAX_ANTICHAINS", bound)
+        demo = run_cli("demo", "m0").stdout
+        r = run_cli(
+            "rbetti", "--collection", "all_subfunctors", "--dmax", "1",
+            stdin=demo,
+        )
+        assert_input_error(r)
+        assert "RELBETTI_MAX_ANTICHAINS" in r.stderr
 
     @pytest.mark.parametrize("verb", ["betti", "rbetti", "resolve", "rresolve"])
     def test_negative_dmax(self, verb):

@@ -10,6 +10,7 @@ from relbetti.poset import (
     Poset,
     RedundantCover,
     SizeBoundExceeded,
+    antichain_bound,
     antichain_poset,
 )
 from conftest import random_poset_covers
@@ -169,6 +170,21 @@ class TestJoinMeet:
                     expect = least[0] if least else None
                     assert p.join([a, b]) == expect
 
+
+    def test_meet_against_brute_force_random(self):
+        rng = np.random.default_rng(19)
+        for _ in range(10):
+            n = int(rng.integers(2, 8))
+            names, covers, _ = random_poset_covers(rng, n)
+            p = Poset.from_covers(
+                names, [(names[i], names[j]) for i, j in covers]
+            )
+            for k in (1, 2, 3):
+                for s in itertools.combinations(range(p.n), k):
+                    lb = [x for x in range(p.n) if all(p.leq(x, y) for y in s)]
+                    most = [x for x in lb if all(p.leq(y, x) for y in lb)]
+                    expect = most[0] if most else None
+                    assert p.meet_bounded(s) == expect
 
 class TestSemilattice:
     def test_grid_true(self):
@@ -335,6 +351,18 @@ class TestAntichainPoset:
     def test_size_guard(self):
         with pytest.raises(SizeBoundExceeded):
             antichain_poset(Poset.grid(5, 2), max_antichains=10)
+
+    @pytest.mark.parametrize("value", ["-1", "x", "2.5"])
+    def test_bad_env_bound_names_variable(self, value, monkeypatch):
+        monkeypatch.setenv("RELBETTI_MAX_ANTICHAINS", value)
+        with pytest.raises(ValueError, match="^RELBETTI_MAX_ANTICHAINS: "):
+            antichain_bound()
+        assert antichain_bound(7) == 7
+
+    @pytest.mark.parametrize("value", [2.5, True, [1], -3, "x"])
+    def test_bad_override_bound_refused(self, value):
+        with pytest.raises(ValueError, match="^max_antichains: "):
+            antichain_bound(value)
 
 
 class TestPosetJson:

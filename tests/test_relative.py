@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_free_map, random_module
+from conftest import indicator_hom_dim, random_free_map, random_module
+from relbetti.collections import lower_hooks, lower_hooks_inf
 from relbetti.errors import (
     DmaxReached,
     FunctorialityViolation,
@@ -49,6 +50,7 @@ from relbetti.relative import (
     nat_module_map,
     realization,
     realization_map,
+    relative_betti_diagram,
     relative_betti_koszul,
     relative_minimal_cover,
     relative_minimal_resolution,
@@ -588,6 +590,43 @@ class TestMainEquality:
                 continue
             kos = relative_betti_koszul(coll, m, a, 6)
             assert kos == [mults.get(d, a) for d in range(7)]
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from([2, 3, 5]),
+        st.sampled_from(["lower_hooks", "lower_hooks_inf"]),
+    )
+    def test_koszul_table_is_additive(self, seed, p, name):
+        # the relative Koszul table equals the complete resolution's and
+        # is additive in Hom(X, -) at every nonzero member X; rank
+        # additivity needs the free members of lower_hooks_inf, since every
+        # lower hook vanishes at the top of the grid
+        rng = np.random.default_rng(seed)
+        base = Poset.grid(2, 2)
+        build = {"lower_hooks": lower_hooks, "lower_hooks_inf": lower_hooks_inf}
+        coll = build[name](base, p)
+        m = random_module(rng, base, p)
+        res = relative_minimal_resolution(coll, m, 6)
+        assert res.complete
+        table = relative_betti_diagram(coll, m, 6)
+        assert table == res.multiplicities()
+        terms = [((-1) ** d * k, s) for (d, s), k in table.items()]
+        for x in range(coll.index.n):
+            if coll.member_is_zero(x):
+                continue
+            mx = coll.obj(x)
+            want = len(nat_basis(mx, m))
+            got = sum(c * indicator_hom_dim(mx, coll.obj(s)) for c, s in terms)
+            assert got == want, coll.index.names[x]
+        if name == "lower_hooks":
+            return
+        for a in range(base.n):
+            for b in range(base.n):
+                if base.leq(a, b):
+                    want = rank(m.map(a, b))
+                    got = sum(c * rank(coll.obj(s).map(a, b)) for c, s in terms)
+                    assert got == want, (base.names[a], base.names[b])
 
     def test_gate_blocks_unverified_collection(self):
         base, index, coll = pruned_interval_collection()
