@@ -19,7 +19,7 @@ from relbetti.collections import (
     single_source_omega0,
     translated,
 )
-from relbetti.homalg import betti, betti_koszul, minimal_resolution
+from relbetti.homalg import koszul_betti_diagram, minimal_resolution
 from relbetti.pmod import m0_demo
 from relbetti.relative import relative_betti_diagram, relative_minimal_resolution
 
@@ -41,13 +41,9 @@ def standard_section(m, dmax):
     print_diagram(res.multiplicities(), m.poset)
 
     t0 = time.perf_counter()
-    entries = {}
-    for a in range(m.poset.n):
-        for d, k in enumerate(betti_koszul(m, a, dmax)):
-            if k:
-                entries[(d, a)] = k
+    diagram = koszul_betti_diagram(m, dmax)
     t1 = time.perf_counter()
-    agree = entries == dict(res.multiplicities().items())
+    agree = diagram == res.multiplicities()
     print(f"standard diagram via Koszul complexes "
           f"(agree={agree}, {t1 - t0:.3f}s)")
 

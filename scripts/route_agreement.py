@@ -22,8 +22,13 @@ from relbetti.collections import (
     rectangles_grid,
     single_source_omega0,
 )
-from relbetti.homalg import betti_koszul, cokernel, free_nat, minimal_resolution
-from relbetti.pmod import BettiDiagram, free_on
+from relbetti.homalg import (
+    cokernel,
+    free_nat,
+    koszul_betti_diagram,
+    minimal_resolution,
+)
+from relbetti.pmod import free_on
 from relbetti.poset import Poset
 from relbetti.relative import relative_betti_diagram, relative_minimal_resolution
 
@@ -75,15 +80,6 @@ def random_semilattice(rng, ambient):
     return Poset.from_order(names, leq)
 
 
-def koszul_diagram(m, dmax):
-    entries = {}
-    for a in range(m.poset.n):
-        for d, k in enumerate(betti_koszul(m, a, dmax)):
-            if k:
-                entries[(d, a)] = k
-    return BettiDiagram(entries)
-
-
 def standard_run(cfg):
     rng = np.random.default_rng(cfg.seed)
     ambient = Poset.grid(cfg.ambient_n, 2)
@@ -96,7 +92,7 @@ def standard_run(cfg):
         t0 = time.perf_counter()
         via_res = minimal_resolution(m, dmax).multiplicities()
         t1 = time.perf_counter()
-        via_kos = koszul_diagram(m, dmax)
+        via_kos = koszul_betti_diagram(m, dmax)
         t2 = time.perf_counter()
         res_times.append(t1 - t0)
         kos_times.append(t2 - t1)

@@ -39,8 +39,8 @@ from relbetti.fieldlin import check_modulus
 from relbetti.homalg import (
     BettiDiagram,
     betti,
-    betti_koszul,
     koszul,
+    koszul_betti_diagram,
     minimal_resolution,
 )
 from relbetti.pmod import PersistenceModule, m0_demo
@@ -123,6 +123,8 @@ def _load_module(obj, p):
 
 
 def _load_collection_json(obj, p):
+    if not isinstance(obj, dict):
+        raise InputError("collection payload must be an object")
     if obj.get("p") is not None and _field(obj["p"], "collection p") != p:
         raise InputError("collection payload disagrees about p")
     obj = dict(obj, p=p)
@@ -390,22 +392,13 @@ def _cmd_validate(args):
         _emit({"ok": True, "kind": "collection", "p": p})
 
 
-def _standard_koszul_diagram(m, dmax):
-    entries = {}
-    for a in range(m.poset.n):
-        for d, k in enumerate(betti_koszul(m, a, dmax)):
-            if k:
-                entries[(d, a)] = k
-    return BettiDiagram(entries)
-
-
 def _cmd_betti(args):
     obj = _read_payload(args.input)
     p = _resolve_p(obj, args.field)
     m = _load_module(obj, p)
     dmax = m.poset.n if args.dmax is None else args.dmax
     if args.method == "koszul":
-        diagram = _standard_koszul_diagram(m, dmax)
+        diagram = koszul_betti_diagram(m, dmax)
     else:
         diagram = betti(m, dmax)
     payload = {

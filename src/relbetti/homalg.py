@@ -20,7 +20,6 @@ from relbetti.fieldlin import (
     hstack,
     homology_dims,
     kernel_basis,
-    kron,
     quotient,
     rank,
     rref,
@@ -161,53 +160,197 @@ def free_nat(src, dst, coeffs):
     return NatTransformation(src, dst, comps)
 
 
+def _bits(mask):
+    """Element indices of a bitset, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _indicator_support(f):
+    """Bitset of A when f is 0/1 with unit maps on a convex support A,
+    else None."""
+    if any(d > 1 for d in f.dims):
+        return None
+    inside = 0
+    for x, d in enumerate(f.dims):
+        if d:
+            inside |= 1 << x
+    for a, b in f.poset.covers:
+        if inside >> a & inside >> b & 1 and f.cover_map(a, b).a[0, 0] != 1:
+            return None
+    down = f.poset.down_bits()
+    below = 0
+    for x in _bits(inside):
+        below |= down[x]
+    # convex: nothing outside A sits between two elements of A
+    if any(down[x] & inside for x in _bits(below & ~inside)):
+        return None
+    return inside
+
+
+def _indicator_presentation(f, inside):
+    """Generators at min A; a vanishing relation at each minimal element
+    of up(m) - A, and an agreement relation at each minimal element of
+    up(m_i) & up(m_j) & A."""
+    poset = f.poset
+    down = poset.down_bits()
+
+    def minimal(mask):
+        return [x for x in _bits(mask) if down[x] & mask == 1 << x]
+
+    gens = minimal(inside)
+    ups = [
+        int.from_bytes(
+            np.packbits(poset.up_mask(m), bitorder="little").tobytes(),
+            "little",
+        )
+        for m in gens
+    ]
+    relations = []
+    for i, up in enumerate(ups):
+        relations += [(e, ((i, 1),)) for e in minimal(up & ~inside)]
+    for i, j in itertools.combinations(range(len(gens)), 2):
+        relations += [
+            (e, ((i, 1), (j, f.p - 1)))
+            for e in minimal(ups[i] & ups[j] & inside)
+        ]
+    # f(x) is the image of the first generator below x; one shared
+    # tuple per generator keeps the cache small
+    one = np.ones(1, dtype=np.int64)
+    via = [((i, one),) for i in range(len(gens))]
+    pushout = []
+    for x in range(poset.n):
+        if inside >> x & 1:
+            pushout.append(
+                via[next(i for i, m in enumerate(gens) if down[x] >> m & 1)]
+            )
+        else:
+            pushout.append(())
+    return tuple(gens), tuple(relations), tuple(pushout)
+
+
+def _cover_presentation(f):
+    """Generators from minimal_cover(f), relations from the minimal cover
+    of its kernel, the push-out through section_of."""
+    poset = f.poset
+    cov = minimal_cover(f)
+    gens = cov.source.free_generators
+    ker, incl = kernel(cov)
+    rel = minimal_cover(ker)
+    rgens = rel.source.free_generators
+    relations = []
+    for j, e in enumerate(rgens):
+        pos = sum(1 for r in rgens[:j] if poset.leq(r, e))
+        col = (incl.component(e) @ rel.component(e).col(pos)).a[:, 0]
+        alive = [i for i, m in enumerate(gens) if poset.leq(m, e)]
+        relations.append(
+            (e, tuple((i, int(c)) for i, c in zip(alive, col) if c))
+        )
+    section = section_of(cov)
+    pushout = []
+    for x in range(poset.n):
+        alive = [i for i, m in enumerate(gens) if poset.leq(m, x)]
+        s = section.component(x).a
+        pushout.append(
+            tuple((i, s[r].copy()) for r, i in enumerate(alive) if s[r].any())
+        )
+    return tuple(gens), tuple(relations), tuple(pushout)
+
+
+def _presentation(f):
+    """(generators, relations, push-out) of a presentation P1 -> P0 -> f.
+
+    generators lists the elements of P0's summands.  A relation (e, terms)
+    is a generator of P1 at e, sent to the sum of c times generator i
+    over its (i, c) terms.  pushout[x] lists (i, s) with s the row of
+    f(x) that a pointwise section puts on generator i's image.  Cached
+    on f.
+    """
+    if f._presentation is None:
+        inside = _indicator_support(f)
+        if inside is not None:
+            f._presentation = _indicator_presentation(f, inside)
+        else:
+            f._presentation = _cover_presentation(f)
+    return f._presentation
+
+
 def nat_basis(f, g):
     """Deterministic basis of the space of natural transformations f -> g.
 
-    Solves the naturality constraints as one sparse block system: per cover
-    (a, b) the block row  g(a<b) X_a - X_b f(a<b) = 0  in the row-major
-    vectorization of the unknown components.
+    With a presentation P1 -> P0 -> f (cached on f), Hom(f, g) is the
+    kernel of Hom(P0, g) -> Hom(P1, g): one unknown vector in g at every
+    generator, one block of equations per relation.  Each kernel vector
+    is pushed out over f's support and the span is brought to the form
+    kernel_basis gives the naturality system over all components in
+    their row-major vectorization: the reduced echelon basis in reversed
+    column order, so each vector's last nonzero is a 1 where the others
+    are 0 (its free position).
     """
     poset = f.poset
-    if poset != g.poset:
+    if poset is not g.poset and poset != g.poset:
         raise ValueError("modules live on different posets")
-    p = f.p
-    sizes = [g.dims[a] * f.dims[a] for a in range(poset.n)]
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offs[-1])
-    if total == 0:
-        # no element supports a nonzero component
+    gens, relations, pushout = _presentation(f)
+    gdims = g.dims
+    sizes = [gdims[m] for m in gens]
+    if not any(sizes):
+        # every generator lands in a zero space
         return []
-    rows = []
-    for a, b in sorted(poset.covers):
-        height = g.dims[b] * f.dims[a]
-        if height == 0 or (not sizes[a] and not sizes[b]):
-            # all-zero block rows constrain nothing
+    p = f.p
+    offs = [0, *itertools.accumulate(sizes)]
+    width = offs[-1]
+    blocks = []
+    for e, terms in relations:
+        if not gdims[e]:
             continue
-        gcov = g.cover_map(a, b)
-        fcov = f.cover_map(a, b)
-        block = np.zeros((height, total), dtype=np.int64)
-        if sizes[a]:
-            left = kron(gcov, cached_identity(f.dims[a], p))
-            block[:, offs[a]:offs[a + 1]] = left.a
-        if sizes[b]:
-            right = kron(cached_identity(g.dims[b], p), fcov.transpose())
-            block[:, offs[b]:offs[b + 1]] = (-right.a) % p
-        rows.append(block)
-    if rows:
-        # reduced blocks over p, which every cover map's Matrix has checked
-        system = Matrix._trusted(np.concatenate(rows, axis=0), p)
+        block = np.zeros((gdims[e], width), dtype=np.int64)
+        for i, c in terms:
+            if sizes[i]:
+                cols = slice(offs[i], offs[i + 1])
+                block[:, cols] = (block[:, cols] + c * g.map(gens[i], e).a) % p
+        blocks.append(block)
+    if blocks:
+        # reduced mod p, under the modulus g's maps have checked
+        system = Matrix._trusted(np.concatenate(blocks, axis=0), p)
+        sol = kernel_basis(system)
     else:
-        system = Matrix.zeros(0, total, p)
-    basis = kernel_basis(system)
+        sol = cached_identity(width, p)
+    k = sol.cols
+    if not k:
+        return []
+    parts = []
+    for x, terms in enumerate(pushout):
+        size = gdims[x] * f.dims[x]
+        if not size:
+            continue
+        acc = np.zeros((k, gdims[x], f.dims[x]), dtype=np.int64)
+        for i, s in terms:
+            if sizes[i]:
+                img = (g.map(gens[i], x) @ sol.take_rows(
+                    range(offs[i], offs[i + 1]))).a
+                acc = (acc + img.T[:, :, None] * s) % p
+        parts.append(acc.reshape(k, size))
+    # rows reversed in both directions are the reduced echelon basis
+    flat = np.concatenate(parts, axis=1)[:, ::-1]
+    canon = rref(Matrix._trusted(flat, p))[0].a[k - 1::-1, ::-1]
     out = []
-    for k in range(basis.cols):
+    for vec in canon:
+        # a copy of its own, so a kept component pins no other vector
+        vec = vec.copy()
         comps = []
-        vec = basis.a[:, k]
+        pos = 0
         for a in range(poset.n):
-            # a copy of its own, so a kept component pins no kernel basis
-            chunk = vec[offs[a]:offs[a + 1]].reshape(g.dims[a], f.dims[a])
-            comps.append(Matrix._trusted(chunk.copy(), p))
+            size = gdims[a] * f.dims[a]
+            if size:
+                chunk = vec[pos:pos + size].reshape(gdims[a], f.dims[a])
+                comps.append(Matrix._trusted(chunk, p))
+                pos += size
+            else:
+                comps.append(cached_zeros(gdims[a], f.dims[a], p))
         out.append(NatTransformation(f, g, comps))
     return out
 
@@ -539,6 +682,18 @@ def betti_koszul(f, a, dmax):
     out = list(h[:dmax + 1])
     out.extend([0] * (dmax + 1 - len(out)))
     return out
+
+
+def koszul_betti_diagram(m, dmax):
+    """Full table of standard multiplicities up to dmax from the local
+    Koszul complex at every element; the twin of
+    relative.relative_betti_diagram."""
+    entries = {}
+    for a in range(m.poset.n):
+        for d, k in enumerate(betti_koszul(m, a, dmax)):
+            if k:
+                entries[(d, a)] = k
+    return BettiDiagram(entries)
 
 
 def global_koszul(f):

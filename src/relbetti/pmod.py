@@ -62,6 +62,8 @@ class PersistenceModule:
             maps[(a, b)] = m
         self._cover_maps = maps
         self._composites = {}
+        # homalg.nat_basis's presentation of this module, built on first use
+        self._presentation = None
 
     def cover_map(self, a, b):
         return self._cover_maps[(a, b)]
@@ -113,18 +115,54 @@ class PersistenceModule:
 
     @staticmethod
     def from_json(obj, p):
-        from relbetti.poset import Poset
+        """Module from its JSON form; malformed input raises ValueError.
+
+        Dimensions follow poset.parse_nonnegative; map entries follow
+        matrix_from_json.
+        """
+        from relbetti.poset import Poset, parse_nonnegative
 
         poset = Poset.from_json(obj["poset"])
-        dims = [int(obj.get("dims", {}).get(nm, 0)) for nm in poset.names]
+        dims_obj = json_object(obj.get("dims", {}), '"dims"')
+        unknown = sorted(set(dims_obj) - set(poset.names))
+        if unknown:
+            raise ValueError(f'"dims" names no element {unknown[0]!r}')
+        dims = []
+        for nm in poset.names:
+            try:
+                dims.append(parse_nonnegative(dims_obj.get(nm, 0)))
+            except ValueError as exc:
+                raise ValueError(f"dimension at {nm!r}: {exc}") from None
         maps = {}
-        for key, rows in obj.get("maps", {}).items():
+        for key, rows in json_object(obj.get("maps", {}), '"maps"').items():
             na, _, nb = key.partition("<")
             a, b = poset.index(na), poset.index(nb)
             if (a, b) not in poset.covers:
                 raise ValueError(f"map key {key!r} is not a cover relation")
-            maps[(a, b)] = Matrix(rows, p)
+            maps[(a, b)] = matrix_from_json(rows, p, f"map {key!r}")
         return PersistenceModule(poset, p, dims, maps)
+
+
+def json_object(value, what):
+    """value when it is a JSON object (a dict), else ValueError."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, got {type(value).__name__}")
+    return value
+
+
+def matrix_from_json(rows, p, what):
+    """Matrix from a JSON list of rows of integers.
+
+    Entries must be JSON integers (not bool, float or string); every
+    integer, however large or negative, is reduced mod p.
+    """
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ValueError(f"{what} must be a list of rows")
+    for row in rows:
+        for v in row:
+            if type(v) is not int:
+                raise ValueError(f"{what} has entry {v!r}, not an integer")
+    return Matrix([[v % p for v in row] for row in rows], p)
 
 
 def validate(m):

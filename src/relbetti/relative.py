@@ -25,9 +25,9 @@ from relbetti.fieldlin import (
     Matrix,
     check_modulus,
     hstack,
+    kron,
     quotient,
     rref,
-    solve,
 )
 from relbetti.homalg import (
     NatTransformation,
@@ -42,11 +42,16 @@ from relbetti.homalg import (
 from relbetti.pmod import (
     BettiDiagram,
     PersistenceModule,
+    cached_identity,
+    cached_zeros,
     direct_sum,
     free,
     h0,
+    json_object,
+    matrix_from_json,
     zero_module,
 )
+from relbetti.pmod import validate as validate_module
 
 
 class CollectionFunctor:
@@ -197,65 +202,108 @@ class CollectionFunctor:
 
     @staticmethod
     def from_json(obj):
+        """Collection from its JSON form.
+
+        Malformed input raises ValueError (members and arrow entries
+        follow PersistenceModule.from_json's rules).  A member that is
+        not a functor or an arrow that is not natural raises
+        FunctorialityViolation: nat_basis solves at a presentation and the
+        hom modules read coordinates without solving, so both trust them.
+        """
         from relbetti.poset import Poset
 
-        p = int(obj["p"])
+        p = check_modulus(obj["p"])
         domain = Poset.from_json(obj["I"])
         index = Poset.from_json(obj["J"])
+        members = json_object(obj.get("objs", {}), '"objs"')
+        unknown = sorted(set(members) - set(index.names))
+        if unknown:
+            raise ValueError(f'"objs" names no index element {unknown[0]!r}')
         objs = []
         for name in index.names:
-            mj = obj.get("objs", {}).get(name)
+            mj = members.get(name)
             if mj is None:
                 objs.append(zero_module(domain, p))
             else:
-                m = PersistenceModule.from_json(mj, p)
+                m = PersistenceModule.from_json(
+                    json_object(mj, f"member {name!r}"), p
+                )
                 if m.poset != domain:
                     raise ValueError(f"member {name!r} lives over a different poset")
+                try:
+                    validate_module(m)
+                except FunctorialityViolation as exc:
+                    raise FunctorialityViolation(
+                        f"member {name!r}: {exc}"
+                    ) from None
                 objs.append(m)
         arrows = {}
-        for key, comps in obj.get("arrows", {}).items():
+        for key, comps in json_object(obj.get("arrows", {}), '"arrows"').items():
             na, _, nb = key.partition("<")
             a, b = index.index(na), index.index(nb)
+            comps = json_object(comps, f"arrow {key!r}")
+            unknown = sorted(set(comps) - set(domain.names))
+            if unknown:
+                raise ValueError(
+                    f"arrow {key!r} names no element {unknown[0]!r}"
+                )
             mats = []
             for x in range(domain.n):
                 rows = comps.get(domain.names[x])
                 if rows is None:
-                    mats.append(
-                        Matrix.zeros(objs[a].dims[x], objs[b].dims[x], p)
-                    )
+                    mats.append(cached_zeros(objs[a].dims[x], objs[b].dims[x], p))
                 else:
-                    mats.append(Matrix(rows, p))
-            arrows[(a, b)] = NatTransformation(objs[b], objs[a], mats)
+                    mats.append(matrix_from_json(rows, p, f"arrow {key!r}"))
+            arrow = NatTransformation(objs[b], objs[a], mats)
+            try:
+                arrow.check()
+            except ValueError as exc:
+                raise FunctorialityViolation(f"arrow {key!r}: {exc}") from None
+            arrows[(a, b)] = arrow
         return CollectionFunctor(domain, index, p, objs, arrows)
 
 
-def _flatten(f):
-    """Concatenated entries of all components of a transformation."""
-    parts = [f.component(x).a.reshape(-1) for x in range(f.source.poset.n)]
-    if not parts:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(parts)
+def _free_positions(basis):
+    """Where each vector of a nat_basis basis has its last nonzero entry,
+    as (element, row, column).
+
+    The basis is in reduced echelon form read from the last entry back:
+    every other vector is 0 there and this one is 1, so the coordinates of
+    a transformation in the span are its entries at these positions.
+    """
+    out = []
+    for phi in basis:
+        x = next(
+            x for x in range(len(phi.comps) - 1, -1, -1)
+            if phi.comps[x].a.any()
+        )
+        last = int(np.flatnonzero(phi.comps[x].a)[-1])
+        out.append((x, *divmod(last, phi.comps[x].cols)))
+    return out
 
 
-def _coords(flat_cols, f, p):
-    """Coordinates of f in a basis, given the basis's _flat_columns."""
-    vec = Matrix(_flatten(f).reshape(-1, 1), p)
-    return solve(flat_cols, vec)
-
-
-def _flat_columns(basis, p):
-    if not basis:
-        return Matrix.zeros(0, 0, p)
-    cols = np.stack([_flatten(f) for f in basis], axis=1)
-    return Matrix(cols, p)
+def _gather(frees, component):
+    """Coordinates of a transformation in a basis with these free
+    positions; component(x) gives its component at x and is asked only
+    at the elements that hold one."""
+    comps = {}
+    out = np.zeros((len(frees), 1), dtype=np.int64)
+    for k, (x, r, c) in enumerate(frees):
+        if x not in comps:
+            comps[x] = component(x).a
+        out[k, 0] = comps[x][r, c]
+    return out
 
 
 def _nat_module_data(coll, m, member=None):
-    """The hom module of m plus the bases realizing its fibers.
+    """The hom module of m plus the bases realizing its fibers and their
+    free positions.
 
     The fiber at a is the space of transformations obj(a) -> m; the
-    transition along an index cover precomposes with the arrow.  When m is
-    the member at index element `member`, the cached pair bases are reused.
+    transition along an index cover precomposes with the arrow, composing
+    only the components that hold free positions of the upper basis.
+    When m is the member at index element `member`, the cached pair bases
+    are reused.
     """
     index = coll.index
     p = coll.p
@@ -263,18 +311,20 @@ def _nat_module_data(coll, m, member=None):
         bases = [nat_basis(coll.obj(a), m) for a in range(index.n)]
     else:
         bases = [coll.pair_basis(member, a) for a in range(index.n)]
-    flats = [_flat_columns(bas, p) for bas in bases]
+    frees = [_free_positions(bas) for bas in bases]
     dims = [len(bas) for bas in bases]
     maps = {}
     for a, b in index.covers:
         if dims[b] == 0 or dims[a] == 0:
-            maps[(a, b)] = Matrix.zeros(dims[b], dims[a], p)
+            # omitted maps default to zero
             continue
-        cols = []
-        for phi in bases[a]:
-            cols.append(_coords(flats[b], phi @ coll.arrow(a, b), p))
-        maps[(a, b)] = hstack(cols, rows=dims[b], p=p)
-    return PersistenceModule(index, p, dims, maps), bases, flats
+        arrow = coll.arrow(a, b).comps
+        cols = [
+            _gather(frees[b], lambda x: phi.comps[x] @ arrow[x])
+            for phi in bases[a]
+        ]
+        maps[(a, b)] = Matrix._trusted(np.hstack(cols), p)
+    return PersistenceModule(index, p, dims, maps), bases, frees
 
 
 def nat_module(coll, m):
@@ -289,14 +339,17 @@ def nat_module(coll, m):
 def nat_module_map(coll, f):
     """The map induced on hom modules by postcomposition with f."""
     src, sbases, _ = _nat_module_data(coll, f.source)
-    dst, _, dflats = _nat_module_data(coll, f.target)
+    dst, _, dfrees = _nat_module_data(coll, f.target)
     comps = []
     for a in range(coll.index.n):
         if src.dims[a] == 0 or dst.dims[a] == 0:
-            comps.append(Matrix.zeros(dst.dims[a], src.dims[a], coll.p))
+            comps.append(cached_zeros(dst.dims[a], src.dims[a], coll.p))
             continue
-        cols = [_coords(dflats[a], f @ phi, coll.p) for phi in sbases[a]]
-        comps.append(hstack(cols, rows=dst.dims[a], p=coll.p))
+        cols = [
+            _gather(dfrees[a], lambda x: f.comps[x] @ phi.comps[x])
+            for phi in sbases[a]
+        ]
+        comps.append(Matrix._trusted(np.hstack(cols), coll.p))
     return NatTransformation(src, dst, comps)
 
 
@@ -331,16 +384,14 @@ def _realized(coll, f):
         for a, b in covers:
             w = coll.obj(b).dims[x] * fdims[a]
             if w:
-                up = np.kron(
-                    np.eye(coll.obj(b).dims[x], dtype=np.int64),
-                    f.cover_map(a, b).a,
+                up = kron(
+                    cached_identity(coll.obj(b).dims[x], p), f.cover_map(a, b)
                 )
-                rel[offsets[x][b]:offsets[x][b + 1], c0:c0 + w] += up
-                down = np.kron(
-                    coll.arrow(a, b).component(x).a,
-                    np.eye(fdims[a], dtype=np.int64),
+                rel[offsets[x][b]:offsets[x][b + 1], c0:c0 + w] += up.a
+                down = kron(
+                    coll.arrow(a, b).component(x), cached_identity(fdims[a], p)
                 )
-                rel[offsets[x][a]:offsets[x][a + 1], c0:c0 + w] -= down
+                rel[offsets[x][a]:offsets[x][a + 1], c0:c0 + w] -= down.a
             c0 += w
         rel = Matrix(rel, p)
         _, pivots = rref(rel)
@@ -354,11 +405,10 @@ def _realized(coll, f):
         for a in range(index.n):
             if fdims[a] == 0:
                 continue
-            block = np.kron(
-                coll.obj(a).cover_map(x, y).a,
-                np.eye(fdims[a], dtype=np.int64),
+            block = kron(
+                coll.obj(a).cover_map(x, y), cached_identity(fdims[a], p)
             )
-            pre[offsets[y][a]:offsets[y][a + 1], offsets[x][a]:offsets[x][a + 1]] = block
+            pre[offsets[y][a]:offsets[y][a + 1], offsets[x][a]:offsets[x][a + 1]] = block.a
         maps[(x, y)] = projs[y] @ Matrix(pre, p) @ sects[x]
     module = PersistenceModule(domain, p, dims, maps)
     return module, projs, sects, offsets
@@ -378,11 +428,10 @@ def realization_map(coll, f):
     for x in range(domain.n):
         pre = np.zeros((doffs[x][-1], soffs[x][-1]), dtype=np.int64)
         for a in range(coll.index.n):
-            block = np.kron(
-                np.eye(coll.obj(a).dims[x], dtype=np.int64),
-                f.component(a).a,
+            block = kron(
+                cached_identity(coll.obj(a).dims[x], coll.p), f.component(a)
             )
-            pre[doffs[x][a]:doffs[x][a + 1], soffs[x][a]:soffs[x][a + 1]] = block
+            pre[doffs[x][a]:doffs[x][a + 1], soffs[x][a]:soffs[x][a + 1]] = block.a
         comps.append(dprojs[x] @ Matrix(pre, coll.p) @ ssects[x])
     return NatTransformation(lsrc, ldst, comps)
 
@@ -397,23 +446,23 @@ def unit(coll, a):
     index = coll.index
     p = coll.p
     src = free(index, a, p)
-    target, _, flats = _nat_module_data(coll, coll.obj(a), member=a)
+    target, _, frees = _nat_module_data(coll, coll.obj(a), member=a)
     comps = []
     for b in range(index.n):
         if not index.leq(a, b) or target.dims[b] == 0:
-            comps.append(Matrix.zeros(target.dims[b], src.dims[b], p))
+            comps.append(cached_zeros(target.dims[b], src.dims[b], p))
             continue
-        comps.append(_coords(flats[b], coll.arrow_to(a, b), p))
+        coords = _gather(frees[b], coll.arrow_to(a, b).component)
+        comps.append(Matrix._trusted(coords, p))
     return NatTransformation(src, target, comps)
 
 
 def unit_map(coll, f):
     """Unit of the adjunction at an arbitrary index module."""
     index = coll.index
-    domain = coll.domain
     p = coll.p
     lmod, projs, _, offsets = _realized(coll, f)
-    target, _, flats = _nat_module_data(coll, lmod)
+    target, _, frees = _nat_module_data(coll, lmod)
     comps = []
     for a in range(index.n):
         if f.dims[a] == 0 or target.dims[a] == 0:
@@ -421,17 +470,15 @@ def unit_map(coll, f):
             continue
         cols = []
         for v in range(f.dims[a]):
-            parts = []
-            for x in range(domain.n):
-                ins = np.zeros(
-                    (offsets[x][-1], coll.obj(a).dims[x]), dtype=np.int64
-                )
-                for w in range(coll.obj(a).dims[x]):
-                    ins[offsets[x][a] + w * f.dims[a] + v, w] = 1
-                parts.append(projs[x] @ Matrix(ins, p))
-            cand = NatTransformation(coll.obj(a), lmod, parts)
-            cols.append(_coords(flats[a], cand, p))
-        comps.append(hstack(cols, rows=target.dims[a], p=p))
+            # the member's copy for basis vector v of f(a), projected:
+            # at x its column w is the realized coordinate of w (x) v
+            def inserted(x, v=v):
+                return projs[x].take_cols([
+                    offsets[x][a] + w * f.dims[a] + v
+                    for w in range(coll.obj(a).dims[x])
+                ])
+            cols.append(_gather(frees[a], inserted))
+        comps.append(Matrix._trusted(np.hstack(cols), p))
     return NatTransformation(f, target, comps)
 
 

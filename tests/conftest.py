@@ -11,6 +11,11 @@ it counts components of overlapping supports and solves no linear system.
 oracle_meet_bounded and oracle_koszul are the plain skeleton construction
 (itertools.combinations, numpy reductions over the order matrix) that the
 bitset walk in relbetti.homalg.koszul must match exactly.
+oracle_nat_basis solves naturality over every component at once, one
+Kronecker block row per cover; relbetti.homalg.nat_basis solves at the
+source's generators and must give the same basis bit for bit.
+oracle_coords writes a transformation in a basis by solving a linear
+system; relbetti.relative reads the same coordinates off free positions.
 """
 import itertools
 
@@ -296,3 +301,72 @@ def longest_chain(poset):
         for a in poset.parents(b):
             depth[b] = max(depth[b], depth[a] + 1)
     return max(depth, default=0)
+
+
+def oracle_nat_basis(f, g):
+    """Basis of Hom(f, g) from the naturality system over all components.
+
+    Per cover (a, b) the block row  g(a<b) X_a - X_b f(a<b) = 0  in the
+    row-major vectorization of the unknown components; the basis is
+    kernel_basis of the whole system.
+    """
+    from relbetti.fieldlin import Matrix, kernel_basis, kron
+    from relbetti.homalg import NatTransformation
+    from relbetti.pmod import cached_identity
+
+    poset = f.poset
+    if poset != g.poset:
+        raise ValueError("modules live on different posets")
+    p = f.p
+    sizes = [g.dims[a] * f.dims[a] for a in range(poset.n)]
+    offs = np.concatenate([[0], np.cumsum(sizes)])
+    total = int(offs[-1])
+    if total == 0:
+        return []
+    rows = []
+    for a, b in sorted(poset.covers):
+        height = g.dims[b] * f.dims[a]
+        if height == 0 or (not sizes[a] and not sizes[b]):
+            continue
+        block = np.zeros((height, total), dtype=np.int64)
+        if sizes[a]:
+            left = kron(g.cover_map(a, b), cached_identity(f.dims[a], p))
+            block[:, offs[a]:offs[a + 1]] = left.a
+        if sizes[b]:
+            right = kron(
+                cached_identity(g.dims[b], p), f.cover_map(a, b).transpose()
+            )
+            block[:, offs[b]:offs[b + 1]] = (-right.a) % p
+        rows.append(block)
+    if rows:
+        system = Matrix(np.concatenate(rows, axis=0), p)
+    else:
+        system = Matrix.zeros(0, total, p)
+    basis = kernel_basis(system)
+    out = []
+    for k in range(basis.cols):
+        vec = basis.a[:, k]
+        comps = [
+            Matrix(vec[offs[a]:offs[a + 1]].reshape(g.dims[a], f.dims[a]), p)
+            for a in range(poset.n)
+        ]
+        out.append(NatTransformation(f, g, comps))
+    return out
+
+
+def _flatten(f):
+    parts = [c.a.reshape(-1) for c in f.comps]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+
+def oracle_coords(basis, f):
+    """Coordinates of f in a basis of transformations, by one solve of the
+    flattened basis columns against f's flattened entries; an int64
+    vector."""
+    from relbetti.fieldlin import Matrix, solve
+
+    p = f.source.p
+    if not basis:
+        return np.zeros(0, dtype=np.int64)
+    cols = Matrix(np.stack([_flatten(b) for b in basis], axis=1), p)
+    return solve(cols, Matrix(_flatten(f).reshape(-1, 1), p)).a[:, 0]

@@ -47,12 +47,12 @@ from relbetti.fieldlin import Matrix, rank
 from relbetti.homalg import (
     NatTransformation,
     betti,
-    betti_koszul,
     cokernel,
     global_koszul,
     identity_nat,
     image,
     koszul,
+    koszul_betti_diagram,
     minimal_resolution,
     nat_basis,
     zero_nat,
@@ -142,15 +142,6 @@ def small_semilattice(rng, ambient, max_n=8):
     return j
 
 
-def koszul_diagram(m, dmax):
-    entries = {}
-    for a in range(m.poset.n):
-        for d, k in enumerate(betti_koszul(m, a, dmax)):
-            if k:
-                entries[(d, a)] = k
-    return entries
-
-
 # Frozen tables for the running example: the module on the 6x6 grid
 # generated at (0,0) with relations entering at (2,3) and (3,1).
 
@@ -216,7 +207,7 @@ def test_criterion1_resolution_route():
 
 def test_criterion1_koszul_route():
     m = m0_demo(2)
-    got = named(koszul_diagram(m, 6), m.poset)
+    got = named(koszul_betti_diagram(m, 6), m.poset)
     # equality with the frozen table forces every entry with d >= 3 to be 0
     check_eq(1, "koszul-route", got, M0_STD)
 
@@ -233,7 +224,7 @@ def test_criterion2_standard_routes_agree():
         j = small_semilattice(rng, ambient)
         m = random_module(rng, j, p)
         dmax = longest_chain(j) + 2
-        if dict(betti(m, dmax).items()) != koszul_diagram(m, dmax):
+        if betti(m, dmax) != koszul_betti_diagram(m, dmax):
             bad += 1
     check(2, "", bad == 0, f"{bad} of 200 modules disagreed between routes")
 

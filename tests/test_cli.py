@@ -13,9 +13,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_module
-from relbetti.collections import lower_hooks, translated
+from relbetti.collections import lower_hooks, rectangles_naive, translated
 from relbetti.fieldlin import Matrix
 from relbetti.homalg import NatTransformation, betti, koszul
 from relbetti.pmod import PersistenceModule, constant, free, m0_demo
@@ -643,3 +644,162 @@ class TestInputErrors:
         r = run_cli(verb, "--dmax", "-1", *extra, stdin=demo)
         assert_input_error(r)
         assert "--dmax" in r.stderr
+
+    # malformed module payloads: the demo payload with one part replaced
+    @pytest.mark.parametrize(
+        "part, value",
+        [
+            ("entry", 0.5), ("entry", "1"), ("entry", True), ("entry", None),
+            ("entry", [1]), ("map", 1), ("map", [1]), ("map", []),
+            ("map", [[1], [1]]), ("dim", 1.5), ("dim", True), ("dim", -1),
+            ("dim", "x"), ("dim", None), ("dims", [1]), ("maps", [[1]]),
+            ("dims", "x"), ("maps", 1),
+        ],
+    )
+    def test_malformed_module_part(self, part, value):
+        obj = json.loads(run_cli("demo", "m0").stdout)
+        mod = obj["module"]
+        if part == "entry":
+            mod["maps"]["0,0<0,1"] = [[value]]
+        elif part == "map":
+            mod["maps"]["0,0<0,1"] = value
+        elif part == "dim":
+            mod["dims"]["0,0"] = value
+        else:
+            mod[part] = value
+        assert_input_error(run_cli("betti", stdin=json.dumps(obj)))
+
+    def test_unknown_dims_name(self):
+        obj = json.loads(run_cli("demo", "m0").stdout)
+        obj["module"]["dims"]["9,9"] = 1
+        assert_input_error(run_cli("betti", stdin=json.dumps(obj)))
+
+    @pytest.mark.parametrize("entry", [10**30 + 1, -1, 3])
+    def test_map_entries_reduce_mod_p(self, entry):
+        demo = run_cli("demo", "m0").stdout
+        obj = json.loads(demo)
+        obj["module"]["maps"]["0,0<0,1"] = [[entry]]
+        got = run_cli("betti", stdin=json.dumps(obj))
+        assert got.returncode == 0, got.stderr
+        assert got.stdout == run_cli("betti", stdin=demo).stdout
+
+    def _explicit(self):
+        return lower_hooks(Poset.grid(1, 2), 2).to_json()
+
+    @pytest.mark.parametrize(
+        "part",
+        ["objs", "arrows", "member", "arrow", "entry", "member-dims",
+         "member-name", "arrow-name"],
+    )
+    def test_malformed_collection_part(self, part):
+        coll = self._explicit()
+        key = next(iter(coll["arrows"]))
+        if part in ("objs", "arrows"):
+            coll[part] = []
+        elif part == "member-name":
+            coll["objs"]["9,9|9,9"] = coll["objs"][next(iter(coll["objs"]))]
+        elif part == "arrow-name":
+            coll["arrows"][key]["9,9"] = [[1]]
+        elif part == "member":
+            coll["objs"][next(iter(coll["objs"]))] = [1]
+        elif part == "arrow":
+            coll["arrows"][key] = [[1]]
+        elif part == "entry":
+            comps = coll["arrows"][key]
+            comps[next(iter(comps))] = [[0.5]]
+        else:
+            coll["objs"][next(iter(coll["objs"]))]["dims"] = [1]
+        m = constant(Poset.grid(1, 2), 2)
+        r = run_cli("rbetti", "--collection", json.dumps(coll), "--dmax", "2",
+                    stdin=envelope(m, 2))
+        assert_input_error(r)
+
+    def test_payload_collection_must_be_object(self):
+        payload = json.dumps({"p": 2, "collection": [1]})
+        assert_input_error(run_cli("validate", stdin=payload))
+        assert_input_error(run_cli("check", stdin=payload))
+
+    @pytest.mark.parametrize("part", ["arrow", "member"])
+    def test_broken_collection_exits_one(self, part):
+        # a zero inside an arrow's overlap, or on one side of a member's
+        # square: Hom is solved at a presentation and read off free
+        # positions, so both must be refused
+        g = Poset.grid(1, 2)
+        if part == "arrow":
+            coll = self._explicit()
+            key, comps = next(
+                (k, c) for k, c in coll["arrows"].items() if len(c) > 1
+            )
+            comps[next(iter(comps))] = [[0]]
+        else:
+            coll = rectangles_naive(g, 2).to_json()
+            key, member = next(
+                (k, c) for k, c in coll["objs"].items() if len(c["maps"]) == 4
+            )
+            member["maps"]["0,0<0,1"] = [[0]]
+        r = run_cli("rbetti", "--collection", json.dumps(coll), "--dmax", "2",
+                    "--force", stdin=envelope(constant(g, 2), 2))
+        assert r.returncode == 1, r.stderr
+        assert r.stdout == ""
+        assert r.stderr.startswith(f"error: {part} {key!r}")
+        assert len(r.stderr.splitlines()) == 1
+
+
+_JUNK = st.one_of(
+    st.integers(-(10**40), 10**40),
+    st.integers(0, 3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 2), max_size=2),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    part=st.sampled_from(["dim", "entry", "map", "dims", "maps", "drop"]),
+    name=st.integers(0, 19),
+    value=_JUNK,
+)
+def test_mutated_demo_payload(part, name, value):
+    # every mutation exits with a documented code and one error line; an
+    # exit 0 means the payload spells a module, the one the CLI computed
+    obj = json.loads(M0_PAYLOAD)
+    mod = obj["module"]
+    dims, maps = sorted(mod["dims"]), sorted(mod["maps"])
+    if part == "dim":
+        if isinstance(value, int) and not isinstance(value, bool):
+            value = abs(value) % 4  # a large dimension allocates
+        mod["dims"][dims[name % len(dims)]] = value
+    elif part == "entry":
+        mod["maps"][maps[name]] = [[value]]
+    elif part == "map":
+        mod["maps"][maps[name]] = value
+    elif part == "drop":
+        del mod[["dims", "maps", "poset"][name % 3]]
+    else:
+        mod[part] = value
+    r = run_cli("betti", stdin=json.dumps(obj))
+    assert r.returncode in (0, 1, 2, 3, 4)
+    assert "Traceback" not in r.stderr
+    if r.returncode:
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert r.stdout == ""
+        return
+    m = PersistenceModule.from_json(mod, 2)
+    spelled = mod.get("dims", {})
+    assert all(m.dims[m.poset.index(k)] == int(v) for k, v in spelled.items())
+    for key, rows in mod.get("maps", {}).items():
+        a, _, b = key.partition("<")
+        got = m.cover_map(m.poset.index(a), m.poset.index(b))
+        assert got.tolist() == [[v % 2 for v in row] for row in rows]
+    want = betti(m, m.poset.n)
+    assert table_of(json.loads(r.stdout)) == {
+        (d, m.poset.names[a]): k for (d, a), k in want.items()
+    }
+
+
+M0_PAYLOAD = json.dumps({"p": 2, "module": m0_demo().to_json()})

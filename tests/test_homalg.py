@@ -6,13 +6,21 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     longest_chain,
+    oracle_coords,
     oracle_koszul,
+    oracle_nat_basis,
     random_free_map,
     random_module,
     random_poset_covers,
     random_semilattice,
 )
-from relbetti.errors import MeetHypothesisFailed, NotSemilattice, NotSubfunctor
+from relbetti.collections import lower_hooks, rectangles_grid
+from relbetti.errors import (
+    FunctorialityViolation,
+    MeetHypothesisFailed,
+    NotSemilattice,
+    NotSubfunctor,
+)
 from relbetti.fieldlin import Matrix, hstack, rank
 from relbetti.pmod import (
     BettiDiagram,
@@ -23,6 +31,7 @@ from relbetti.pmod import (
     free_on,
     from_upset,
     h0,
+    indicator,
     m0_demo,
     radical,
     spread,
@@ -48,6 +57,7 @@ from relbetti.homalg import (
     zero_nat,
 )
 from relbetti.poset import Poset
+from relbetti.relative import _free_positions, _gather
 
 
 def chain(k):
@@ -537,6 +547,111 @@ def test_koszul_matches_oracle(seed, kind, p, zero):
             assert g.a.dtype == np.int64 and g.p == p
             assert g.a.min(initial=0) >= 0 and g.a.max(initial=0) < p
             assert np.array_equal(g.a, w.a)
+
+def _zero_one_source(rng, poset, p, kind):
+    """A 0/1 module: an indicator on a convex support (the presentation
+    read off bitsets), or a source that must take the cover presentation:
+    a non-convex support, or a convex one in random fiber bases."""
+    leq = poset.leq_matrix
+    if kind == "nonconvex":
+        inside = np.flatnonzero(rng.random(poset.n) < 0.5)
+        m = indicator(poset, inside, p)
+        try:
+            return validate(m)
+        except FunctorialityViolation:
+            # all-zero transitions are natural on any support
+            return PersistenceModule(poset, p, m.dims, {})
+    lo = rng.random(poset.n) < 0.3
+    hi = rng.random(poset.n) < 0.3
+    convex = leq[lo].any(axis=0) & leq[:, hi].any(axis=1)
+    m = indicator(poset, np.flatnonzero(convex), p)
+    if kind == "convex":
+        return m
+    scale = [int(c) for c in rng.integers(1, p, poset.n)]
+    maps = {
+        (a, b): Matrix([[scale[b] * pow(scale[a], p - 2, p)]], p)
+        for a, b in poset.covers
+        if m.dims[a] and m.dims[b]
+    }
+    return PersistenceModule(poset, p, m.dims, maps)
+
+
+def _hom_source(rng, poset, p, kind):
+    if kind == "zero":
+        return zero_module(poset, p)
+    if kind == "random":
+        return random_module(rng, poset, p)
+    return _zero_one_source(rng, poset, p, kind)
+
+
+def _assert_same_basis(got, want, f, g):
+    assert len(got) == len(want)
+    for phi, psi in zip(got, want):
+        assert phi.source is f and phi.target is g
+        for c, d in zip(phi.comps, psi.comps):
+            assert c.p == d.p and c.a.dtype == np.int64
+            assert c.a.shape == d.a.shape and np.array_equal(c.a, d.a)
+
+
+def _assert_gather_matches(rng, basis, f, g, p):
+    frees = _free_positions(basis)
+    coeffs = rng.integers(0, p, len(basis))
+    comps = []
+    for x in range(f.poset.n):
+        acc = np.zeros((g.dims[x], f.dims[x]), dtype=np.int64)
+        for c, phi in zip(coeffs, basis):
+            acc = (acc + int(c) * phi.comps[x].a) % p
+        comps.append(Matrix(acc, p))
+    psi = NatTransformation(f, g, comps)
+    got = _gather(frees, psi.component)[:, 0]
+    assert np.array_equal(got, coeffs)
+    assert np.array_equal(got, oracle_coords(basis, psi))
+
+
+KINDS = ["random", "convex", "nonconvex", "rebased", "zero"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["covers", "semilattice"]),
+    p=st.sampled_from([2, 3, 5]),
+    source=st.sampled_from(KINDS),
+    target=st.sampled_from(KINDS),
+)
+def test_nat_basis_matches_oracle(seed, kind, p, source, target):
+    # both directions; random covers include non-lattices
+    rng = np.random.default_rng(seed)
+    if kind == "covers":
+        names, covers, _ = random_poset_covers(rng, int(rng.integers(2, 10)))
+        poset = Poset.from_covers(
+            names, [(names[i], names[j]) for i, j in covers]
+        )
+    else:
+        poset = random_semilattice(rng, Poset.grid(3, 2), int(rng.integers(2, 6)))
+    f = _hom_source(rng, poset, p, source)
+    g = _hom_source(rng, poset, p, target)
+    for a, b in ((f, g), (g, f), (f, f)):
+        basis = nat_basis(a, b)
+        _assert_same_basis(basis, oracle_nat_basis(a, b), a, b)
+        for phi in basis:
+            phi.check()
+        _assert_gather_matches(rng, basis, a, b, p)
+
+
+def test_nat_basis_matches_oracle_on_grid_collections():
+    # every member of both 441-member grid(5,2) collections, both ways
+    # against the demo module
+    m0 = m0_demo(2)
+    rng = np.random.default_rng(0)
+    for coll in (lower_hooks(m0.poset, 2), rectangles_grid(5, 2, 2)):
+        for a in range(coll.index.n):
+            x = coll.obj(a)
+            for f, g in ((x, m0), (m0, x)):
+                basis = nat_basis(f, g)
+                _assert_same_basis(basis, oracle_nat_basis(f, g), f, g)
+                _assert_gather_matches(rng, basis, f, g, 2)
+
 
 class TestGlobalKoszul:
     def test_single_generator(self):

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import indicator_hom_dim, random_free_map, random_module
-from relbetti.collections import lower_hooks, lower_hooks_inf
+from relbetti.collections import (
+    all_subfunctors,
+    lower_hooks,
+    lower_hooks_inf,
+    rectangles_grid,
+    single_source_omega0,
+    spreads_omega,
+)
 from relbetti.errors import (
     DmaxReached,
     FunctorialityViolation,
@@ -591,21 +598,33 @@ class TestMainEquality:
             kos = relative_betti_koszul(coll, m, a, 6)
             assert kos == [mults.get(d, a) for d in range(7)]
 
-    @settings(deadline=None, max_examples=30)
+    @settings(deadline=None, max_examples=60)
     @given(
         st.integers(0, 10**6),
         st.sampled_from([2, 3, 5]),
-        st.sampled_from(["lower_hooks", "lower_hooks_inf"]),
+        st.sampled_from([
+            "lower_hooks", "lower_hooks_inf", "rectangles_grid",
+            "spreads_omega", "all_subfunctors", "single_source_omega0",
+        ]),
     )
     def test_koszul_table_is_additive(self, seed, p, name):
         # the relative Koszul table equals the complete resolution's and
         # is additive in Hom(X, -) at every nonzero member X; rank
         # additivity needs the free members of lower_hooks_inf, since every
-        # lower hook vanishes at the top of the grid
+        # lower hook vanishes at the top of the grid.  spreads_omega is
+        # only thin over a chain.
         rng = np.random.default_rng(seed)
-        base = Poset.grid(2, 2)
-        build = {"lower_hooks": lower_hooks, "lower_hooks_inf": lower_hooks_inf}
+        base = Poset.grid(3, 1) if name == "spreads_omega" else Poset.grid(2, 2)
+        build = {
+            "lower_hooks": lower_hooks,
+            "lower_hooks_inf": lower_hooks_inf,
+            "rectangles_grid": lambda b, q: rectangles_grid(2, 2, q),
+            "spreads_omega": spreads_omega,
+            "all_subfunctors": all_subfunctors,
+            "single_source_omega0": single_source_omega0,
+        }
         coll = build[name](base, p)
+        assert coll.domain == base
         m = random_module(rng, base, p)
         res = relative_minimal_resolution(coll, m, 6)
         assert res.complete
@@ -619,7 +638,7 @@ class TestMainEquality:
             want = len(nat_basis(mx, m))
             got = sum(c * indicator_hom_dim(mx, coll.obj(s)) for c, s in terms)
             assert got == want, coll.index.names[x]
-        if name == "lower_hooks":
+        if name != "lower_hooks_inf":
             return
         for a in range(base.n):
             for b in range(base.n):
