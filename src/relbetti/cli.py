@@ -195,9 +195,14 @@ def _build_builtin(name, params, base, p, bound):
     if name == "rectangles_grid":
         if "n" in params or "r" in params:
             try:
-                n, r = int(params["n"]), int(params["r"])
-            except (KeyError, TypeError, ValueError) as exc:
+                n = parse_nonnegative(params["n"])
+                r = parse_nonnegative(params["r"])
+            except KeyError as exc:
                 raise InputError("rectangles_grid params need n and r") from exc
+            except ValueError as exc:
+                raise InputError(f"rectangles_grid params: {exc}") from None
+            if r < 1:
+                raise InputError("rectangles_grid params need r >= 1")
         elif base.grid_shape is not None:
             n, r = base.grid_shape
         else:
@@ -308,7 +313,7 @@ def _diagram_dot(diagram, poset):
             lines.append(f'  n{a} [label="{label}", shape=box];')
         else:
             lines.append(f'  n{a} [label="{label}"];')
-    for a, b in sorted(poset.covers):
+    for a, b in poset.sorted_covers:
         lines.append(f"  n{a} -> n{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -67,7 +67,7 @@ class NatTransformation:
 
     def check(self):
         """Validate naturality against every cover square."""
-        for a, b in sorted(self.source.poset.covers):
+        for a, b in self.source.poset.sorted_covers:
             left = self.target.cover_map(a, b) @ self.comps[a]
             right = self.comps[b] @ self.source.cover_map(a, b)
             if left != right:
@@ -175,10 +175,7 @@ def _indicator_support(f):
     else None."""
     if any(d > 1 for d in f.dims):
         return None
-    inside = 0
-    for x, d in enumerate(f.dims):
-        if d:
-            inside |= 1 << x
+    inside = f.support_bits
     for a, b in f.poset.covers:
         if inside >> a & inside >> b & 1 and f.cover_map(a, b).a[0, 0] != 1:
             return None
@@ -603,6 +600,11 @@ def koszul(f, a, parent_order=None):
     set bit b0, accepted only when every lower bound lies below b0
     (Poset.meet_of_bits, the rule of Poset.meet_bounded). Only blocks
     between two nonzero values are placed.
+
+    A walk that succeeds records on the poset the bitset of a and the
+    meets it met, which betti_koszul reads.  The subsets and meets do not
+    depend on parent_order, so every successful walk records the same
+    bitset.
     """
     poset = f.poset
     parents = poset.parents(a)
@@ -618,6 +620,7 @@ def koszul(f, a, parent_order=None):
     index_sets = [((),)]
     meets = [(a,)]
     dims = [fdims[a]]
+    touched = 1 << a
     # (subset, position of its last parent, bitset of its lower bounds);
     # the empty subset is bounded by everything, and -1 has every bit set
     level = [((), -1, -1)]
@@ -639,12 +642,14 @@ def koszul(f, a, parent_order=None):
                     )
                 grown.append((s + (x,), j, below))
                 mts.append(mt)
+                touched |= 1 << mt
         if not grown:
             break
         level = grown
         index_sets.append(tuple(s for s, _, _ in grown))
         meets.append(tuple(mts))
         dims.append(sum(fdims[mt] for mt in mts))
+    poset._koszul_bits[a] = touched
 
     p = f.p
     diffs = []
@@ -677,7 +682,14 @@ def koszul(f, a, parent_order=None):
 
 
 def betti_koszul(f, a, dmax):
-    """Homology dimensions of the local Koszul complex, padded to dmax."""
+    """Homology dimensions of the local Koszul complex, padded to dmax.
+
+    Once a walk at a has recorded the elements the complex touches, a
+    module that is zero at all of them gives zeros without the complex.
+    """
+    touched = f.poset._koszul_bits[a]
+    if touched is not None and not touched & f.support_bits:
+        return [0] * (dmax + 1)
     h = koszul(f, a).homology()
     out = list(h[:dmax + 1])
     out.extend([0] * (dmax + 1 - len(out)))
@@ -704,7 +716,7 @@ def global_koszul(f):
         raise NotSemilattice("global Koszul needs an upper semilattice")
     if any(d > 1 for d in f.dims):
         raise NotSubfunctor("values must be at most one-dimensional")
-    for a, b in sorted(poset.covers):
+    for a, b in poset.sorted_covers:
         if f.dims[a] == 1:
             if f.dims[b] != 1 or f.cover_map(a, b) != cached_identity(1, f.p):
                 raise NotSubfunctor(

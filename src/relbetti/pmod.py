@@ -44,14 +44,21 @@ class PersistenceModule:
         if any(d < 0 for d in dims):
             raise ValueError("dimensions must be nonnegative")
         self.dims = dims
+        # bit x set iff dims[x] > 0
+        support = 0
+        for x, d in enumerate(dims):
+            if d:
+                support |= 1 << x
+        self.support_bits = support
         extra = set(cover_maps) - poset.covers
         if extra:
             raise ValueError(f"maps attached to non-covers: {sorted(extra)}")
         maps = {}
-        for a, b in sorted(poset.covers):
+        for a, b in poset.sorted_covers:
             m = cover_maps.get((a, b))
             if m is None:
-                m = cached_zeros(dims[b], dims[a], self.p)
+                maps[(a, b)] = cached_zeros(dims[b], dims[a], self.p)
+                continue
             if m.p != self.p:
                 raise ValueError("cover map modulus differs from module modulus")
             if m.rows != dims[b] or m.cols != dims[a]:
@@ -201,7 +208,7 @@ class Submodule:
 
     def check_stable(self):
         amb = self.ambient
-        for a, b in sorted(amb.poset.covers):
+        for a, b in amb.poset.sorted_covers:
             img = amb.cover_map(a, b) @ self.basis[a]
             if img.cols == 0:
                 continue

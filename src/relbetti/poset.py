@@ -6,7 +6,9 @@ orders, basis choices, JSON output) leans on that determinism. Covers must be
 given as a transitive reduction; redundant covers are rejected rather than
 silently dropped because module data is attached per cover.
 """
+import functools
 import heapq
+import operator
 import os
 
 import numpy as np
@@ -77,6 +79,7 @@ class Poset:
         self.n = len(names)
         self.names = tuple(names)
         self.covers = frozenset(covers)
+        self.sorted_covers = tuple(sorted(self.covers))
         leq = np.asarray(leq, dtype=bool)
         leq.setflags(write=False)
         self._leq = leq
@@ -85,13 +88,16 @@ class Poset:
         self._name_to_index = {nm: i for i, nm in enumerate(self.names)}
         par = [[] for _ in range(self.n)]
         chi = [[] for _ in range(self.n)]
-        for a, b in sorted(self.covers):
+        for a, b in self.sorted_covers:
             par[b].append(a)
             chi[a].append(b)
         self._parents = tuple(tuple(sorted(x)) for x in par)
         self._children = tuple(tuple(sorted(x)) for x in chi)
         self._semilattice = semilattice
         self._down_bits = None
+        # homalg.koszul's touched elements at each base element, {a} and
+        # the meets, as a bitset; None until a walk there succeeds
+        self._koszul_bits = [None] * self.n
         self._hash = hash((self.names, self.covers))
 
     # -- construction ---------------------------------------------------
@@ -178,12 +184,22 @@ class Poset:
 
     @staticmethod
     def grid(n, r, max_elements=None):
+        """The product of r chains 0 < 1 < ... < n, one shared instance
+        per (n, r) once the size bound admits it."""
+        n, r = operator.index(n), operator.index(r)
         if n < 0 or r < 1:
             raise ValueError("grid needs n >= 0, r >= 1")
         bound = DEFAULT_MAX_ELEMENTS if max_elements is None else int(max_elements)
         total = (n + 1) ** r
         if total > bound:
             raise SizeBoundExceeded(f"grid has {total} elements, bound {bound}")
+        return Poset._grid(n, r)
+
+    @staticmethod
+    @functools.cache
+    def _grid(n, r):
+        """Poset.grid's instance for (n, r), built on first use and kept
+        for the life of the process."""
         coords = []
 
         def gen(prefix):
@@ -216,7 +232,10 @@ class Poset:
     @staticmethod
     def from_json(obj):
         if "grid" in obj:
-            return Poset.grid(int(obj["grid"]["n"]), int(obj["grid"]["r"]))
+            shape = obj["grid"]
+            return Poset.grid(
+                parse_nonnegative(shape["n"]), parse_nonnegative(shape["r"])
+            )
         return Poset.from_covers(
             list(obj["elements"]), [tuple(c) for c in obj["covers"]]
         )
@@ -385,6 +404,8 @@ class Poset:
         return out
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Poset):
             return NotImplemented
         return self.names == other.names and self.covers == other.covers

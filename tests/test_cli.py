@@ -625,6 +625,23 @@ class TestInputErrors:
         assert_input_error(r)
         assert "max_antichains" in r.stderr
 
+    @pytest.mark.parametrize(
+        "params",
+        [{"n": 5.5, "r": 2}, {"n": 5, "r": 2.0}, {"n": "5", "r": True},
+         {"n": None, "r": 2}, {"n": -1, "r": 2}, {"n": 5, "r": 0},
+         {"n": 5}],
+        ids=["float-n", "float-r", "bool-r", "null-n", "negative-n",
+             "zero-r", "missing-r"],
+    )
+    def test_bad_rectangles_grid_params(self, params):
+        demo = run_cli("demo", "m0").stdout
+        spec = {"builtin": "rectangles_grid", "params": params}
+        r = run_cli(
+            "rbetti", "--collection", json.dumps(spec), stdin=demo
+        )
+        assert_input_error(r)
+        assert "rectangles_grid" in r.stderr
+
     @pytest.mark.parametrize("bound", ["-1", "x"])
     def test_bad_max_antichains_env(self, bound, monkeypatch):
         monkeypatch.setenv("RELBETTI_MAX_ANTICHAINS", bound)
@@ -653,13 +670,17 @@ class TestInputErrors:
             ("entry", [1]), ("map", 1), ("map", [1]), ("map", []),
             ("map", [[1], [1]]), ("dim", 1.5), ("dim", True), ("dim", -1),
             ("dim", "x"), ("dim", None), ("dims", [1]), ("maps", [[1]]),
-            ("dims", "x"), ("maps", 1),
+            ("dims", "x"), ("maps", 1), ("grid", {"n": 5.5, "r": 2}),
+            ("grid", {"n": 5, "r": 2.0}), ("grid", {"n": "5", "r": True}),
+            ("grid", {"n": True, "r": 2}), ("grid", {"n": 5, "r": 0}),
         ],
     )
     def test_malformed_module_part(self, part, value):
         obj = json.loads(run_cli("demo", "m0").stdout)
         mod = obj["module"]
-        if part == "entry":
+        if part == "grid":
+            mod["poset"] = {"grid": value}
+        elif part == "entry":
             mod["maps"]["0,0<0,1"] = [[value]]
         elif part == "map":
             mod["maps"]["0,0<0,1"] = value

@@ -74,6 +74,43 @@ class TestValidate:
             PersistenceModule(antichain, p, [1, 1], {})
 
 
+class TestOmittedMaps:
+    def test_omitted_maps_equal_explicit_zeros(self):
+        g = Poset.grid(2, 2)
+        dims = [(3 * x) % 4 for x in range(g.n)]
+        explicit = {
+            (a, b): Matrix.zeros(dims[b], dims[a], 3) for a, b in g.covers
+        }
+        omitted = PersistenceModule(g, 3, dims, {})
+        assert omitted == PersistenceModule(g, 3, dims, explicit)
+        for a, b in g.covers:
+            m = omitted.cover_map(a, b)
+            assert m.is_zero() and m.p == 3
+            assert (m.rows, m.cols) == (dims[b], dims[a])
+        # some supplied, the rest omitted
+        some = dict(list(sorted(explicit.items()))[::2])
+        assert PersistenceModule(g, 3, dims, some) == omitted
+
+    @pytest.mark.parametrize(
+        "dims, bad",
+        [([1, 1], Matrix.zeros(2, 1, 2)), ([0, 1], Matrix.zeros(1, 1, 2)),
+         ([1, 0], Matrix.zeros(1, 1, 2)), ([1, 1], Matrix.zeros(1, 1, 3)),
+         ([0, 0], Matrix.zeros(0, 0, 3))],
+        ids=["shape", "zero-source", "zero-target", "modulus",
+             "empty-modulus"],
+    )
+    def test_supplied_map_still_checked(self, dims, bad):
+        with pytest.raises(ValueError, match="shape|modulus"):
+            PersistenceModule(chain(2), 2, dims, {(0, 1): bad})
+
+    def test_support_bits(self):
+        m = m0_demo(2)
+        assert m.support_bits == sum(
+            1 << x for x, d in enumerate(m.dims) if d
+        )
+        assert zero_module(chain(3), 2).support_bits == 0
+
+
 class TestFree:
     def test_middle_of_chain(self):
         p = chain(3)

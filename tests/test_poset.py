@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from relbetti.collections import rectangles_grid
 from relbetti.poset import (
     CyclicCovers,
     NotSemilattice,
@@ -119,6 +120,43 @@ class TestGrid:
         g = Poset.grid(3, 2)
         for i in range(g.n):
             assert g.names[i] == ",".join(str(c) for c in g.coords[i])
+
+
+class TestSharedGrid:
+    @pytest.mark.parametrize("n, r", [(0, 1), (1, 1), (2, 2), (3, 3), (5, 2)])
+    def test_one_instance_per_shape(self, n, r):
+        g = Poset.grid(n, r)
+        assert Poset.grid(n, r) is g
+        assert Poset.from_json({"grid": {"n": n, "r": r}}) is g
+        assert Poset.from_json(g.to_json()) is g
+
+    @pytest.mark.parametrize("n, r", [(1, 1), (2, 2), (5, 2)])
+    def test_rectangles_grid_domain_is_shared(self, n, r):
+        assert rectangles_grid(n, r, 2).domain is Poset.grid(n, r)
+
+    def test_over_bound_raises_before_lookup(self):
+        Poset.grid(2, 2)
+        before = Poset._grid.cache_info()
+        with pytest.raises(SizeBoundExceeded):
+            Poset.grid(2, 2, max_elements=8)
+        with pytest.raises(SizeBoundExceeded):
+            Poset.grid(9, 6)
+        assert Poset._grid.cache_info() == before
+        assert Poset.grid(2, 2, max_elements=9) is Poset.grid(2, 2)
+
+    def test_equality_stays_literal(self):
+        g = Poset.grid(2, 2)
+        copy = Poset.from_covers(
+            g.names, [(g.names[a], g.names[b]) for a, b in g.covers]
+        )
+        assert copy is not g
+        assert copy == g and hash(copy) == hash(g)
+        assert g != Poset.grid(2, 1)
+        assert g != Poset.from_covers(g.names, [])
+
+    def test_sorted_covers(self):
+        for p in (Poset.grid(2, 2), diamond(), chain(4), chain(1)):
+            assert p.sorted_covers == tuple(sorted(p.covers))
 
 
 class TestJoinMeet:
@@ -376,6 +414,18 @@ class TestPosetJson:
         j = g.to_json()
         assert j == {"grid": {"n": 3, "r": 2}}
         assert Poset.from_json(j) == g
+
+    @pytest.mark.parametrize(
+        "shape",
+        [{"n": 1.5, "r": 1}, {"n": "1", "r": True}, {"n": 1, "r": 2.0},
+         {"n": True, "r": 1}, {"n": None, "r": 1}, {"n": [1], "r": 1},
+         {"n": "x", "r": 1}, {"n": -1, "r": 1}, {"n": 1, "r": 0}],
+        ids=["float-n", "bool-r", "float-r", "bool-n", "null-n", "list-n",
+             "string-n", "negative-n", "zero-r"],
+    )
+    def test_bad_grid_shape_refused(self, shape):
+        with pytest.raises(ValueError):
+            Poset.from_json({"grid": shape})
 
 
 @settings(max_examples=40, deadline=None)
