@@ -11,6 +11,7 @@ printed with enough detail to replay it.
 """
 
 import argparse
+import math
 import statistics
 import time
 from dataclasses import dataclass
@@ -131,7 +132,9 @@ def relative_run(cfg):
 def summarize(label, times):
     ms = sorted(t * 1000 for t in times)
     mid = statistics.median(ms)
-    print(f"  {label}: median {mid:.1f}ms  p90 {ms[int(0.9 * (len(ms) - 1))]:.1f}ms  "
+    # nearest rank: the smallest sample with at least 90% at or below it
+    p90 = ms[math.ceil(0.9 * len(ms)) - 1]
+    print(f"  {label}: median {mid:.1f}ms  p90 {p90:.1f}ms  "
           f"max {ms[-1]:.1f}ms")
 
 
@@ -146,6 +149,8 @@ def main():
                     help="run the relative routes with this builder on grid(3, 2)")
     ap.add_argument("--dmax", type=int, default=8)
     args = ap.parse_args()
+    if args.samples < 1:
+        ap.error("--samples must be at least 1")
     cfg = Config(args.samples, args.seed, args.field, args.ambient_n,
                  args.relative, args.dmax)
 

@@ -185,13 +185,14 @@ def _build_builtin(name, params, base, p, bound):
         return _BOUNDED_BUILTINS[name](base, p, max_antichains=bound)
     if name == "translated":
         T = params.get("T")
-        if T is None:
-            raise InputError('translated needs a "T" list in params')
+        if not isinstance(T, list) or not all(isinstance(t, list) for t in T):
+            raise InputError('translated needs a "T" list of lists in params')
         try:
-            shifts = [tuple(int(c) for c in t) for t in T]
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad translation set: {exc}") from exc
-        return translated(base, shifts, p)
+            return translated(
+                base, [[parse_nonnegative(c) for c in t] for t in T], p
+            )
+        except ValueError as exc:
+            raise InputError(f"bad translation set: {exc}") from None
     if name == "rectangles_grid":
         if "n" in params or "r" in params:
             try:
@@ -203,18 +204,22 @@ def _build_builtin(name, params, base, p, bound):
                 raise InputError(f"rectangles_grid params: {exc}") from None
             if r < 1:
                 raise InputError("rectangles_grid params need r >= 1")
+            # checked before building, since a large grid's collection
+            # allocates; a grid payload compares by shape alone
+            if (
+                base.grid_shape != (n, r) if base.grid_shape is not None
+                else Poset.grid(n, r) != base
+            ):
+                raise PosetMismatch(
+                    "rectangles_grid shape disagrees with the payload poset"
+                )
         elif base.grid_shape is not None:
             n, r = base.grid_shape
         else:
             raise InputError(
                 "rectangles_grid needs grid params or a grid-shaped poset"
             )
-        coll = rectangles_grid(n, r, p)
-        if coll.domain != base:
-            raise PosetMismatch(
-                "rectangles_grid shape disagrees with the payload poset"
-            )
-        return coll
+        return rectangles_grid(n, r, p)
     raise InputError(
         f"unknown builtin {name!r}; known: {', '.join(BUILTIN_NAMES)}"
     )
@@ -251,6 +256,8 @@ def _collection_from_flag(text, base, p, bound):
             except argparse.ArgumentTypeError as exc:
                 raise InputError(f'"max_antichains": {exc}') from None
         name = obj["builtin"]
+        if not isinstance(name, str):
+            raise InputError(f'"builtin" must be a name, got {name!r}')
         return _build_builtin(name, params, base, p, bound), name
     if "J" in obj:
         return _load_collection_json(obj, p), "explicit"
@@ -333,24 +340,47 @@ def _term_label(d, term):
     return f"C{d} = " + (" + ".join(parts) if parts else "0")
 
 
-def _chain_table(terms):
-    lines = [_term_label(d, term) for d, term in enumerate(terms)]
-    return "\n".join(lines) + "\n"
+def _render_chain(args, res, poset, dmax, fields):
+    """Write a resolution's terms; its JSON form adds fields."""
+    terms = [_term_counts(gens, poset.names) for gens in res.generators]
+    if args.format == "table":
+        lines = [_term_label(d, term) for d, term in enumerate(terms)]
+        sys.stdout.write("\n".join(lines) + "\n")
+    elif args.format == "dot":
+        total = sum(res.target.dims)
+        lines = [
+            "digraph resolution {",
+            "  rankdir=LR;",
+            f'  M [shape=box, label="target (total dim {total})"];',
+        ]
+        for d, term in enumerate(terms):
+            lines.append(f'  C{d} [label="{_term_label(d, term)}"];')
+            lines.append(f"  C{d} -> {'M' if d == 0 else f'C{d - 1}'};")
+        lines.append("}")
+        sys.stdout.write("\n".join(lines) + "\n")
+    else:
+        _emit({
+            **fields,
+            "complete": res.complete,
+            "dmax": dmax,
+            "length": res.length,
+            "minimal": res.minimal,
+            "multiplicities": {
+                "betti": _diagram_entries(res.multiplicities(), poset)
+            },
+            "terms": terms,
+        })
 
 
-def _chain_dot(terms, total_dim):
-    lines = ["digraph resolution {", "  rankdir=LR;"]
-    lines.append(f'  M [shape=box, label="target (total dim {total_dim})"];')
-    for d, term in enumerate(terms):
-        lines.append(f'  C{d} [label="{_term_label(d, term)}"];')
-        lines.append(f"  C{d} -> {'M' if d == 0 else f'C{d - 1}'};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _render_diagram(args, diagram, poset, payload):
+def _render_diagram(args, diagram, poset, dmax, fields):
+    """Write a multiplicity table; its JSON form adds fields."""
     if args.format == "json":
-        _emit(payload)
+        _emit({
+            **fields,
+            "betti": _diagram_entries(diagram, poset),
+            "dmax": dmax,
+            "method": args.method,
+        })
     elif args.format == "table":
         sys.stdout.write(_diagram_table(diagram, poset))
     else:
@@ -397,35 +427,38 @@ def _cmd_validate(args):
         _emit({"ok": True, "kind": "collection", "p": p})
 
 
-def _cmd_betti(args):
+def _module_input(args):
+    """The payload's module and the modulus it is read with."""
     obj = _read_payload(args.input)
     p = _resolve_p(obj, args.field)
-    m = _load_module(obj, p)
-    dmax = m.poset.n if args.dmax is None else args.dmax
-    if args.method == "koszul":
-        diagram = koszul_betti_diagram(m, dmax)
-    else:
-        diagram = betti(m, dmax)
-    payload = {
-        "betti": _diagram_entries(diagram, m.poset),
-        "dmax": dmax,
-        "method": args.method,
-        "p": p,
-    }
-    _render_diagram(args, diagram, m.poset, payload)
+    return _load_module(obj, p), p
 
 
-def _cmd_rbetti(args):
-    obj = _read_payload(args.input)
-    p = _resolve_p(obj, args.field)
-    m = _load_module(obj, p)
+def _collection_over(args, m, p):
+    """--collection, refused unless its members live over m's poset."""
     coll, label = _collection_from_flag(
         args.collection, m.poset, p, args.max_antichains
     )
     if coll.domain != m.poset:
         raise PosetMismatch("collection members live over a different poset")
+    return coll, label
+
+
+def _cmd_betti(args):
+    m, p = _module_input(args)
+    dmax = m.poset.n if args.dmax is None else args.dmax
+    if args.method == "koszul":
+        diagram = koszul_betti_diagram(m, dmax)
+    else:
+        diagram = betti(m, dmax)
+    _render_diagram(args, diagram, m.poset, dmax, {"p": p})
+
+
+def _cmd_rbetti(args):
+    m, p = _module_input(args)
+    coll, label = _collection_over(args, m, p)
     dmax = coll.index.n if args.dmax is None else args.dmax
-    unverified = False
+    fields = {"collection": label, "p": p}
     if args.method == "resolution":
         diagram = relative_minimal_resolution(coll, m, dmax).multiplicities()
     else:
@@ -435,89 +468,32 @@ def _cmd_rbetti(args):
             if not args.force:
                 raise
             diagram = relative_betti_diagram(coll, m, dmax, force=True)
-            unverified = True
-    payload = {
-        "betti": _diagram_entries(diagram, coll.index),
-        "collection": label,
-        "dmax": dmax,
-        "method": args.method,
-        "p": p,
-    }
-    if unverified:
-        payload["unverified"] = True
-    _render_diagram(args, diagram, coll.index, payload)
+            fields["unverified"] = True
+    _render_diagram(args, diagram, coll.index, dmax, fields)
 
 
 def _cmd_resolve(args):
-    obj = _read_payload(args.input)
-    p = _resolve_p(obj, args.field)
-    m = _load_module(obj, p)
+    m, p = _module_input(args)
     dmax = m.poset.n if args.dmax is None else args.dmax
-    res = minimal_resolution(m, dmax)
-    terms = [
-        _term_counts(t.free_generators, m.poset.names) for t in res.terms
-    ]
-    if args.format == "table":
-        sys.stdout.write(_chain_table(terms))
-        return
-    if args.format == "dot":
-        sys.stdout.write(_chain_dot(terms, sum(m.dims)))
-        return
-    _emit({
-        "complete": res.complete,
-        "dmax": dmax,
-        "length": res.length,
-        "minimal": res.minimal,
-        "multiplicities": {
-            "betti": _diagram_entries(res.multiplicities(), m.poset)
-        },
-        "p": p,
-        "terms": terms,
-    })
+    _render_chain(args, minimal_resolution(m, dmax), m.poset, dmax, {"p": p})
 
 
 def _cmd_rresolve(args):
-    obj = _read_payload(args.input)
-    p = _resolve_p(obj, args.field)
-    m = _load_module(obj, p)
-    coll, label = _collection_from_flag(
-        args.collection, m.poset, p, args.max_antichains
-    )
-    if coll.domain != m.poset:
-        raise PosetMismatch("collection members live over a different poset")
+    m, p = _module_input(args)
+    coll, label = _collection_over(args, m, p)
     if args.dmax is None:
         raise InputError(
             "rresolve needs --dmax: relative chains can be unbounded"
         )
     res = relative_minimal_resolution(coll, m, args.dmax)
-    terms = [
-        _term_counts(gens, coll.index.names) for gens in res.generators
-    ]
-    if args.format == "table":
-        sys.stdout.write(_chain_table(terms))
-        return
-    if args.format == "dot":
-        sys.stdout.write(_chain_dot(terms, sum(m.dims)))
-        return
-    _emit({
-        "collection": label,
-        "complete": res.complete,
-        "dmax": args.dmax,
-        "length": res.length,
-        "minimal": res.minimal,
-        "multiplicities": {
-            "betti": _diagram_entries(res.multiplicities(), coll.index)
-        },
-        "p": p,
-        "terms": terms,
-    })
+    _render_chain(
+        args, res, coll.index, args.dmax, {"collection": label, "p": p}
+    )
 
 
 def _cmd_koszul(args):
     _only_json(args)
-    obj = _read_payload(args.input)
-    p = _resolve_p(obj, args.field)
-    m = _load_module(obj, p)
+    m, p = _module_input(args)
     if args.at is None:
         raise InputError("koszul needs --at NAME")
     try:

@@ -251,6 +251,11 @@ def rank(m):
     return len(rref(m)[1])
 
 
+def column_basis(m):
+    """The pivot columns of m: an independent basis of its column span."""
+    return m.take_cols(list(rref(m)[1]))
+
+
 def kernel_basis(m):
     """Basis of ker(m) as columns, one per free column of the RREF.
 

@@ -16,6 +16,7 @@ from relbetti.errors import (
 )
 from relbetti.fieldlin import (
     Matrix,
+    column_basis,
     complement_coords,
     hstack,
     homology_dims,
@@ -352,38 +353,26 @@ def nat_basis(f, g):
     return out
 
 
-def kernel(f):
-    """Pointwise kernel with induced transitions, plus its inclusion."""
-    src = f.source
-    poset = src.poset
-    bases = [kernel_basis(f.component(a)) for a in range(poset.n)]
-    dims = [b.cols for b in bases]
+def _submodule(ambient, bases):
+    """The submodule spanned by independent columns at every element, with
+    the transitions it inherits, plus its inclusion."""
+    poset = ambient.poset
     maps = {}
     for a, b in poset.covers:
-        img = src.cover_map(a, b) @ bases[a]
+        img = ambient.cover_map(a, b) @ bases[a]
         maps[(a, b)] = solve(bases[b], img)
-    mod = PersistenceModule(poset, src.p, dims, maps)
-    incl = NatTransformation(mod, src, bases)
-    return mod, incl
+    mod = PersistenceModule(poset, ambient.p, [b.cols for b in bases], maps)
+    return mod, NatTransformation(mod, ambient, bases)
+
+
+def kernel(f):
+    """Pointwise kernel with induced transitions, plus its inclusion."""
+    return _submodule(f.source, [kernel_basis(c) for c in f.comps])
 
 
 def image(f):
     """Pointwise image with induced transitions, plus its inclusion."""
-    tgt = f.target
-    poset = tgt.poset
-    bases = []
-    for a in range(poset.n):
-        c = f.component(a)
-        _, pivots = rref(c)
-        bases.append(c.take_cols(list(pivots)))
-    dims = [b.cols for b in bases]
-    maps = {}
-    for a, b in poset.covers:
-        img = tgt.cover_map(a, b) @ bases[a]
-        maps[(a, b)] = solve(bases[b], img)
-    mod = PersistenceModule(poset, tgt.p, dims, maps)
-    incl = NatTransformation(mod, tgt, bases)
-    return mod, incl
+    return _submodule(f.target, [column_basis(c) for c in f.comps])
 
 
 def cokernel(f):
@@ -398,10 +387,8 @@ def cokernel(f):
     p = tgt.p
     projs = []
     sections = []
-    for a in range(poset.n):
-        c = f.component(a)
-        _, pivots = rref(c)
-        proj, section = quotient(c.take_cols(list(pivots)))
+    for c in f.comps:
+        proj, section = quotient(column_basis(c))
         projs.append(proj)
         sections.append(section)
     dims = [pr.rows for pr in projs]
@@ -426,7 +413,7 @@ def minimal_cover(m):
     """Epimorphism onto m from a free module with one generator per
     complement coordinate of the radical, lifted in place."""
     poset = m.poset
-    lifts = [complement_coords(b) for b in radical(m).basis]
+    lifts = [complement_coords(b) for b in radical(m)]
     gens = []
     coords = []
     for a in range(poset.n):
@@ -446,25 +433,59 @@ def minimal_cover(m):
 
 class Resolution:
     """Chain of free modules over a target: diffs[0] is the augmentation
-    C_0 -> target, diffs[d] maps C_d -> C_{d-1}."""
+    C_0 -> target, diffs[d] maps C_d -> C_{d-1}; generators[d] lists where
+    the generators of C_d sit."""
 
-    def __init__(self, target, terms, diffs, minimal, complete):
+    def __init__(self, target, terms, generators, diffs, minimal, complete):
         self.target = target
         self.terms = list(terms)
+        self.generators = [tuple(g) for g in generators]
         self.diffs = list(diffs)
         self.minimal = bool(minimal)
         self.complete = bool(complete)
 
+    @classmethod
+    def resolve(cls, m, dmax, cover):
+        """Iterated covers of successive kernels, up to degree dmax.
+
+        cover(cur) gives a map onto cur from the next term paired with
+        where that term's generators sit, or None when nothing is left to
+        cover, which completes the chain.
+        """
+        if dmax < 0:
+            raise ValueError("dmax must be nonnegative")
+        terms = []
+        generators = []
+        diffs = []
+        cur = m
+        incl = None
+        complete = False
+        for _ in range(dmax + 1):
+            step = cover(cur)
+            if step is None:
+                complete = True
+                break
+            cov, gens = step
+            terms.append(cov.source)
+            generators.append(gens)
+            diffs.append(cov if incl is None else incl @ cov)
+            ker, kincl = kernel(cov)
+            if sum(ker.dims) == 0:
+                complete = True
+                break
+            cur, incl = ker, kincl
+        return cls(m, terms, generators, diffs, minimal=True, complete=complete)
+
     @property
     def length(self):
-        return len(self.terms) - 1
+        return max(len(self.terms) - 1, 0)
 
     def multiplicities(self):
-        """Generator counts of each term as a diagram; for a minimal
-        resolution these are the Betti numbers."""
+        """Generator counts per (degree, element) as a diagram; for a
+        minimal resolution these are the Betti numbers."""
         entries = {}
-        for d, t in enumerate(self.terms):
-            for g in t.free_generators:
+        for d, gens in enumerate(self.generators):
+            for g in gens:
                 entries[(d, g)] = entries.get((d, g), 0) + 1
         return BettiDiagram(entries)
 
@@ -509,10 +530,10 @@ class Resolution:
                 else:
                     img = kernel_basis(self.diffs[d].component(a))
                 joint = hstack(
-                    [rad.basis[a], img], rows=self.terms[d].dims[a],
+                    [rad[a], img], rows=self.terms[d].dims[a],
                     p=self.target.p,
                 )
-                if rank(joint) != rank(rad.basis[a]):
+                if rank(joint) != rad[a].cols:
                     raise ValueError(
                         f"differential into term {d} misses the radical"
                     )
@@ -526,23 +547,10 @@ class Resolution:
 
 def minimal_resolution(m, dmax):
     """Iterated minimal covers of successive kernels, up to degree dmax."""
-    if dmax < 0:
-        raise ValueError("dmax must be nonnegative")
-    terms = []
-    diffs = []
-    cur = m
-    incl = None
-    complete = False
-    for _ in range(dmax + 1):
+    def cover(cur):
         cov = minimal_cover(cur)
-        terms.append(cov.source)
-        diffs.append(cov if incl is None else incl @ cov)
-        ker, kincl = kernel(cov)
-        if sum(ker.dims) == 0:
-            complete = True
-            break
-        cur, incl = ker, kincl
-    return Resolution(m, terms, diffs, minimal=True, complete=complete)
+        return cov, cov.source.free_generators
+    return Resolution.resolve(m, dmax, cover)
 
 
 def betti(m, dmax):
@@ -696,16 +704,22 @@ def betti_koszul(f, a, dmax):
     return out
 
 
+def koszul_table(m, elements, dmax):
+    """Diagram of the local Koszul homology of m at the given elements,
+    up to dmax: the table both the standard and the relative Koszul
+    routes read."""
+    return BettiDiagram({
+        (d, a): k
+        for a in elements
+        for d, k in enumerate(betti_koszul(m, a, dmax))
+        if k
+    })
+
+
 def koszul_betti_diagram(m, dmax):
     """Full table of standard multiplicities up to dmax from the local
-    Koszul complex at every element; the twin of
-    relative.relative_betti_diagram."""
-    entries = {}
-    for a in range(m.poset.n):
-        for d, k in enumerate(betti_koszul(m, a, dmax)):
-            if k:
-                entries[(d, a)] = k
-    return BettiDiagram(entries)
+    Koszul complex at every element."""
+    return koszul_table(m, range(m.poset.n), dmax)
 
 
 def global_koszul(f):
@@ -728,7 +742,7 @@ def global_koszul(f):
     if not gens:
         c0 = free_on(poset, [], f.p)
         return Resolution(
-            f, [c0], [zero_nat(c0, f)], minimal=False, complete=True
+            f, [c0], [()], [zero_nat(c0, f)], minimal=False, complete=True
         )
 
     terms = []
@@ -755,4 +769,5 @@ def global_koszul(f):
                 t = s[:i] + s[i + 1:]
                 coeffs[(subsets[d - 1][t], j)] = (-1) ** i
         diffs.append(free_nat(terms[d], terms[d - 1], coeffs))
-    return Resolution(f, terms, diffs, minimal=False, complete=True)
+    gens = [t.free_generators for t in terms]
+    return Resolution(f, terms, gens, diffs, minimal=False, complete=True)

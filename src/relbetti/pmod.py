@@ -15,7 +15,13 @@ from relbetti.errors import (
     InvalidSpread,
     PosetMismatch,
 )
-from relbetti.fieldlin import Matrix, check_modulus, hstack, rank, rref
+from relbetti.fieldlin import (
+    Matrix,
+    check_modulus,
+    column_basis,
+    hstack,
+    rank,
+)
 
 
 @lru_cache(maxsize=None)
@@ -189,37 +195,6 @@ def validate(m):
     return m
 
 
-class Submodule:
-    """A subspace of each value of an ambient module, stable under its maps."""
-
-    def __init__(self, ambient, basis):
-        self.ambient = ambient
-        self.basis = tuple(basis)
-        if len(self.basis) != ambient.poset.n:
-            raise ValueError("need one basis matrix per element")
-        for i, bm in enumerate(self.basis):
-            if bm.rows != ambient.dims[i]:
-                raise ValueError(f"basis at element {i} has wrong height")
-            if rank(bm) != bm.cols:
-                raise ValueError(f"basis at element {i} is not independent")
-
-    def dim(self, a):
-        return self.basis[a].cols
-
-    def check_stable(self):
-        amb = self.ambient
-        for a, b in amb.poset.sorted_covers:
-            img = amb.cover_map(a, b) @ self.basis[a]
-            if img.cols == 0:
-                continue
-            joint = hstack([self.basis[b], img], rows=amb.dims[b], p=amb.p)
-            if rank(joint) != rank(self.basis[b]):
-                raise ValueError(
-                    f"submodule not stable along cover ({a}, {b})"
-                )
-        return self
-
-
 def zero_module(poset, p):
     return PersistenceModule(poset, p, [0] * poset.n, {})
 
@@ -334,21 +309,21 @@ def direct_sum(poset, p, parts):
 
 
 def radical(m):
-    """Submodule spanned at each element by the images of its cover maps."""
+    """Per element, the pivot columns of the stacked images of the cover
+    maps into it: an independent basis of the radical there."""
     poset = m.poset
-    basis = []
-    for a in range(poset.n):
-        blocks = [m.cover_map(s, a) for s in poset.parents(a)]
-        stacked = hstack(blocks, rows=m.dims[a], p=m.p)
-        _, pivots = rref(stacked)
-        basis.append(stacked.take_cols(list(pivots)))
-    return Submodule(m, basis)
+    return tuple(
+        column_basis(hstack(
+            [m.cover_map(s, a) for s in poset.parents(a)],
+            rows=m.dims[a], p=m.p,
+        ))
+        for a in range(poset.n)
+    )
 
 
 def h0(m):
     """Pointwise dimension of the quotient by the radical."""
-    r = radical(m)
-    return tuple(m.dims[a] - r.dim(a) for a in range(m.poset.n))
+    return tuple(d - b.cols for d, b in zip(m.dims, radical(m)))
 
 
 def is_filtration(m):

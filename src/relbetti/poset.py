@@ -8,6 +8,7 @@ silently dropped because module data is attached per cover.
 """
 import functools
 import heapq
+import itertools
 import operator
 import os
 
@@ -190,6 +191,10 @@ class Poset:
         if n < 0 or r < 1:
             raise ValueError("grid needs n >= 0, r >= 1")
         bound = DEFAULT_MAX_ELEMENTS if max_elements is None else int(max_elements)
+        # refused before forming (n + 1) ** r: past the bound's bit length
+        # 2 ** r alone exceeds it, and every element has r coordinates
+        if r > bound or n and r > bound.bit_length():
+            raise SizeBoundExceeded(f"grid({n}, {r}) is past the bound {bound}")
         total = (n + 1) ** r
         if total > bound:
             raise SizeBoundExceeded(f"grid has {total} elements, bound {bound}")
@@ -200,17 +205,8 @@ class Poset:
     def _grid(n, r):
         """Poset.grid's instance for (n, r), built on first use and kept
         for the life of the process."""
-        coords = []
-
-        def gen(prefix):
-            if len(prefix) == r:
-                coords.append(tuple(prefix))
-                return
-            for c in range(n + 1):
-                gen(prefix + [c])
-
-        gen([])
         # lexicographic coordinate order is a linear extension
+        coords = list(itertools.product(range(n + 1), repeat=r))
         index = {c: i for i, c in enumerate(coords)}
         names = [",".join(str(c) for c in co) for co in coords]
         size = len(coords)

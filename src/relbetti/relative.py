@@ -31,16 +31,17 @@ from relbetti.fieldlin import (
 )
 from relbetti.homalg import (
     NatTransformation,
+    Resolution,
     betti_koszul,
     identity_nat,
     is_exact,
     kernel,
+    koszul_table,
     minimal_cover,
     nat_basis,
     zero_nat,
 )
 from relbetti.pmod import (
-    BettiDiagram,
     PersistenceModule,
     cached_identity,
     cached_zeros,
@@ -621,23 +622,16 @@ def relative_betti_koszul(coll, m, a, dmax, force=False):
 def relative_betti_diagram(coll, m, dmax, force=False):
     """Full table of relative multiplicities up to dmax.
 
-    Computes the hom module once and runs the local Koszul complex at
-    every index element with a nonzero member.  Same verification gate as
+    Computes the hom module once and reads homalg's Koszul table at every
+    index element with a nonzero member.  Same verification gate as
     relative_betti_koszul.
     """
     if not force and not _degenerate_ok(coll):
         raise HypothesisNotVerified(
             "degeneracy condition not verified; pass force=True to compute anyway"
         )
-    nm = nat_module(coll, m)
-    entries = {}
-    for a in range(coll.index.n):
-        if coll.member_is_zero(a):
-            continue
-        for d, mult in enumerate(betti_koszul(nm, a, dmax)):
-            if mult:
-                entries[(d, a)] = mult
-    return BettiDiagram(entries)
+    nonzero = [a for a in range(coll.index.n) if not coll.member_is_zero(a)]
+    return koszul_table(nat_module(coll, m), nonzero, dmax)
 
 
 def _relative_cover(coll, m, nm, bases):
@@ -682,34 +676,14 @@ def relative_minimal_cover(coll, m):
     return _relative_cover(coll, m, nm, bases)
 
 
-class RelativeResolution:
-    """Chain of realized member sums over a target.
+class RelativeResolution(Resolution):
+    """Chain of realized member sums over a target, with generators[d]
+    the index elements of the degree-d summands.
 
-    diffs[0] is the augmentation onto the target, diffs[d] maps the
-    degree-d term into the degree-(d-1) term.  Exactness is measured after
-    passing to hom modules, so an augmentation need not be onto and a
-    target invisible to the collection resolves by the empty chain.
+    Exactness is measured after passing to hom modules, so an augmentation
+    need not be onto and a target invisible to the collection resolves by
+    the empty chain.
     """
-
-    def __init__(self, target, terms, generators, diffs, minimal, complete):
-        self.target = target
-        self.terms = list(terms)
-        self.generators = [tuple(g) for g in generators]
-        self.diffs = list(diffs)
-        self.minimal = bool(minimal)
-        self.complete = bool(complete)
-
-    @property
-    def length(self):
-        return max(len(self.terms) - 1, 0)
-
-    def multiplicities(self):
-        """Generator counts per (degree, index element) as a diagram."""
-        entries = {}
-        for d, gens in enumerate(self.generators):
-            for a in gens:
-                entries[(d, a)] = entries.get((d, a), 0) + 1
-        return BettiDiagram(entries)
 
     def check(self, coll):
         """Validate shapes, vanishing composites, generator support, and
@@ -754,35 +728,19 @@ class RelativeResolution:
 def relative_minimal_resolution(coll, m, dmax):
     """Iterated relative minimal covers of successive kernels (the direct
     construction of the relative multiplicities, degree by degree)."""
-    if dmax < 0:
-        raise ValueError("dmax must be nonnegative")
     if not _thin_or_claimed(coll):
         raise NotThin("relative resolutions need a thin collection")
-    terms = []
-    generators = []
-    diffs = []
-    cur = m
-    incl = None
-    complete = False
-    for _ in range(dmax + 1):
+
+    def cover(cur):
         nm, bases, _ = _nat_module_data(coll, cur)
         if sum(nm.dims) == 0:
             # nothing maps in: the chain so far is already exact through
             # the hom module
-            complete = True
-            break
+            return None
         g = _relative_cover(coll, cur, nm, bases)
-        terms.append(g.source)
-        generators.append(g.relative_generators)
-        diffs.append(g if incl is None else incl @ g)
-        ker, kincl = kernel(g)
-        if sum(ker.dims) == 0:
-            complete = True
-            break
-        cur, incl = ker, kincl
-    return RelativeResolution(
-        m, terms, generators, diffs, minimal=True, complete=complete
-    )
+        return g, g.relative_generators
+
+    return RelativeResolution.resolve(m, dmax, cover)
 
 
 def relative_projective_dimension(coll, m, dmax):

@@ -27,7 +27,7 @@ from relbetti.relative import CollectionFunctor, relative_betti_diagram
 CLI = [sys.executable, "-m", "relbetti.cli"]
 
 
-def run_cli(*args, stdin=None, env=None):
+def run_cli(*args, stdin=None, env=None, timeout=None):
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
@@ -37,6 +37,7 @@ def run_cli(*args, stdin=None, env=None):
         capture_output=True,
         text=True,
         env=full_env,
+        timeout=timeout,
     )
 
 
@@ -642,6 +643,52 @@ class TestInputErrors:
         assert_input_error(r)
         assert "rectangles_grid" in r.stderr
 
+    @pytest.mark.parametrize(
+        "params",
+        [{"n": 1, "r": 10**40}, {"n": 99, "r": 2}, {"n": 4, "r": 2}],
+        ids=["huge-r", "large-n", "other-shape"],
+    )
+    def test_rectangles_grid_params_checked_before_building(self, params):
+        # a shape other than the payload's is refused before its
+        # collection (about 25 million members at n = 99) is built
+        demo = run_cli("demo", "m0").stdout
+        spec = {"builtin": "rectangles_grid", "params": params}
+        r = run_cli(
+            "rbetti", "--collection", json.dumps(spec), stdin=demo,
+            timeout=60,
+        )
+        assert r.returncode == 1, r.stderr
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: rectangles_grid shape disagrees")
+        assert len(r.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "T",
+        [[[0.5, 2], [1, 0]], [["0", True], [1, 0]], [[-1, 0], [1, 0]],
+         5, [5], None],
+        ids=["float", "bool", "negative", "not-a-list", "row-not-a-list",
+             "missing"],
+    )
+    def test_bad_translated_shifts(self, T):
+        demo = run_cli("demo", "m0").stdout
+        spec = {"builtin": "translated", "params": {"T": T}}
+        r = run_cli(
+            "rbetti", "--method", "resolution", "--dmax", "1",
+            "--collection", json.dumps(spec), stdin=demo,
+        )
+        assert_input_error(r)
+        assert "translat" in r.stderr
+
+    @pytest.mark.parametrize("name", [[1], {"a": 1}, 5, None])
+    def test_builtin_name_must_be_a_string(self, name):
+        demo = run_cli("demo", "m0").stdout
+        r = run_cli(
+            "rbetti", "--collection", json.dumps({"builtin": name}),
+            stdin=demo,
+        )
+        assert_input_error(r)
+        assert '"builtin"' in r.stderr
+
     @pytest.mark.parametrize("bound", ["-1", "x"])
     def test_bad_max_antichains_env(self, bound, monkeypatch):
         monkeypatch.setenv("RELBETTI_MAX_ANTICHAINS", bound)
@@ -824,3 +871,50 @@ def test_mutated_demo_payload(part, name, value):
 
 
 M0_PAYLOAD = json.dumps({"p": 2, "module": m0_demo().to_json()})
+
+
+_SPEC_BASE = Poset.grid(1, 2)
+_SPEC_PAYLOAD = json.dumps(
+    {"p": 2, "module": constant(_SPEC_BASE, 2).to_json()}
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    part=st.sampled_from(
+        ["name", "n", "r", "T", "shift", "max_antichains", "member",
+         "params"]
+    ),
+    key=st.sampled_from(["poset", "dims", "maps"]),
+    value=_JUNK,
+)
+def test_mutated_collection_spec(part, key, value):
+    # every mutated --collection builtin spec exits with a documented code;
+    # a failure prints one error line and nothing on stdout
+    if part == "name":
+        spec = {"builtin": value}
+    elif part in ("n", "r"):
+        params = {"n": 1, "r": 2}
+        params[part] = value
+        spec = {"builtin": "rectangles_grid", "params": params}
+    elif part == "T":
+        spec = {"builtin": "translated", "params": {"T": value}}
+    elif part == "shift":
+        spec = {"builtin": "translated", "params": {"T": [[0, 1], [1, value]]}}
+    elif part == "max_antichains":
+        spec = {"builtin": "all_subfunctors",
+                "params": {"max_antichains": value}}
+    elif part == "member":
+        member = constant(_SPEC_BASE, 2).to_json()
+        member[key] = value
+        spec = {"builtin": "singleton", "params": {"member": member}}
+    else:
+        spec = {"builtin": "lower_hooks", "params": value}
+    r = run_cli("rbetti", "--collection", json.dumps(spec), "--dmax", "2",
+                stdin=_SPEC_PAYLOAD)
+    assert r.returncode in (0, 1, 2, 3, 4)
+    assert "Traceback" not in r.stderr
+    if r.returncode:
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr
+        assert r.stdout == ""

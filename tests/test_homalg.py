@@ -278,7 +278,7 @@ class TestMinimalCover:
             f = NatTransformation(fs[0].source, tgt, comps)
             rad = radical(tgt)
             h0_epi = all(
-                rank(hstack([f.component(a), rad.basis[a]], rows=tgt.dims[a], p=3))
+                rank(hstack([f.component(a), rad[a]], rows=tgt.dims[a], p=3))
                 == tgt.dims[a]
                 for a in range(g.n)
             )

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from relbetti.fieldlin import Matrix
+from conftest import random_module, sympy_rank
+from relbetti.fieldlin import Matrix, hstack, rank
 from relbetti.poset import Poset
 from relbetti.pmod import (
     BettiDiagram,
@@ -24,6 +26,19 @@ from relbetti.pmod import (
     validate,
     zero_module,
 )
+
+
+def assert_radical_bases(m, bases):
+    """One independent basis per element, carried into the next basis by
+    every cover map."""
+    assert len(bases) == m.poset.n
+    for a, b in enumerate(bases):
+        assert b.rows == m.dims[a]
+        assert sympy_rank(b.a, m.p) == b.cols
+    for a, b in m.poset.sorted_covers:
+        img = m.cover_map(a, b) @ bases[a]
+        joint = hstack([bases[b], img], rows=m.dims[b], p=m.p)
+        assert rank(joint) == bases[b].cols
 
 
 def chain(k):
@@ -207,12 +222,12 @@ class TestRadicalH0:
         r = radical(free(p, a, 2))
         for i in range(p.n):
             expect = 1 if (p.leq(a, i) and i != a) else 0
-            assert r.basis[i].cols == expect
+            assert r[i].cols == expect
 
     def test_radical_of_zero(self):
         p = chain(2)
         r = radical(zero_module(p, 2))
-        assert all(r.basis[i].cols == 0 for i in range(p.n))
+        assert all(r[i].cols == 0 for i in range(p.n))
 
     def test_radical_of_m0(self):
         m = m0_demo(2)
@@ -221,12 +236,19 @@ class TestRadicalH0:
         origin = g.index("0,0")
         for i in range(g.n):
             expect = m.dims[i] if i != origin else 0
-            assert r.basis[i].cols == expect
+            assert r[i].cols == expect
 
     def test_radical_stable_under_transitions(self):
         m = m0_demo(2)
-        r = radical(m)
-        r.check_stable()
+        assert_radical_bases(m, radical(m))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), p=st.sampled_from([2, 3]))
+    def test_radical_bases_of_random_modules(self, seed, p):
+        rng = np.random.default_rng(seed)
+        g = Poset.grid(int(rng.integers(1, 3)), 2)
+        m = random_module(rng, g, p)
+        assert_radical_bases(m, radical(m))
 
     def test_h0_free(self):
         p = diamond()

@@ -116,6 +116,17 @@ class TestGrid:
         with pytest.raises(SizeBoundExceeded):
             Poset.grid(9, 6)
 
+    @pytest.mark.parametrize("n, r", [(1, 10**40), (0, 10**40)])
+    def test_size_guard_huge_shape(self, n, r):
+        # refused without forming (n + 1) ** r or r coordinates
+        with pytest.raises(SizeBoundExceeded):
+            Poset.grid(n, r)
+
+    def test_point_grid_of_many_coordinates(self):
+        # built without recursion: one element with r coordinates
+        g = Poset.grid(0, 2000)
+        assert g.n == 1 and g.coords[0] == (0,) * 2000
+
     def test_coords_roundtrip(self):
         g = Poset.grid(3, 2)
         for i in range(g.n):

@@ -29,6 +29,7 @@ from relbetti.errors import (
 from relbetti.fieldlin import Matrix, kernel_basis, rank
 from relbetti.homalg import (
     NatTransformation,
+    Resolution,
     betti,
     identity_nat,
     kernel,
@@ -48,6 +49,7 @@ from relbetti.pmod import (
 from relbetti.poset import Poset
 from relbetti.relative import (
     CollectionFunctor,
+    RelativeResolution,
     counit_map,
     degeneracy_hypothesis,
     is_flat,
@@ -537,6 +539,26 @@ class TestOracle:
         assert res.length == 0
         assert res.multiplicities() == BettiDiagram({})
         assert relative_projective_dimension(coll, blind, 3) == 0
+
+    def test_relative_resolution_is_a_resolution(self):
+        base, _, coll = upset_collection()
+        res = relative_minimal_resolution(coll, one_dim(base, {0}), 4)
+        assert isinstance(res, RelativeResolution)
+        assert isinstance(res, Resolution)
+        assert res.generators == [
+            (coll.index.index("full"),), (coll.index.index("top"),)
+        ]
+
+    def test_empty_chain_length_and_diagram(self):
+        m0 = m0_demo()
+        coll = point_collection(m0)
+        blind = one_dim(m0.poset, {m0.poset.index("4,4")})
+        res = relative_minimal_resolution(coll, blind, 3)
+        assert (res.terms, res.generators, res.diffs) == ([], [], [])
+        assert res.length == 0
+        assert res.multiplicities() == BettiDiagram({})
+        assert res.multiplicities().max_degree() == -1
+        res.check(coll)
 
     def test_truncation_flagged_and_pdim_raises(self):
         base, _, coll = upset_collection()

@@ -1,4 +1,5 @@
-"""Smoke test for the experiment scripts: each one imports and parses."""
+"""Smoke tests for the experiment scripts: each one imports and parses,
+and small runs go end to end in a fresh process."""
 import os
 import subprocess
 import sys
@@ -6,6 +7,18 @@ import sys
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_script(script, *args):
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, env["PYTHONPATH"]] if env.get("PYTHONPATH") else [src]
+    )
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", script), *args],
+        capture_output=True, text=True, env=env,
+    )
 
 
 @pytest.mark.parametrize(
@@ -23,3 +36,37 @@ def test_script_help(script):
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.startswith("usage:")
+
+
+@pytest.mark.parametrize(
+    "args, line",
+    [
+        (["--samples", "3"], "standard routes: 3/3 agree, GF(2)"),
+        (["--relative", "lower_hooks", "--samples", "2"],
+         "relative routes (lower_hooks): 2/2 agree, GF(2)"),
+    ],
+    ids=["standard", "relative"],
+)
+def test_route_agreement_runs(args, line):
+    r = run_script("route_agreement.py", *args)
+    assert r.returncode == 0, r.stderr
+    out = r.stdout.splitlines()
+    assert out[0] == line
+    # nearest-rank p90 lies between the median and the maximum
+    for row in out[1:]:
+        ms = [float(w[:-2]) for w in row.split() if w.endswith("ms")]
+        assert ms[0] <= ms[1] <= ms[2], row
+
+
+def test_route_agreement_refuses_no_samples():
+    r = run_script("route_agreement.py", "--samples", "0")
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert "--samples must be at least 1" in r.stderr
+
+
+def test_collection_survey_runs():
+    r = run_script("collection_survey.py", "--n", "1")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("base grid: 4 elements, GF(2)")
+    assert "\nall_subfunctors: 6 members" in r.stdout
