@@ -28,6 +28,7 @@ from relbetti.collections import (
     translated,
 )
 from relbetti.errors import (
+    FunctorialityViolation,
     HypothesisNotVerified,
     NotSemilattice,
     NotThin,
@@ -172,6 +173,10 @@ def _build_builtin(name, params, base, p, bound):
             member = PersistenceModule.from_json(mj, p)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad singleton member: {exc}") from exc
+        try:
+            validate_module(member)
+        except FunctorialityViolation as exc:
+            raise FunctorialityViolation(f"singleton member: {exc}") from None
         return singleton(member)
     if base is None:
         raise InputError(f"builtin {name!r} needs a poset in the payload")

@@ -71,6 +71,12 @@ def antichain_bound(override=None):
         raise ValueError(f"{source}: {exc}") from None
 
 
+def _row_bits(rows):
+    """Each row of a boolean matrix as an int bitset (bit i = column i)."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
 class Poset:
     """Immutable finite poset. Query via integer element indices."""
 
@@ -96,6 +102,7 @@ class Poset:
         self._children = tuple(tuple(sorted(x)) for x in chi)
         self._semilattice = semilattice
         self._down_bits = None
+        self._up_bits = None
         # homalg.koszul's touched elements at each base element, {a} and
         # the meets, as a bitset; None until a walk there succeeds
         self._koszul_bits = [None] * self.n
@@ -277,26 +284,36 @@ class Poset:
         return frozenset(int(x) for x in np.nonzero(self._leq[:, a])[0])
 
     def join(self, elements):
+        """Least upper bound of a nonempty subset, or None.
+
+        Index order is a linear extension, so the lowest common upper
+        bound b0 is the only candidate; it is the join iff every upper
+        bound lies above it.
+        """
         elements = list(elements)
         if not elements:
             raise ValueError("join of the empty set is excluded")
-        cand = np.all(self._leq[elements], axis=0)
-        hits = np.nonzero(cand)[0]
-        if hits.size == 0:
+        up = self.up_bits()
+        upper = up[elements[0]]
+        for x in elements[1:]:
+            upper &= up[x]
+        if not upper:
             return None
-        b0 = int(hits[0])  # smallest index is the only possible least element
-        if bool(np.all(~cand | self._leq[b0])):
-            return b0
-        return None
+        b0 = (upper & -upper).bit_length() - 1
+        return b0 if not upper & ~up[b0] else None
+
+    def up_bits(self):
+        """Up-sets as int bitsets (bit i set iff a <= element i), one per
+        element a; built on first use."""
+        if self._up_bits is None:
+            self._up_bits = _row_bits(self._leq)
+        return self._up_bits
 
     def down_bits(self):
         """Down-sets as int bitsets (bit i set iff element i <= a), one per
         element a; built on first use."""
         if self._down_bits is None:
-            packed = np.packbits(self._leq.T, axis=1, bitorder="little")
-            self._down_bits = tuple(
-                int.from_bytes(row.tobytes(), "little") for row in packed
-            )
+            self._down_bits = _row_bits(self._leq.T)
         return self._down_bits
 
     def meet_of_bits(self, lower):

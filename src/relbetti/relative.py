@@ -35,7 +35,6 @@ from relbetti.homalg import (
     betti_koszul,
     identity_nat,
     is_exact,
-    kernel,
     koszul_table,
     minimal_cover,
     nat_basis,
@@ -47,7 +46,6 @@ from relbetti.pmod import (
     cached_zeros,
     direct_sum,
     free,
-    h0,
     json_object,
     matrix_from_json,
     zero_module,
@@ -66,7 +64,8 @@ class CollectionFunctor:
     thin/flat/degeneracy statuses for builders whose index posets are too
     large to check directly; the property checks themselves (is_thin,
     is_flat, the degeneracy scan) never consult them, though a thinness
-    claim is trusted as the degeneracy scan's precondition.
+    claim is trusted as the degeneracy scan's precondition.  The thinness
+    and degeneracy results are cached on the collection.
     """
 
     def __init__(self, domain, index, p, objs, arrows, claims=None):
@@ -102,6 +101,7 @@ class CollectionFunctor:
         self.claims = dict(claims or {})
         self._paths = {}
         self._pairs = {}
+        self._thin = None
         self._degeneracy = None
 
     def obj(self, a):
@@ -508,8 +508,15 @@ def is_thin(coll):
 
     Between members at comparable index elements the transformation space
     must be spanned by the composite arrow; between incomparable ones (in
-    either failing direction) it must vanish.  Returns (flag, witness).
+    either failing direction) it must vanish.  Returns (flag, witness);
+    the result is cached on the collection.
     """
+    if coll._thin is None:
+        coll._thin = _thin_scan(coll)
+    return coll._thin
+
+
+def _thin_scan(coll):
     index = coll.index
     for a in range(index.n):
         if coll.member_is_zero(a):
@@ -556,12 +563,45 @@ def _thin_or_claimed(coll):
     return is_thin(coll)[0]
 
 
+def _unit_kernel_generators(coll, a):
+    """Where the kernel of unit(coll, a) is generated, in index order.
+
+    The free index module at a is one-dimensional on the up-set of a with
+    identity maps, so the kernel at b is nonzero exactly when a <= b and
+    the composite arrow obj(b) -> obj(a) is zero.  By functoriality that
+    set is an up-set: b lies in it when a lower cover does, and is a
+    generator when it lies in it and no lower cover does.  Only the
+    remaining elements are tested, the cheap way first: a zero member, an
+    empty pair basis the thinness scan already solved (no Hom is solved
+    here), then the arrow itself.
+    """
+    if coll.member_is_zero(a):
+        return [a]
+    index = coll.index
+    ker = set()
+    gens = []
+    for b in np.flatnonzero(index.up_mask(a)).tolist():
+        if any(c in ker for c in index.parents(b)):
+            ker.add(b)
+        elif (
+            coll.member_is_zero(b)
+            or not coll._pairs.get((a, b), True)
+            or coll.arrow_to(a, b).is_zero()
+        ):
+            ker.add(b)
+            gens.append(b)
+    return gens
+
+
 def degeneracy_hypothesis(coll):
     """Check the sufficient condition for the index-Koszul shortcut.
 
-    For every index element the generators of the kernel of its unit,
-    closed under joins, must land where the collection vanishes.  Returns
-    (flag, witness); the result is cached on the collection.
+    For every index element a the generators of the kernel of its unit,
+    closed under joins, must land where the collection vanishes.  That
+    kernel is supported on {b >= a : arrow_to(a, b) is zero}, and it is
+    generated at the elements of that set with no lower cover in it, so
+    no hom module is built.  Returns (flag, witness); the result is cached
+    on the collection.
 
     The scan is only meaningful over a thin collection, so thinness is a
     precondition, not part of the answer: a recorded thinness claim is
@@ -570,21 +610,23 @@ def degeneracy_hypothesis(coll):
     """
     if coll._degeneracy is not None:
         return coll._degeneracy
+    index = coll.index
     claimed_thin = coll.claims.get("thin")
     if claimed_thin is None:
         thin, witness = is_thin(coll)
         if not thin:
-            raise NotThin(f"collection is not thin at pair {witness}")
+            a, b = witness
+            raise NotThin(
+                f"collection is not thin at pair "
+                f"({index.names[a]!r}, {index.names[b]!r})"
+            )
     elif not claimed_thin:
         raise NotThin("collection records that it is not thin")
-    index = coll.index
     if not index.is_upper_semilattice():
         raise NotSemilattice("the degeneracy check needs joins in the index")
     result = (True, None)
     for a in range(index.n):
-        ker, _ = kernel(unit(coll, a))
-        gens = h0(ker)
-        supp = [b for b in range(index.n) if gens[b]]
+        supp = _unit_kernel_generators(coll, a)
         if not supp:
             continue
         for b in sorted(index.sublattice_closure(supp)):

@@ -16,6 +16,11 @@ Kronecker block row per cover; relbetti.homalg.nat_basis solves at the
 source's generators and must give the same basis bit for bit.
 oracle_coords writes a transformation in a basis by solving a linear
 system; relbetti.relative reads the same coordinates off free positions.
+oracle_join is the numpy join over the order matrix that Poset.join's
+up-set bitsets must match.  oracle_degeneracy builds every unit's hom
+module, its kernel and the kernel's generators; the degeneracy scan in
+relbetti.relative reads the same generators off zero composite arrows
+and must give the same flag, witness and exception.
 """
 import itertools
 
@@ -100,6 +105,22 @@ def oracle_meet_bounded(poset, elements):
         return None
     b0 = int(hits[-1])  # largest index is the only possible greatest element
     if bool(np.all(~cand | leq[:, b0])):
+        return b0
+    return None
+
+
+def oracle_join(poset, elements):
+    """Least common upper bound of a nonempty subset, or None."""
+    elements = list(elements)
+    if not elements:
+        raise ValueError("join of the empty set is excluded")
+    leq = poset.leq_matrix
+    cand = np.all(leq[elements], axis=0)
+    hits = np.nonzero(cand)[0]
+    if hits.size == 0:
+        return None
+    b0 = int(hits[0])  # smallest index is the only possible least element
+    if bool(np.all(~cand | leq[b0])):
         return b0
     return None
 
@@ -370,3 +391,33 @@ def oracle_coords(basis, f):
         return np.zeros(0, dtype=np.int64)
     cols = Matrix(np.stack([_flatten(b) for b in basis], axis=1), p)
     return solve(cols, Matrix(_flatten(f).reshape(-1, 1), p)).a[:, 0]
+
+
+def oracle_degeneracy(coll):
+    """The degeneracy scan through hom modules: for every index element,
+    the generators of the kernel of its unit, closed under joins, must
+    land where the collection vanishes.  Same preconditions, exceptions
+    and (flag, witness) as relbetti.relative.degeneracy_hypothesis; reads
+    no cached result."""
+    from relbetti.errors import NotSemilattice, NotThin
+    from relbetti.homalg import kernel
+    from relbetti.pmod import h0
+    from relbetti.relative import is_thin, unit
+
+    index = coll.index
+    claimed_thin = coll.claims.get("thin")
+    if claimed_thin is None:
+        if not is_thin(coll)[0]:
+            raise NotThin("collection is not thin")
+    elif not claimed_thin:
+        raise NotThin("collection records that it is not thin")
+    if not index.is_upper_semilattice():
+        raise NotSemilattice("the degeneracy check needs joins in the index")
+    for a in range(index.n):
+        ker, _ = kernel(unit(coll, a))
+        gens = h0(ker)
+        supp = [b for b in range(index.n) if gens[b]]
+        for b in sorted(index.sublattice_closure(supp)):
+            if not coll.member_is_zero(b):
+                return False, (a, b)
+    return True, None

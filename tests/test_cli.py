@@ -918,3 +918,51 @@ def test_mutated_collection_spec(part, key, value):
         lines = r.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr
         assert r.stdout == ""
+
+
+_SPREADS_NOT_THIN = (
+    "collection is not thin at pair ('{0,0}|{1,1}', '{0,1;1,0}|{0,1}')"
+)
+
+
+def test_not_thin_error_names_elements():
+    # the pair is the thin check's witness, named by the index's names
+    r = run_cli("rbetti", "--collection", '{"builtin":"spreads_omega"}',
+                "--dmax", "2", stdin=_SPEC_PAYLOAD)
+    assert r.returncode == 1
+    assert r.stderr == f"error: {_SPREADS_NOT_THIN}\n"
+    assert r.stdout == ""
+
+
+def test_check_not_thin_reason_names_elements():
+    out = run_json("check", "--collection", "spreads_omega",
+                   stdin=_SPEC_PAYLOAD)
+    witness = out["checks"]["thin"]["witness"]
+    assert witness == ["{0,0}|{1,1}", "{0,1;1,0}|{0,1}"]
+    assert out["checks"]["degeneracy"] == {
+        "holds": None,
+        "reason": f"collection is not thin at pair {tuple(witness)!r}",
+        "witness": None,
+    }
+    assert out["checks"]["degeneracy"]["reason"] == _SPREADS_NOT_THIN
+
+
+@pytest.mark.parametrize("verb", [
+    ["check"],
+    ["rbetti", "--dmax", "2"],
+    ["rbetti", "--dmax", "2", "--method", "resolution"],
+])
+def test_non_functorial_singleton_member_names_the_square(verb):
+    # refused when the collection is built, as an explicit collection's
+    # member would be, not reported as a thinness failure
+    member = constant(_SPEC_BASE, 2).to_json()
+    member["maps"]["0,0<0,1"] = [[0]]
+    spec = {"builtin": "singleton", "params": {"member": member}}
+    r = run_cli(verb[0], "--collection", json.dumps(spec), *verb[1:],
+                stdin=_SPEC_PAYLOAD)
+    assert r.returncode == 1
+    assert r.stderr == (
+        "error: singleton member: composites to '1,1' from '0,0' "
+        "disagree through '1,0'\n"
+    )
+    assert r.stdout == ""

@@ -14,7 +14,7 @@ from relbetti.poset import (
     antichain_bound,
     antichain_poset,
 )
-from conftest import random_poset_covers
+from conftest import oracle_join, random_poset_covers
 
 
 def chain(k):
@@ -219,6 +219,40 @@ class TestJoinMeet:
                     expect = least[0] if least else None
                     assert p.join([a, b]) == expect
 
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 8))
+    def test_join_matches_numpy_oracle(self, seed, n):
+        # random posets, non-semilattices among them, every subset of up
+        # to three elements (one-element subsets included)
+        rng = np.random.default_rng(seed)
+        names, covers, _ = random_poset_covers(rng, n)
+        p = Poset.from_covers(names, [(names[i], names[j]) for i, j in covers])
+        for k in (1, 2, 3):
+            for s in itertools.combinations(range(p.n), k):
+                assert p.join(s) == oracle_join(p, s)
+                assert p.join(reversed(s)) == oracle_join(p, s)
+        for x in range(p.n):
+            assert p.join([x]) == x
+        with pytest.raises(ValueError):
+            oracle_join(p, [])
+        with pytest.raises(ValueError):
+            p.join([])
+        semilattice = all(
+            oracle_join(p, [a, b]) is not None
+            for a in range(p.n) for b in range(a + 1, p.n)
+        )
+        assert Poset.from_covers(
+            names, [(names[i], names[j]) for i, j in covers]
+        ).is_upper_semilattice() == semilattice
+
+    def test_up_bits_mirror_down_bits(self):
+        for p in (Poset.grid(2, 2), diamond(), chain(4), chain(1)):
+            up, down = p.up_bits(), p.down_bits()
+            for a in range(p.n):
+                for b in range(p.n):
+                    assert bool(up[a] >> b & 1) == p.leq(a, b)
+                    assert bool(up[a] >> b & 1) == bool(down[b] >> a & 1)
 
     def test_meet_against_brute_force_random(self):
         rng = np.random.default_rng(19)

@@ -10,12 +10,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import indicator_hom_dim, random_free_map, random_module
+import relbetti.relative
+from conftest import (
+    indicator_hom_dim,
+    oracle_degeneracy,
+    random_free_map,
+    random_module,
+    random_semilattice,
+)
 from relbetti.collections import (
     all_subfunctors,
     lower_hooks,
     lower_hooks_inf,
     rectangles_grid,
+    rectangles_naive,
     single_source_omega0,
     spreads_omega,
 )
@@ -25,6 +33,7 @@ from relbetti.errors import (
     HypothesisNotVerified,
     NotSemilattice,
     NotThin,
+    RelbettiError,
 )
 from relbetti.fieldlin import Matrix, kernel_basis, rank
 from relbetti.homalg import (
@@ -450,6 +459,134 @@ class TestDegeneracy:
     def test_result_cached(self):
         _, _, coll = upset_collection()
         assert degeneracy_hypothesis(coll) is degeneracy_hypothesis(coll)
+
+    def test_not_thin_names_the_pair(self):
+        want = r"^collection is not thin at pair \('pt', 'pt'\)$"
+        with pytest.raises(NotThin, match=want):
+            degeneracy_hypothesis(twin_generator_collection())
+
+
+def _outcome(fn, coll):
+    """(flag, witness), or the type of the error the check raised."""
+    try:
+        return fn(coll)
+    except RelbettiError as exc:
+        return type(exc)
+
+
+def _agrees_with_oracle(coll):
+    got = _outcome(degeneracy_hypothesis, coll)
+    assert got == _outcome(oracle_degeneracy, coll)
+    return got
+
+
+_INDICATOR_BUILDERS = [
+    lower_hooks,
+    lower_hooks_inf,
+    rectangles_naive,
+    single_source_omega0,
+    spreads_omega,
+    all_subfunctors,
+]
+
+
+class TestDegeneracyOracle:
+    """The scan reads unit kernels off zero composite arrows; the oracle
+    builds every unit's hom module, kernel and generators."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        k=st.integers(2, 4),
+        build=st.sampled_from(_INDICATOR_BUILDERS),
+        p=st.sampled_from([2, 3]),
+        honest=st.booleans(),
+    )
+    def test_builders_on_random_semilattices(self, seed, k, build, p,
+                                             honest):
+        rng = np.random.default_rng(seed)
+        base = random_semilattice(rng, Poset.grid(2, 2), k)
+        coll = build(base, p)
+        if honest:
+            coll.claims = {}
+        _agrees_with_oracle(coll)
+
+    @pytest.mark.parametrize("build", [
+        lambda: lower_hooks(Poset.grid(3, 2), 2),
+        lambda: rectangles_grid(3, 2, 2),
+    ])
+    def test_grid_collections(self, build):
+        coll = build()
+        coll.claims = {}
+        assert _agrees_with_oracle(coll) == (True, None)
+
+    def test_families_that_fail_or_raise(self):
+        base = Poset.grid(1, 2)
+        flag, witness = _agrees_with_oracle(rectangles_naive(base, 2))
+        assert flag is False and witness is not None
+        coll = spreads_omega(base, 2)
+        assert _agrees_with_oracle(coll) is NotThin
+        assert _agrees_with_oracle(twin_generator_collection()) is NotThin
+        assert _agrees_with_oracle(split_pair_collection()) is NotSemilattice
+
+    def test_wrong_thinness_claim(self):
+        # the arrow 1 -> 0 is omitted, so zero, though Hom is spanned by
+        # the identity: not thin.  Trusting a thin claim, the scan must
+        # still follow the unit, whose kernel holds the upper element.
+        base = chain(2)
+        index = chain(2)
+        m = one_dim(base, {0, 1})
+        coll = CollectionFunctor(base, index, 2, [m, m], {},
+                                 claims={"thin": True})
+        assert len(coll.pair_basis(0, 1)) == 1
+        assert _agrees_with_oracle(coll) == (False, (0, 1))
+
+    def test_fixtures(self):
+        _, index, coll = pruned_interval_collection()
+        assert _agrees_with_oracle(coll) == (
+            False, (index.index("0|1"), index.index("1|2"))
+        )
+        # a zero member on top
+        assert _agrees_with_oracle(upset_collection()[2]) == (True, None)
+        coll = interval_collection(Poset.grid(2, 2), p=3)
+        assert _agrees_with_oracle(coll) == (True, None)
+
+
+class TestThinnessCache:
+    @pytest.mark.parametrize("first", [is_thin, is_flat, degeneracy_hypothesis])
+    def test_second_scans_solve_nothing(self, first, monkeypatch):
+        calls = {"nat_basis": 0, "pair_basis": 0}
+        real_nat = relbetti.relative.nat_basis
+        real_pair = CollectionFunctor.pair_basis
+
+        def counted_nat(f, g):
+            calls["nat_basis"] += 1
+            return real_nat(f, g)
+
+        def counted_pair(coll, a, b):
+            calls["pair_basis"] += 1
+            return real_pair(coll, a, b)
+
+        monkeypatch.setattr(relbetti.relative, "nat_basis", counted_nat)
+        monkeypatch.setattr(CollectionFunctor, "pair_basis", counted_pair)
+        coll = lower_hooks(Poset.grid(2, 2), 2)
+        coll.claims = {}
+        first(coll)
+        assert calls["nat_basis"] > 0
+        # every scan runs the thinness scan first, and its result is kept
+        calls.update(nat_basis=0, pair_basis=0)
+        thin = is_thin(coll)
+        assert calls == {"nat_basis": 0, "pair_basis": 0}
+        for fn in (is_thin, is_flat, degeneracy_hypothesis):
+            fn(coll)
+            calls.update(nat_basis=0, pair_basis=0)
+            fn(coll)
+            assert calls["nat_basis"] == 0, fn.__name__
+            if fn is not is_flat:
+                # is_flat walks the cached pair bases after the cached
+                # thinness result
+                assert calls["pair_basis"] == 0, fn.__name__
+        assert is_thin(coll) is thin
 
 
 class TestRelativeCover:
