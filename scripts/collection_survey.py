@@ -23,7 +23,8 @@ from relbetti.collections import (
     single_source_omega0,
     spreads_omega,
 )
-from relbetti.poset import Poset
+from relbetti.fieldlin import check_modulus
+from relbetti.poset import Poset, parse_nonnegative
 from relbetti.relative import degeneracy_hypothesis, is_flat, is_thin
 
 
@@ -40,6 +41,11 @@ def timed(fn, *args):
     return out, time.perf_counter() - t0
 
 
+def prime(text):
+    """A --field value: an integer that check_modulus accepts."""
+    return check_modulus(int(text))
+
+
 def survey(name, coll):
     print(f"\n{name}: {coll.index.n} members, claims={coll.claims or '{}'}")
     (thin, wit_t), dt = timed(is_thin, coll)
@@ -50,17 +56,19 @@ def survey(name, coll):
     print(f"  flat       {flat}"
           + (f" witness={_pair(coll, wit_f)}" if wit_f else "")
           + f"  ({dt:.3f}s)")
+    honest = {"thin": thin, "flat": flat}
     if thin:
         (deg, wit_d), dt = timed(degeneracy_hypothesis, coll)
         print(f"  degeneracy {deg}"
               + (f" witness={_pair(coll, wit_d)}" if wit_d else "")
               + f"  ({dt:.3f}s)")
+        honest["degeneracy"] = deg
     else:
         print("  degeneracy skipped (needs thinness)")
-    for claim, value in (coll.claims or {}).items():
-        honest = {"thin": thin, "flat": flat}.get(claim)
-        if honest is not None and honest != value:
-            print(f"  CLAIM MISMATCH: {claim} recorded {value}, honest {honest}")
+    for claim, value in coll.claims.items():
+        if claim in honest and honest[claim] != value:
+            print(f"  CLAIM MISMATCH: {claim} recorded {value}, "
+                  f"honest {honest[claim]}")
 
 
 def _pair(coll, witness):
@@ -70,10 +78,14 @@ def _pair(coll, witness):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--n", type=int, default=1, help="grid coordinates run 0..n")
-    ap.add_argument("--r", type=int, default=2, help="grid dimension")
-    ap.add_argument("--field", type=int, default=2)
+    ap.add_argument("--n", type=parse_nonnegative, default=1,
+                    help="grid coordinates run 0..n")
+    ap.add_argument("--r", type=parse_nonnegative, default=2,
+                    help="grid dimension")
+    ap.add_argument("--field", type=prime, default=2)
     args = ap.parse_args()
+    if args.r < 1:
+        ap.error("--r must be at least 1")
     cfg = Config(args.n, args.r, args.field)
 
     g = Poset.grid(cfg.n, cfg.r)

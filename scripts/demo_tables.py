@@ -19,9 +19,16 @@ from relbetti.collections import (
     single_source_omega0,
     translated,
 )
+from relbetti.fieldlin import check_modulus
 from relbetti.homalg import koszul_betti_diagram, minimal_resolution
 from relbetti.pmod import m0_demo
+from relbetti.poset import parse_nonnegative
 from relbetti.relative import relative_betti_diagram, relative_minimal_resolution
+
+
+def prime(text):
+    """A --field value: an integer that check_modulus accepts."""
+    return check_modulus(int(text))
 
 
 def print_diagram(diagram, poset, indent="  "):
@@ -66,8 +73,9 @@ def relative_section(name, coll, m, dmax):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--field", type=int, default=2, help="prime field order")
-    ap.add_argument("--dmax", type=int, default=4, help="degree cutoff")
+    ap.add_argument("--field", type=prime, default=2, help="prime field order")
+    ap.add_argument("--dmax", type=parse_nonnegative, default=4,
+                    help="degree cutoff")
     args = ap.parse_args()
 
     m = m0_demo(args.field)

@@ -23,6 +23,7 @@ from relbetti.collections import (
     rectangles_grid,
     single_source_omega0,
 )
+from relbetti.fieldlin import check_modulus
 from relbetti.homalg import (
     cokernel,
     free_nat,
@@ -30,7 +31,7 @@ from relbetti.homalg import (
     minimal_resolution,
 )
 from relbetti.pmod import free_on
-from relbetti.poset import Poset
+from relbetti.poset import Poset, parse_nonnegative
 from relbetti.relative import relative_betti_diagram, relative_minimal_resolution
 
 # relative mode always runs on grid(3, 2), so the rectangle builder can
@@ -40,6 +41,11 @@ BUILDERS = {
     "single_source_omega0": single_source_omega0,
     "rectangles_grid": lambda g, p: rectangles_grid(3, 2, p),
 }
+
+
+def prime(text):
+    """A --field value: an integer that check_modulus accepts."""
+    return check_modulus(int(text))
 
 
 @dataclass
@@ -142,12 +148,12 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--samples", type=int, default=100)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--field", type=int, default=2)
+    ap.add_argument("--field", type=prime, default=2)
     ap.add_argument("--ambient-n", type=int, default=2,
                     help="standard mode samples sublattices of grid(n, 2)")
     ap.add_argument("--relative", choices=sorted(BUILDERS), default="",
                     help="run the relative routes with this builder on grid(3, 2)")
-    ap.add_argument("--dmax", type=int, default=8)
+    ap.add_argument("--dmax", type=parse_nonnegative, default=8)
     args = ap.parse_args()
     if args.samples < 1:
         ap.error("--samples must be at least 1")

@@ -82,7 +82,10 @@ def _pair_slots(base):
 
 
 def _pair_names(base, slots):
-    assert all("|" not in nm for nm in base.names)
+    for nm in base.names:
+        if "|" in nm:
+            raise ValueError(f"base element {nm!r} contains '|', which "
+                             "separates the pair names of the index")
     return [f"{base.names[v]}|{base.names[w]}" for v, w in slots]
 
 
@@ -128,7 +131,9 @@ def lower_hooks_inf(base, p):
     _require_semilattice(base)
     slots = _pair_slots(base)
     names = _pair_names(base, slots)
-    assert "inf" not in base.names
+    if "inf" in base.names:
+        raise ValueError("base element 'inf' would clash with the added "
+                         "top slot of the index")
     names = names + [f"{base.names[v]}|inf" for v in range(base.n)]
     names.append("inf|inf")
     covers = _pair_covers(base, slots, names)

@@ -10,7 +10,6 @@ import itertools
 import numpy as np
 
 from relbetti.errors import (
-    MeetHypothesisFailed,
     NotSemilattice,
     NotSubfunctor,
 )
@@ -33,6 +32,7 @@ from relbetti.pmod import (
     cached_zeros,
     free_on,
     radical,
+    zero_module,
 )
 
 
@@ -150,9 +150,7 @@ def free_nat(src, dst, coeffs):
                 f"into summand at {poset.names[gens_d[i]]!r}"
             )
     comps = []
-    for x in range(poset.n):
-        alive_s = [j for j, g in enumerate(gens_s) if poset.leq(g, x)]
-        alive_d = [i for i, g in enumerate(gens_d) if poset.leq(g, x)]
+    for alive_s, alive_d in zip(src.generators_at, dst.generators_at):
         arr = np.zeros((len(alive_d), len(alive_s)), dtype=np.int64)
         for r, i in enumerate(alive_d):
             for c_, j in enumerate(alive_s):
@@ -201,13 +199,7 @@ def _indicator_presentation(f, inside):
         return [x for x in _bits(mask) if down[x] & mask == 1 << x]
 
     gens = minimal(inside)
-    ups = [
-        int.from_bytes(
-            np.packbits(poset.up_mask(m), bitorder="little").tobytes(),
-            "little",
-        )
-        for m in gens
-    ]
+    ups = [poset.up_bits()[m] for m in gens]
     relations = []
     for i, up in enumerate(ups):
         relations += [(e, ((i, 1),)) for e in minimal(up & ~inside)]
@@ -234,29 +226,25 @@ def _indicator_presentation(f, inside):
 def _cover_presentation(f):
     """Generators from minimal_cover(f), relations from the minimal cover
     of its kernel, the push-out through section_of."""
-    poset = f.poset
     cov = minimal_cover(f)
-    gens = cov.source.free_generators
+    alive = cov.source.generators_at
     ker, incl = kernel(cov)
     rel = minimal_cover(ker)
-    rgens = rel.source.free_generators
     relations = []
-    for j, e in enumerate(rgens):
-        pos = sum(1 for r in rgens[:j] if poset.leq(r, e))
+    for j, e in enumerate(rel.source.free_generators):
+        pos = rel.source.generators_at[e].index(j)
         col = (incl.component(e) @ rel.component(e).col(pos)).a[:, 0]
-        alive = [i for i, m in enumerate(gens) if poset.leq(m, e)]
         relations.append(
-            (e, tuple((i, int(c)) for i, c in zip(alive, col) if c))
+            (e, tuple((i, int(c)) for i, c in zip(alive[e], col) if c))
         )
     section = section_of(cov)
     pushout = []
-    for x in range(poset.n):
-        alive = [i for i, m in enumerate(gens) if poset.leq(m, x)]
+    for x, at in enumerate(alive):
         s = section.component(x).a
         pushout.append(
-            tuple((i, s[r].copy()) for r, i in enumerate(alive) if s[r].any())
+            tuple((i, s[r].copy()) for r, i in enumerate(at) if s[r].any())
         )
-    return tuple(gens), tuple(relations), tuple(pushout)
+    return cov.source.free_generators, tuple(relations), tuple(pushout)
 
 
 def _presentation(f):
@@ -421,13 +409,13 @@ def minimal_cover(m):
             gens.append(a)
             coords.append(q)
     c0 = free_on(poset, gens, m.p)
-    comps = []
-    for x in range(poset.n):
-        cols = []
-        for k, (a, q) in enumerate(zip(gens, coords)):
-            if poset.leq(a, x):
-                cols.append(m.map(a, x).col(q))
-        comps.append(hstack(cols, rows=m.dims[x], p=m.p))
+    comps = [
+        hstack(
+            [m.map(gens[k], x).col(coords[k]) for k in at],
+            rows=m.dims[x], p=m.p,
+        )
+        for x, at in enumerate(c0.generators_at)
+    ]
     return NatTransformation(c0, m, comps)
 
 
@@ -490,35 +478,37 @@ class Resolution:
         return BettiDiagram(entries)
 
     def check(self):
-        poset = self.target.poset
-        n = poset.n
-        if self.diffs[0].target != self.target:
-            raise ValueError("augmentation does not land in the target")
-        for d, t in enumerate(self.terms):
-            if self.diffs[d].source != t:
-                raise ValueError(f"differential {d} does not start at term {d}")
-            if d >= 1 and self.diffs[d].target != self.terms[d - 1]:
-                raise ValueError(f"differential {d} does not land in term {d - 1}")
-        for d in range(len(self.diffs)):
-            self.diffs[d].check()
-        for d in range(1, len(self.diffs)):
-            if not (self.diffs[d - 1] @ self.diffs[d]).is_zero():
-                raise ValueError(f"composite of differentials {d - 1},{d} nonzero")
-        if not self.diffs[0].is_epi():
-            raise ValueError("augmentation is not an epimorphism")
-        for d in range(self.length):
-            for a in range(n):
-                ker = self.terms[d].dims[a] - rank(self.diffs[d].component(a))
-                img = rank(self.diffs[d + 1].component(a))
-                if ker != img:
-                    raise ValueError(
-                        f"not exact at term {d}, element {poset.names[a]!r}"
-                    )
-        if self.complete and not self.diffs[self.length].is_mono():
-            raise ValueError("complete resolution has a nonzero top kernel")
+        """Validate the chain (_check_chain), the naturality of every
+        differential and, for a minimal resolution, its minimality."""
+        self._check_chain(self.target, lambda f: f)
+        for f in self.diffs:
+            f.check()
         if self.minimal:
             self._check_minimal()
         return self
+
+    def _check_chain(self, target, apply):
+        """Check that terms, generators and differentials align, that
+        consecutive differentials compose to zero, and that
+        [0 ->] apply(d_L) -> ... -> apply(d_0) -> 0 is exact, with the
+        left 0 only for a complete chain.  target is the module apply(d_0)
+        lands in; an empty chain has only it."""
+        if not len(self.terms) == len(self.generators) == len(self.diffs):
+            raise ValueError("terms, generators and differentials must align")
+        for d, f in enumerate(self.diffs):
+            if f.source != self.terms[d]:
+                raise ValueError(f"differential {d} does not start at term {d}")
+            if f.target != (self.terms[d - 1] if d else self.target):
+                raise ValueError(f"differential {d} lands in the wrong module")
+            if d and not (self.diffs[d - 1] @ f).is_zero():
+                raise ValueError(f"composite of differentials {d - 1},{d} nonzero")
+        seq = [apply(f) for f in reversed(self.diffs)]
+        zero = zero_module(target.poset, target.p)
+        seq.append(zero_nat(target, zero))
+        if self.complete:
+            seq.insert(0, zero_nat(zero, seq[0].source))
+        if not is_exact(seq):
+            raise ValueError("chain is not exact")
 
     def _check_minimal(self):
         n = self.target.poset.n
@@ -561,7 +551,8 @@ def is_exact(seq):
     """Pointwise exactness at the inner terms of a composable sequence."""
     seq = list(seq)
     for i in range(len(seq) - 1):
-        if seq[i + 1].source != seq[i].target:
+        mid = seq[i].target
+        if seq[i + 1].source is not mid and seq[i + 1].source != mid:
             raise ValueError(f"maps {i} and {i + 1} are not composable")
     for i in range(len(seq) - 1):
         mid = seq[i].target
@@ -597,68 +588,14 @@ def koszul(f, a, parent_order=None):
     """Local Koszul complex of a module at an element.
 
     Degree d sums the module's values at the meets of the size-d bounded
-    below subsets of the parents of a, with alternating-sign differentials
-    induced by dropping one parent at a time.
-
-    The subsets are walked level by level: each one of size d extends one
-    of size d-1 by a later parent, so they come out in
-    itertools.combinations order of parent_order. A subset's common lower
-    bounds are the AND of its parents' down-set bitsets (Poset.down_bits);
-    it is bounded below iff that is nonzero, and its meet is the highest
-    set bit b0, accepted only when every lower bound lies below b0
-    (Poset.meet_of_bits, the rule of Poset.meet_bounded). Only blocks
-    between two nonzero values are placed.
-
-    A walk that succeeds records on the poset the bitset of a and the
-    meets it met, which betti_koszul reads.  The subsets and meets do not
-    depend on parent_order, so every successful walk records the same
-    bitset.
+    below subsets of the parents of a (Poset.parent_meets, in
+    parent_order), with alternating-sign differentials induced by
+    dropping one parent at a time.  Only blocks between two nonzero
+    values are placed.
     """
-    poset = f.poset
-    parents = poset.parents(a)
-    if parent_order is None:
-        parent_order = parents
-    else:
-        parent_order = tuple(parent_order)
-        if sorted(parent_order) != sorted(parents):
-            raise ValueError("parent_order must permute the parents")
-    down = poset.down_bits()
+    index_sets, meets, _ = f.poset.parent_meets(a, parent_order)
     fdims = f.dims
-
-    index_sets = [((),)]
-    meets = [(a,)]
-    dims = [fdims[a]]
-    touched = 1 << a
-    # (subset, position of its last parent, bitset of its lower bounds);
-    # the empty subset is bounded by everything, and -1 has every bit set
-    level = [((), -1, -1)]
-    while True:
-        grown = []
-        mts = []
-        for s, last, lower in level:
-            for j in range(last + 1, len(parent_order)):
-                x = parent_order[j]
-                below = lower & down[x]
-                if not below:
-                    continue
-                mt = poset.meet_of_bits(below)
-                if mt is None:
-                    names = [poset.names[y] for y in s + (x,)]
-                    raise MeetHypothesisFailed(
-                        f"parents {names} of {poset.names[a]!r} are bounded "
-                        "below but have no meet"
-                    )
-                grown.append((s + (x,), j, below))
-                mts.append(mt)
-                touched |= 1 << mt
-        if not grown:
-            break
-        level = grown
-        index_sets.append(tuple(s for s, _, _ in grown))
-        meets.append(tuple(mts))
-        dims.append(sum(fdims[mt] for mt in mts))
-    poset._koszul_bits[a] = touched
-
+    dims = [sum(fdims[mt] for mt in ms) for ms in meets]
     p = f.p
     diffs = []
     for d in range(1, len(index_sets)):
@@ -692,11 +629,10 @@ def koszul(f, a, parent_order=None):
 def betti_koszul(f, a, dmax):
     """Homology dimensions of the local Koszul complex, padded to dmax.
 
-    Once a walk at a has recorded the elements the complex touches, a
-    module that is zero at all of them gives zeros without the complex.
+    A module that is zero at a and at every meet the complex sums over
+    gives zeros without the complex.
     """
-    touched = f.poset._koszul_bits[a]
-    if touched is not None and not touched & f.support_bits:
+    if not f.poset.parent_meets(a)[2] & f.support_bits:
         return [0] * (dmax + 1)
     h = koszul(f, a).homology()
     out = list(h[:dmax + 1])
@@ -753,13 +689,11 @@ def global_koszul(f):
         subsets.append({s: i for i, s in enumerate(subs)})
         terms.append(free_on(poset, joins, f.p))
 
-    aug_comps = []
-    for x in range(poset.n):
-        cols = [
-            f.map(g, x).col(0) for g in terms[0].free_generators
-            if poset.leq(g, x)
-        ]
-        aug_comps.append(hstack(cols, rows=f.dims[x], p=f.p))
+    # degree 0 is free on the generators themselves, in order
+    aug_comps = [
+        hstack([f.map(gens[k], x).col(0) for k in at], rows=f.dims[x], p=f.p)
+        for x, at in enumerate(terms[0].generators_at)
+    ]
     diffs = [NatTransformation(terms[0], f, aug_comps)]
 
     for d in range(1, len(terms)):

@@ -202,13 +202,15 @@ def zero_module(poset, p):
 def free_on(poset, generators, p):
     """Free module on a list of generators (with repetition allowed).
 
-    At each element the alive generators, in list order, index the
-    coordinates; transitions are the induced 0/1 selection matrices.
+    At each element x the generators at or below x, in list order, index
+    the coordinates; generators_at[x] lists their positions in that
+    order.  Transitions are the induced 0/1 selection matrices.
     """
     gens = tuple(int(g) for g in generators)
-    alive = []
-    for x in range(poset.n):
-        alive.append([k for k, g in enumerate(gens) if poset.leq(g, x)])
+    alive = tuple(
+        tuple(k for k, g in enumerate(gens) if poset.leq(g, x))
+        for x in range(poset.n)
+    )
     dims = [len(a) for a in alive]
     maps = {}
     for a, b in poset.covers:
@@ -219,6 +221,7 @@ def free_on(poset, generators, p):
         maps[(a, b)] = Matrix(arr, p)
     m = PersistenceModule(poset, p, dims, maps)
     m.free_generators = gens
+    m.generators_at = alive
     return m
 
 

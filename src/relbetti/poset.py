@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     CyclicCovers,
+    MeetHypothesisFailed,
     NotSemilattice,
     RedundantCover,
     SizeBoundExceeded,
@@ -103,9 +104,7 @@ class Poset:
         self._semilattice = semilattice
         self._down_bits = None
         self._up_bits = None
-        # homalg.koszul's touched elements at each base element, {a} and
-        # the meets, as a bitset; None until a walk there succeeds
-        self._koszul_bits = [None] * self.n
+        self._parent_meets = [None] * self.n
         self._hash = hash((self.names, self.covers))
 
     # -- construction ---------------------------------------------------
@@ -239,9 +238,19 @@ class Poset:
             return Poset.grid(
                 parse_nonnegative(shape["n"]), parse_nonnegative(shape["r"])
             )
-        return Poset.from_covers(
-            list(obj["elements"]), [tuple(c) for c in obj["covers"]]
-        )
+        names, covers = obj["elements"], obj["covers"]
+        if not isinstance(names, list) or not all(
+            isinstance(nm, str) for nm in names
+        ):
+            raise ValueError('"elements" must be a list of strings')
+        if not isinstance(covers, list) or not all(
+            isinstance(c, list) and len(c) == 2
+            and all(isinstance(nm, str) for nm in c)
+            for c in covers
+        ):
+            raise ValueError('"covers" must be a list of [lower, upper] '
+                             "name pairs")
+        return Poset.from_covers(names, [tuple(c) for c in covers])
 
     def to_json(self):
         if self.grid_shape is not None:
@@ -326,6 +335,70 @@ class Poset:
             return None
         b0 = lower.bit_length() - 1
         return b0 if not lower & ~self.down_bits()[b0] else None
+
+    def parent_meets(self, a, parent_order=None):
+        """(index_sets, meets, touched): the terms of the Koszul complex
+        at a.
+
+        index_sets[d] lists the bounded-below subsets of a's parents of
+        size d (the empty subset stands for a itself) and meets[d] their
+        meets; touched is the bitset of a and every meet.  The subsets are
+        walked level by level: each one of size d extends one of size d-1
+        by a later parent, so they come out in itertools.combinations
+        order of parent_order.  A subset's common lower bounds are the AND
+        of its parents' down-set bitsets; it is bounded below iff that is
+        nonzero, and its meet is meet_of_bits of it.  A bounded-below
+        subset without a meet raises MeetHypothesisFailed.
+
+        The walk without a parent_order (the parents' own order) is kept
+        per element, as down_bits is; a walk in a given order, or one that
+        fails, is not.
+        """
+        parents = self._parents[a]
+        keep = parent_order is None
+        if keep:
+            if self._parent_meets[a] is not None:
+                return self._parent_meets[a]
+            parent_order = parents
+        else:
+            parent_order = tuple(parent_order)
+            if sorted(parent_order) != sorted(parents):
+                raise ValueError("parent_order must permute the parents")
+        down = self.down_bits()
+        index_sets = [((),)]
+        meets = [(a,)]
+        touched = 1 << a
+        # (subset, position of its last parent, bitset of its lower bounds);
+        # the empty subset is bounded by everything, and -1 has every bit set
+        level = [((), -1, -1)]
+        while True:
+            grown = []
+            mts = []
+            for s, last, lower in level:
+                for j in range(last + 1, len(parent_order)):
+                    x = parent_order[j]
+                    below = lower & down[x]
+                    if not below:
+                        continue
+                    mt = self.meet_of_bits(below)
+                    if mt is None:
+                        names = [self.names[y] for y in s + (x,)]
+                        raise MeetHypothesisFailed(
+                            f"parents {names} of {self.names[a]!r} are "
+                            "bounded below but have no meet"
+                        )
+                    grown.append((s + (x,), j, below))
+                    mts.append(mt)
+                    touched |= 1 << mt
+            if not grown:
+                break
+            level = grown
+            index_sets.append(tuple(s for s, _, _ in grown))
+            meets.append(tuple(mts))
+        walk = (tuple(index_sets), tuple(meets), touched)
+        if keep:
+            self._parent_meets[a] = walk
+        return walk
 
     def meet_bounded(self, elements):
         elements = list(elements)

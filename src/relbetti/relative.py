@@ -556,11 +556,13 @@ def is_flat(coll):
     return True, None
 
 
-def _thin_or_claimed(coll):
-    claimed = coll.claims.get("thin")
+def _claimed_or(coll, key, check):
+    """The status recorded under key in coll.claims as (flag, None), or
+    else check(coll)."""
+    claimed = coll.claims.get(key)
     if claimed is not None:
-        return bool(claimed)
-    return is_thin(coll)[0]
+        return bool(claimed), None
+    return check(coll)
 
 
 def _unit_kernel_generators(coll, a):
@@ -611,17 +613,15 @@ def degeneracy_hypothesis(coll):
     if coll._degeneracy is not None:
         return coll._degeneracy
     index = coll.index
-    claimed_thin = coll.claims.get("thin")
-    if claimed_thin is None:
-        thin, witness = is_thin(coll)
-        if not thin:
-            a, b = witness
-            raise NotThin(
-                f"collection is not thin at pair "
-                f"({index.names[a]!r}, {index.names[b]!r})"
-            )
-    elif not claimed_thin:
-        raise NotThin("collection records that it is not thin")
+    thin, witness = _claimed_or(coll, "thin", is_thin)
+    if not thin:
+        if witness is None:
+            raise NotThin("collection records that it is not thin")
+        a, b = witness
+        raise NotThin(
+            f"collection is not thin at pair "
+            f"({index.names[a]!r}, {index.names[b]!r})"
+        )
     if not index.is_upper_semilattice():
         raise NotSemilattice("the degeneracy check needs joins in the index")
     result = (True, None)
@@ -639,11 +639,13 @@ def degeneracy_hypothesis(coll):
     return result
 
 
-def _degenerate_ok(coll):
-    claimed = coll.claims.get("degeneracy")
-    if claimed is not None:
-        return bool(claimed)
-    return degeneracy_hypothesis(coll)[0]
+def _require_degeneracy(coll, force):
+    """The gate of the index-Koszul route: the recorded degeneracy claim,
+    else the scan, unless forced."""
+    if not force and not _claimed_or(coll, "degeneracy", degeneracy_hypothesis)[0]:
+        raise HypothesisNotVerified(
+            "degeneracy condition not verified; pass force=True to compute anyway"
+        )
 
 
 def relative_betti_koszul(coll, m, a, dmax, force=False):
@@ -654,10 +656,7 @@ def relative_betti_koszul(coll, m, a, dmax, force=False):
         raise ValueError(
             f"member at {coll.index.names[a]!r} is zero; no multiplicities there"
         )
-    if not force and not _degenerate_ok(coll):
-        raise HypothesisNotVerified(
-            "degeneracy condition not verified; pass force=True to compute anyway"
-        )
+    _require_degeneracy(coll, force)
     return betti_koszul(nat_module(coll, m), a, dmax)
 
 
@@ -668,10 +667,7 @@ def relative_betti_diagram(coll, m, dmax, force=False):
     index element with a nonzero member.  Same verification gate as
     relative_betti_koszul.
     """
-    if not force and not _degenerate_ok(coll):
-        raise HypothesisNotVerified(
-            "degeneracy condition not verified; pass force=True to compute anyway"
-        )
+    _require_degeneracy(coll, force)
     nonzero = [a for a in range(coll.index.n) if not coll.member_is_zero(a)]
     return koszul_table(nat_module(coll, m), nonzero, dmax)
 
@@ -683,7 +679,6 @@ def _relative_cover(coll, m, nm, bases):
     member; the component on a summand is the transformation the
     generator's coordinates select.
     """
-    index = coll.index
     domain = coll.domain
     p = coll.p
     cov = minimal_cover(nm)
@@ -691,9 +686,8 @@ def _relative_cover(coll, m, nm, bases):
     realized = direct_sum(domain, p, [(coll.obj(a), 1) for a in gens])
     picked = []
     for k, a in enumerate(gens):
-        alive = [j for j, g in enumerate(gens) if index.leq(g, a)]
-        coords = cov.component(a).col(alive.index(k)).a.reshape(-1)
-        picked.append((a, coords))
+        pos = cov.source.generators_at[a].index(k)
+        picked.append((a, cov.component(a).col(pos).a.reshape(-1)))
     comps = []
     for x in range(domain.n):
         blocks = []
@@ -712,7 +706,7 @@ def _relative_cover(coll, m, nm, bases):
 
 def relative_minimal_cover(coll, m):
     """Minimal cover of m relative to the collection."""
-    if not _thin_or_claimed(coll):
+    if not _claimed_or(coll, "thin", is_thin)[0]:
         raise NotThin("relative covers need a thin collection")
     nm, bases, _ = _nat_module_data(coll, m)
     return _relative_cover(coll, m, nm, bases)
@@ -728,35 +722,14 @@ class RelativeResolution(Resolution):
     """
 
     def check(self, coll):
-        """Validate shapes, vanishing composites, generator support, and
-        exactness of the hom-module image of the chain."""
-        if len(self.terms) != len(self.diffs) or len(self.terms) != len(
-            self.generators
-        ):
-            raise ValueError("terms, generators, and diffs must align")
-        for d, f in enumerate(self.diffs):
-            if f.source != self.terms[d]:
-                raise ValueError(f"differential {d} has the wrong source")
-            want = self.target if d == 0 else self.terms[d - 1]
-            if f.target != want:
-                raise ValueError(f"differential {d} has the wrong target")
-            if d and not (self.diffs[d - 1] @ f).is_zero():
-                raise ValueError(f"composite at degree {d} is nonzero")
+        """Validate the chain through hom modules (Resolution._check_chain)
+        and that no generator sits at a vanishing member."""
         for gens in self.generators:
-            for a in gens:
-                if coll.member_is_zero(a):
-                    raise ValueError("generator at a vanishing member")
-        if not self.terms:
-            if self.complete and sum(nat_module(coll, self.target).dims) > 0:
-                raise ValueError("empty chain under a visible target")
-            return self
-        seq = [nat_module_map(coll, f) for f in reversed(self.diffs)]
-        zero = zero_module(coll.index, coll.p)
-        seq.append(zero_nat(seq[-1].target, zero))
-        if self.complete:
-            seq.insert(0, zero_nat(zero, seq[0].source))
-        if not is_exact(seq):
-            raise ValueError("chain is not exact through hom modules")
+            if any(coll.member_is_zero(a) for a in gens):
+                raise ValueError("generator at a vanishing member")
+        self._check_chain(
+            nat_module(coll, self.target), lambda f: nat_module_map(coll, f)
+        )
         return self
 
     def __repr__(self):
@@ -770,7 +743,7 @@ class RelativeResolution(Resolution):
 def relative_minimal_resolution(coll, m, dmax):
     """Iterated relative minimal covers of successive kernels (the direct
     construction of the relative multiplicities, degree by degree)."""
-    if not _thin_or_claimed(coll):
+    if not _claimed_or(coll, "thin", is_thin)[0]:
         raise NotThin("relative resolutions need a thin collection")
 
     def cover(cur):

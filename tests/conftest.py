@@ -10,7 +10,10 @@ indicator_hom_dim is the independent Hom oracle for 0/1 indicator modules:
 it counts components of overlapping supports and solves no linear system.
 oracle_meet_bounded and oracle_koszul are the plain skeleton construction
 (itertools.combinations, numpy reductions over the order matrix) that the
-bitset walk in relbetti.homalg.koszul must match exactly.
+bitset walk in relbetti.poset.Poset.parent_meets and the complex
+relbetti.homalg.koszul assembles on it must match exactly.
+tampered_chain breaks a resolution in one named way, for the chain
+checks to refuse.
 oracle_nat_basis solves naturality over every component at once, one
 Kronecker block row per cover; relbetti.homalg.nat_basis solves at the
 source's generators and must give the same basis bit for bit.
@@ -421,3 +424,28 @@ def oracle_degeneracy(coll):
             if not coll.member_is_zero(b):
                 return False, (a, b)
     return True, None
+
+
+def tampered_chain(res, how):
+    """A copy of a resolution (standard or relative) changed one way:
+
+    "missing-top"  drops the top term but still claims completeness;
+    "truncated"    drops the top term and is marked truncated;
+    "zero-augmentation" / "zero-middle" replace differential 0 / 1 by 0;
+    "empty"        keeps no term but claims completeness;
+    "empty-truncated" keeps no term and is marked truncated.
+    """
+    from relbetti.homalg import zero_nat
+
+    terms, gens, diffs = list(res.terms), list(res.generators), list(res.diffs)
+    complete = how not in ("truncated", "empty-truncated")
+    if how in ("missing-top", "truncated"):
+        terms, gens, diffs = terms[:-1], gens[:-1], diffs[:-1]
+    elif how in ("empty", "empty-truncated"):
+        terms, gens, diffs = [], [], []
+    elif how == "zero-augmentation":
+        diffs[0] = zero_nat(terms[0], res.target)
+    elif how == "zero-middle":
+        diffs[1] = zero_nat(terms[1], terms[0])
+    return type(res)(res.target, terms, gens, diffs,
+                     minimal=res.minimal, complete=complete)

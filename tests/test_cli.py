@@ -720,6 +720,9 @@ class TestInputErrors:
             ("dims", "x"), ("maps", 1), ("grid", {"n": 5.5, "r": 2}),
             ("grid", {"n": 5, "r": 2.0}), ("grid", {"n": "5", "r": True}),
             ("grid", {"n": True, "r": 2}), ("grid", {"n": 5, "r": 0}),
+            ("elements", "ab"), ("elements", {"a": 1, "b": 2}),
+            ("elements", [1, 2]), ("covers", "ab"),
+            ("covers", [["a", "b", "a"]]), ("covers", [["a", 1]]),
         ],
     )
     def test_malformed_module_part(self, part, value):
@@ -727,6 +730,11 @@ class TestInputErrors:
         mod = obj["module"]
         if part == "grid":
             mod["poset"] = {"grid": value}
+        elif part in ("elements", "covers"):
+            # an explicit poset that is otherwise a valid zero module
+            poset = {"elements": ["a", "b"], "covers": [["a", "b"]]}
+            poset[part] = value
+            obj["module"] = {"poset": poset, "dims": {}, "maps": {}}
         elif part == "entry":
             mod["maps"]["0,0<0,1"] = [[value]]
         elif part == "map":
@@ -736,6 +744,20 @@ class TestInputErrors:
         else:
             mod[part] = value
         assert_input_error(run_cli("betti", stdin=json.dumps(obj)))
+
+    @pytest.mark.parametrize("loader", ["collection", "builtin"])
+    def test_malformed_poset_through_collection_loaders(self, loader):
+        # a string of names is not read as one element per character
+        bad = {"elements": "ab", "covers": []}
+        if loader == "collection":
+            coll = self._explicit()
+            coll["I"] = bad
+            args = ["--collection", json.dumps(coll)]
+            payload = {"p": 2}
+        else:
+            args = ["--collection", "lower_hooks"]
+            payload = {"p": 2, "poset": bad}
+        assert_input_error(run_cli("check", *args, stdin=json.dumps(payload)))
 
     def test_unknown_dims_name(self):
         obj = json.loads(run_cli("demo", "m0").stdout)
@@ -923,6 +945,26 @@ def test_mutated_collection_spec(part, key, value):
 _SPREADS_NOT_THIN = (
     "collection is not thin at pair ('{0,0}|{1,1}', '{0,1;1,0}|{0,1}')"
 )
+
+
+@pytest.mark.parametrize("builder, name", [
+    ("lower_hooks", "x|y"),
+    ("rectangles_naive", "x|y"),
+    ("lower_hooks_inf", "x|y"),
+    ("lower_hooks_inf", "inf"),
+])
+def test_builder_refuses_clashing_element_name(builder, name):
+    # index elements are named v|w (and v|inf), so a base name holding
+    # the separator, or inf itself, is a constraint of the builder
+    poset = {"elements": ["a", name], "covers": [["a", name]]}
+    payload = {"p": 2, "module": {"poset": poset, "dims": {"a": 1}}}
+    r = run_cli("rbetti", "--collection", builder, "--dmax", "1",
+                stdin=json.dumps(payload))
+    assert r.returncode == 1
+    assert r.stdout == ""
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr
+    assert repr(name) in lines[0]
 
 
 def test_not_thin_error_names_elements():

@@ -379,6 +379,25 @@ class TestRectanglesNaive:
         assert betti_koszul(nm, a, 1) == [0, 1]
 
 
+class TestPairNameConstraints:
+    # index elements are named v|w, and lower_hooks_inf adds v|inf and
+    # inf|inf, so base names must leave those unambiguous
+    @pytest.mark.parametrize(
+        "build", [lower_hooks, rectangles_naive, lower_hooks_inf]
+    )
+    def test_separator_in_a_base_name_is_refused(self, build):
+        base = Poset.from_covers(["a", "x|y"], [("a", "x|y")])
+        with pytest.raises(ValueError, match=r"'x\|y'"):
+            build(base, 2)
+
+    def test_inf_base_name_is_refused_by_lower_hooks_inf(self):
+        base = Poset.from_covers(["a", "inf"], [("a", "inf")])
+        with pytest.raises(ValueError, match="'inf'"):
+            lower_hooks_inf(base, 2)
+        # the other pair builders add no inf slot
+        assert lower_hooks(base, 2).index.n == 3
+
+
 class TestRectanglesGrid:
     def test_members_are_half_open_boxes(self):
         coll = rectangles_grid(1, 2, 2)

@@ -13,6 +13,7 @@ from conftest import (
     random_module,
     random_poset_covers,
     random_semilattice,
+    tampered_chain,
 )
 from relbetti.collections import lower_hooks, rectangles_grid
 from relbetti.errors import (
@@ -40,6 +41,7 @@ from relbetti.pmod import (
 )
 from relbetti.homalg import (
     NatTransformation,
+    Resolution,
     betti,
     betti_koszul,
     cokernel,
@@ -363,6 +365,36 @@ class TestMinimalResolution:
         r = minimal_resolution(m, 1)
         assert r.length == 1 and not r.complete
 
+    @pytest.mark.parametrize(
+        "how", ["missing-top", "zero-augmentation", "zero-middle"]
+    )
+    def test_check_refuses_a_broken_chain(self, how):
+        r = minimal_resolution(m0_demo(2), 5)
+        assert r.length == 2 and r.complete
+        with pytest.raises(ValueError):
+            tampered_chain(r, how).check()
+
+    def test_check_refuses_a_nonzero_composite(self):
+        # d2 sends the generator at 3,4 to those at 0,4 and 3,2, and the
+        # one at 4,2 to those at 3,2 and 4,0.  Keeping only 0,4 and 4,0
+        # keeps every rank, so only the composite d1 d2 shows the fault
+        r = minimal_resolution(m0_demo(2), 5)
+        g = r.target.poset
+        assert [[g.names[x] for x in gens] for gens in r.generators[1:]] == [
+            ["0,4", "3,2", "4,0"], ["3,4", "4,2"]
+        ]
+        bad = free_nat(r.terms[2], r.terms[1], {(0, 0): 1, (2, 1): 1})
+        chain = Resolution(r.target, r.terms, r.generators,
+                           [*r.diffs[:2], bad], minimal=True, complete=True)
+        with pytest.raises(ValueError, match="composite"):
+            chain.check()
+
+    def test_check_passes_a_truncated_chain(self):
+        r = minimal_resolution(m0_demo(2), 5)
+        cut = tampered_chain(r, "truncated")
+        assert cut.length == 1 and not cut.complete
+        cut.check()
+
     def test_resolution_is_exact(self):
         g = Poset.grid(1, 2)
         rng = np.random.default_rng(17)
@@ -489,6 +521,32 @@ class TestKoszul:
         with pytest.raises(MeetHypothesisFailed) as got:
             koszul(f, top)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("module", ["zero", "top"])
+    def test_vanishing_complexes_skipped_on_a_cold_poset(self, module,
+                                                         monkeypatch):
+        # a fresh poset has no walk kept; a complex whose terms all vanish
+        # is still never assembled, on the first call at an element as on
+        # later ones
+        g = Poset.grid(2, 2)
+        cold = Poset.from_covers(
+            g.names, [(g.names[a], g.names[b]) for a, b in g.covers]
+        )
+        top = cold.index("2,2")
+        f = (zero_module(cold, 2) if module == "zero"
+             else indicator(cold, [top], 2))
+        assembled = []
+
+        def counted(f, a, parent_order=None):
+            assembled.append(a)
+            return koszul(f, a, parent_order)
+
+        monkeypatch.setattr("relbetti.homalg.koszul", counted)
+        for _ in range(2):
+            for a in range(cold.n):
+                assert betti_koszul(f, a, 2) == _padded_homology(f, a, 2)
+        # only the top's complex touches the top
+        assert assembled == ([] if module == "zero" else [top, top])
 
     def test_betti_koszul_pads_and_truncates(self):
         m = m0_demo(2)

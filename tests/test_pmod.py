@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_module, sympy_rank
+from conftest import random_module, random_poset_covers, sympy_rank
 from relbetti.fieldlin import Matrix, hstack, rank
 from relbetti.poset import Poset
 from relbetti.pmod import (
@@ -151,6 +151,25 @@ class TestFree:
         # generator order preserved in coordinates: at element 1 the alive
         # generators are 0,1,2 in that order
         assert m.map(0, 1).tolist() == [[1, 0], [0, 0], [0, 1]]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_generators_at_lists_the_generators_below(self, seed):
+        # the positions of the generators at or below x, in list order,
+        # repeats included; they index the coordinates of the fiber at x
+        rng = np.random.default_rng(seed)
+        names, covers, _ = random_poset_covers(rng, int(rng.integers(1, 8)))
+        p = Poset.from_covers(names, [(names[i], names[j]) for i, j in covers])
+        gens = [int(g) for g in rng.integers(0, p.n, int(rng.integers(0, 6)))]
+        m = free_on(p, gens, 2)
+        for x in range(p.n):
+            want = tuple(k for k, g in enumerate(gens) if p.leq(g, x))
+            assert m.generators_at[x] == want
+            assert m.dims[x] == len(want)
+            # generator k's image at x is the coordinate of k there
+            for r, k in enumerate(want):
+                col = m.map(gens[k], x).a[:, m.generators_at[gens[k]].index(k)]
+                assert col.tolist() == [int(i == r) for i in range(len(want))]
 
 
 class TestIndicatorConstructors:

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relbetti.collections import rectangles_grid
+from relbetti.errors import MeetHypothesisFailed
+from relbetti.pmod import zero_module
 from relbetti.poset import (
     CyclicCovers,
     NotSemilattice,
@@ -14,7 +16,7 @@ from relbetti.poset import (
     antichain_bound,
     antichain_poset,
 )
-from conftest import oracle_join, random_poset_covers
+from conftest import oracle_join, oracle_koszul, random_poset_covers
 
 
 def chain(k):
@@ -269,6 +271,54 @@ class TestJoinMeet:
                     expect = most[0] if most else None
                     assert p.meet_bounded(s) == expect
 
+class TestParentMeets:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 9))
+    def test_kept_walk_equals_a_fresh_walk(self, seed, n):
+        rng = np.random.default_rng(seed)
+        names, covers, _ = random_poset_covers(rng, n)
+        pairs = [(names[i], names[j]) for i, j in covers]
+        p = Poset.from_covers(names, pairs)
+        fresh = Poset.from_covers(names, pairs)
+        for a in range(p.n):
+            try:
+                want = oracle_koszul(zero_module(p, 2), a)
+            except MeetHypothesisFailed:
+                continue
+            kept = p.parent_meets(a)
+            assert p.parent_meets(a) is kept
+            # a walk in a given order is never kept
+            assert p.parent_meets(a, list(p.parents(a))) == kept
+            reversed_walk = p.parent_meets(a, p.parents(a)[::-1])
+            assert reversed_walk[2] == kept[2]
+            assert p.parent_meets(a) is kept
+            assert fresh.parent_meets(a) == kept
+            index_sets, meets, touched = kept
+            assert index_sets == want.index_sets
+            assert meets == want.meets
+            bits = 0
+            for x in itertools.chain.from_iterable(meets):
+                bits |= 1 << x
+            assert touched == bits
+
+    def test_bowtie_raises_cold_and_warm(self):
+        # a failed walk is not kept, so every call walks and raises the
+        # oracle's message
+        p = Poset.from_covers(
+            ["a", "b", "c", "d", "top"],
+            [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
+             ("c", "top"), ("d", "top")],
+        )
+        top = p.index("top")
+        with pytest.raises(MeetHypothesisFailed) as want:
+            oracle_koszul(zero_module(p, 2), top)
+        for _ in range(2):
+            with pytest.raises(MeetHypothesisFailed) as got:
+                p.parent_meets(top)
+            assert str(got.value) == str(want.value)
+        assert p._parent_meets[top] is None
+
+
 class TestSemilattice:
     def test_grid_true(self):
         assert Poset.grid(3, 2).is_upper_semilattice()
@@ -471,6 +521,27 @@ class TestPosetJson:
     def test_bad_grid_shape_refused(self, shape):
         with pytest.raises(ValueError):
             Poset.from_json({"grid": shape})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [{"elements": "ab", "covers": []},
+         {"elements": {"a": 1, "b": 2}, "covers": []},
+         {"elements": [1, 2], "covers": []},
+         {"elements": ["a", None], "covers": []},
+         {"elements": ["a", "b"], "covers": "ab"},
+         {"elements": ["a", "b"], "covers": [("a", "b")]},
+         {"elements": ["a", "b"], "covers": [["a", "b", "a"]]},
+         {"elements": ["a", "b"], "covers": [["a", 1]]},
+         {"elements": ["a", "b"], "covers": {"a": "b"}}],
+        ids=["string", "object", "integer-names", "null-name",
+             "string-covers", "tuple-cover", "long-cover", "integer-cover",
+             "object-covers"],
+    )
+    def test_bad_explicit_poset_refused(self, obj):
+        # elements are a list of names, covers a list of name pairs;
+        # nothing else is read as one
+        with pytest.raises(ValueError):
+            Poset.from_json(obj)
 
 
 @settings(max_examples=40, deadline=None)

@@ -17,6 +17,7 @@ from conftest import (
     random_free_map,
     random_module,
     random_semilattice,
+    tampered_chain,
 )
 from relbetti.collections import (
     all_subfunctors,
@@ -731,6 +732,41 @@ class TestOracle:
         m = direct_sum(base, 2, parts)
         gens = h0(nat_module(coll, m))
         assert {a: k for a, k in enumerate(gens) if k} == mults
+
+    @pytest.fixture(scope="class")
+    def m0_over_hooks(self):
+        m = m0_demo(2)
+        coll = lower_hooks(m.poset, 2)
+        res = relative_minimal_resolution(coll, m, 5)
+        assert res.length == 1 and res.complete
+        return coll, res
+
+    @pytest.mark.parametrize(
+        "how", ["missing-top", "zero-augmentation", "empty"]
+    )
+    def test_check_refuses_a_broken_chain(self, m0_over_hooks, how):
+        coll, res = m0_over_hooks
+        with pytest.raises(ValueError):
+            tampered_chain(res, how).check(coll)
+
+    def test_check_refuses_a_generator_at_a_vanishing_member(
+        self, m0_over_hooks
+    ):
+        coll, res = m0_over_hooks
+        zero = coll.index.index("0,0|0,0")
+        assert coll.member_is_zero(zero)
+        gens = [(zero, *res.generators[0][1:]), *res.generators[1:]]
+        moved = RelativeResolution(res.target, res.terms, gens, res.diffs,
+                                   minimal=True, complete=True)
+        with pytest.raises(ValueError, match="vanishing member"):
+            moved.check(coll)
+
+    @pytest.mark.parametrize("how", ["truncated", "empty-truncated"])
+    def test_check_passes_a_truncated_chain(self, m0_over_hooks, how):
+        coll, res = m0_over_hooks
+        cut = tampered_chain(res, how)
+        assert isinstance(cut, RelativeResolution) and not cut.complete
+        cut.check(coll)
 
     def test_oracle_output_is_relative_exact(self):
         base, m = chain3_module()

@@ -1,10 +1,14 @@
 """Smoke tests for the experiment scripts: each one imports and parses,
 and small runs go end to end in a fresh process."""
+import importlib.util
 import os
 import subprocess
 import sys
 
 import pytest
+
+from relbetti.collections import rectangles_naive
+from relbetti.poset import Poset
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -70,3 +74,40 @@ def test_collection_survey_runs():
     assert r.returncode == 0, r.stderr
     assert r.stdout.startswith("base grid: 4 elements, GF(2)")
     assert "\nall_subfunctors: 6 members" in r.stdout
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("demo_tables.py", ["--dmax", "-1"]),
+        ("demo_tables.py", ["--field", "4"]),
+        ("route_agreement.py", ["--field", "4"]),
+        ("route_agreement.py", ["--dmax", "-1"]),
+        ("collection_survey.py", ["--field", "4"]),
+        ("collection_survey.py", ["--n", "-1"]),
+        ("collection_survey.py", ["--r", "-1"]),
+        ("collection_survey.py", ["--r", "0"]),
+    ],
+    ids=lambda v: v if isinstance(v, str) else " ".join(v),
+)
+def test_bad_numeric_flag_is_a_usage_error(script, args):
+    # refused while parsing, before any section is printed
+    r = run_script(script, *args)
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr
+    assert args[0] in r.stderr
+
+
+def test_collection_survey_checks_degeneracy_claims(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "collection_survey", os.path.join(ROOT, "scripts", "collection_survey.py")
+    )
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    coll = rectangles_naive(Poset.grid(1, 2), 2)
+    coll.claims["degeneracy"] = True
+    survey.survey("rectangles_naive", coll)
+    out = capsys.readouterr().out
+    assert "  degeneracy False" in out
+    assert "CLAIM MISMATCH: degeneracy recorded True, honest False" in out
