@@ -23,6 +23,7 @@ from relbetti.collections import (
     single_source_omega0,
     spreads_omega,
 )
+from relbetti.errors import SizeBoundExceeded
 from relbetti.fieldlin import check_modulus
 from relbetti.poset import Poset, parse_nonnegative
 from relbetti.relative import degeneracy_hypothesis, is_flat, is_thin
@@ -88,7 +89,10 @@ def main():
         ap.error("--r must be at least 1")
     cfg = Config(args.n, args.r, args.field)
 
-    g = Poset.grid(cfg.n, cfg.r)
+    try:
+        g = Poset.grid(cfg.n, cfg.r)
+    except SizeBoundExceeded as exc:
+        ap.error(f"--n {cfg.n} with --r {cfg.r}: {exc}")
     print(f"base grid: {g.n} elements, GF({cfg.p})")
 
     survey("lower_hooks", lower_hooks(g, cfg.p))

@@ -23,6 +23,7 @@ from relbetti.collections import (
     rectangles_grid,
     single_source_omega0,
 )
+from relbetti.errors import SizeBoundExceeded
 from relbetti.fieldlin import check_modulus
 from relbetti.homalg import (
     cokernel,
@@ -147,9 +148,9 @@ def summarize(label, times):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--samples", type=int, default=100)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=parse_nonnegative, default=0)
     ap.add_argument("--field", type=prime, default=2)
-    ap.add_argument("--ambient-n", type=int, default=2,
+    ap.add_argument("--ambient-n", type=parse_nonnegative, default=2,
                     help="standard mode samples sublattices of grid(n, 2)")
     ap.add_argument("--relative", choices=sorted(BUILDERS), default="",
                     help="run the relative routes with this builder on grid(3, 2)")
@@ -157,6 +158,13 @@ def main():
     args = ap.parse_args()
     if args.samples < 1:
         ap.error("--samples must be at least 1")
+    if args.ambient_n < 1:
+        # grid(0, 2) has one element; a sample needs four
+        ap.error("--ambient-n must be at least 1")
+    try:
+        Poset.grid(args.ambient_n, 2)
+    except SizeBoundExceeded as exc:
+        ap.error(f"--ambient-n {args.ambient_n}: {exc}")
     cfg = Config(args.samples, args.seed, args.field, args.ambient_n,
                  args.relative, args.dmax)
 

@@ -12,6 +12,7 @@ degeneracy hypothesis failed and --force was not given), 3 size bound
 exceeded, 4 malformed input or usage error.
 """
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -70,6 +71,16 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@contextlib.contextmanager
+def _input_error(what=None):
+    """Turn the KeyError, TypeError or ValueError of malformed input into
+    InputError, its message prefixed by what names that input."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{what}: {exc}" if what else str(exc)) from None
+
+
 def _read_payload(path):
     if path == "-":
         text = sys.stdin.read()
@@ -83,10 +94,8 @@ def _read_payload(path):
 
 
 def _field(p, source):
-    try:
+    with _input_error(source):
         return check_modulus(p)
-    except ValueError as exc:
-        raise InputError(f"{source}: {exc}") from None
 
 
 def _resolve_p(obj, field):
@@ -117,10 +126,8 @@ def _load_module(obj, p):
     mj = obj.get("module")
     if mj is None:
         raise InputError('payload has no "module"')
-    try:
+    with _input_error("bad module payload"):
         return PersistenceModule.from_json(mj, p)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad module payload: {exc}") from exc
 
 
 def _load_collection_json(obj, p):
@@ -129,10 +136,8 @@ def _load_collection_json(obj, p):
     if obj.get("p") is not None and _field(obj["p"], "collection p") != p:
         raise InputError("collection payload disagrees about p")
     obj = dict(obj, p=p)
-    try:
+    with _input_error("bad collection payload"):
         return CollectionFunctor.from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad collection payload: {exc}") from exc
 
 
 def _emit(payload):
@@ -169,10 +174,8 @@ def _build_builtin(name, params, base, p, bound):
         mj = params.get("member")
         if mj is None:
             raise InputError('singleton needs a "member" module in params')
-        try:
+        with _input_error("bad singleton member"):
             member = PersistenceModule.from_json(mj, p)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad singleton member: {exc}") from exc
         try:
             validate_module(member)
         except FunctorialityViolation as exc:
@@ -183,30 +186,24 @@ def _build_builtin(name, params, base, p, bound):
     if name in _PLAIN_BUILTINS:
         return _PLAIN_BUILTINS[name](base, p)
     if name in _BOUNDED_BUILTINS:
-        try:
+        with _input_error():
             bound = antichain_bound(bound)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
         return _BOUNDED_BUILTINS[name](base, p, max_antichains=bound)
     if name == "translated":
         T = params.get("T")
         if not isinstance(T, list) or not all(isinstance(t, list) for t in T):
             raise InputError('translated needs a "T" list of lists in params')
-        try:
+        with _input_error("bad translation set"):
             return translated(
                 base, [[parse_nonnegative(c) for c in t] for t in T], p
             )
-        except ValueError as exc:
-            raise InputError(f"bad translation set: {exc}") from None
     if name == "rectangles_grid":
         if "n" in params or "r" in params:
-            try:
+            if "n" not in params or "r" not in params:
+                raise InputError("rectangles_grid params need n and r")
+            with _input_error("rectangles_grid params"):
                 n = parse_nonnegative(params["n"])
                 r = parse_nonnegative(params["r"])
-            except KeyError as exc:
-                raise InputError("rectangles_grid params need n and r") from exc
-            except ValueError as exc:
-                raise InputError(f"rectangles_grid params: {exc}") from None
             if r < 1:
                 raise InputError("rectangles_grid params need r >= 1")
             # checked before building, since a large grid's collection
@@ -256,10 +253,8 @@ def _collection_from_flag(text, base, p, bound):
         if not isinstance(params, dict):
             raise InputError('"params" must be an object')
         if bound is None and params.get("max_antichains") is not None:
-            try:
-                bound = _nonnegative(params["max_antichains"])
-            except argparse.ArgumentTypeError as exc:
-                raise InputError(f'"max_antichains": {exc}') from None
+            with _input_error('"max_antichains"'):
+                bound = parse_nonnegative(params["max_antichains"])
         name = obj["builtin"]
         if not isinstance(name, str):
             raise InputError(f'"builtin" must be a name, got {name!r}')
@@ -272,17 +267,13 @@ def _collection_from_flag(text, base, p, bound):
 def _base_poset(obj):
     """Poset carried by a payload, from its poset or module key."""
     if "poset" in obj:
-        try:
-            return Poset.from_json(obj["poset"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad poset payload: {exc}") from exc
-    if "module" in obj and isinstance(obj["module"], dict):
-        if "poset" in obj["module"]:
-            try:
-                return Poset.from_json(obj["module"]["poset"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InputError(f"bad poset payload: {exc}") from exc
-    return None
+        pj = obj["poset"]
+    elif isinstance(obj.get("module"), dict) and "poset" in obj["module"]:
+        pj = obj["module"]["poset"]
+    else:
+        return None
+    with _input_error("bad poset payload"):
+        return Poset.from_json(pj)
 
 
 # -- rendering ---------------------------------------------------------
@@ -313,11 +304,17 @@ def _diagram_table(diagram, poset):
     return "\n".join(lines) + "\n"
 
 
+def _dot(name, rankdir, body):
+    """A DOT digraph: the frame around its statement lines."""
+    lines = [f"digraph {name} {{", f"  rankdir={rankdir};", *body, "}"]
+    return "\n".join(lines) + "\n"
+
+
 def _diagram_dot(diagram, poset):
     by_elt = {}
     for (d, a), k in diagram.items():
         by_elt.setdefault(a, []).append(f"b{d}={k}")
-    lines = ["digraph betti {", "  rankdir=BT;"]
+    lines = []
     for a in range(poset.n):
         label = poset.names[a]
         if a in by_elt:
@@ -327,8 +324,7 @@ def _diagram_dot(diagram, poset):
             lines.append(f'  n{a} [label="{label}"];')
     for a, b in poset.sorted_covers:
         lines.append(f"  n{a} -> n{b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot("betti", "BT", lines)
 
 
 def _term_counts(gens, names):
@@ -353,16 +349,11 @@ def _render_chain(args, res, poset, dmax, fields):
         sys.stdout.write("\n".join(lines) + "\n")
     elif args.format == "dot":
         total = sum(res.target.dims)
-        lines = [
-            "digraph resolution {",
-            "  rankdir=LR;",
-            f'  M [shape=box, label="target (total dim {total})"];',
-        ]
+        lines = [f'  M [shape=box, label="target (total dim {total})"];']
         for d, term in enumerate(terms):
             lines.append(f'  C{d} [label="{_term_label(d, term)}"];')
             lines.append(f"  C{d} -> {'M' if d == 0 else f'C{d - 1}'};")
-        lines.append("}")
-        sys.stdout.write("\n".join(lines) + "\n")
+        sys.stdout.write(_dot("resolution", "LR", lines))
     else:
         _emit({
             **fields,
@@ -501,10 +492,9 @@ def _cmd_koszul(args):
     m, p = _module_input(args)
     if args.at is None:
         raise InputError("koszul needs --at NAME")
-    try:
-        a = m.poset.index(args.at)
-    except KeyError as exc:
-        raise InputError(f"no element named {args.at!r}") from exc
+    if args.at not in m.poset.names:
+        raise InputError(f"no element named {args.at!r}")
+    a = m.poset.index(args.at)
     k = koszul(m, a)
     names = m.poset.names
     _emit({

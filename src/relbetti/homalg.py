@@ -672,36 +672,23 @@ def global_koszul(f):
                 raise NotSubfunctor(
                     "transitions on the support must be identities"
                 )
-    supp = [i for i in range(poset.n) if f.dims[i] == 1]
-    gens = sorted(poset.min_elements(supp))
-
-    if not gens:
-        c0 = free_on(poset, [], f.p)
-        return Resolution(
-            f, [c0], [()], [zero_nat(c0, f)], minimal=False, complete=True
-        )
-
-    terms = []
-    subsets = []
-    for d in range(len(gens)):
-        subs = list(itertools.combinations(gens, d + 1))
-        joins = [poset.join(s) for s in subs]
-        subsets.append({s: i for i, s in enumerate(subs)})
-        terms.append(free_on(poset, joins, f.p))
-
-    # degree 0 is free on the generators themselves, in order
-    aug_comps = [
-        hstack([f.map(gens[k], x).col(0) for k in at], rows=f.dims[x], p=f.p)
-        for x, at in enumerate(terms[0].generators_at)
-    ]
-    diffs = [NatTransformation(terms[0], f, aug_comps)]
-
-    for d in range(1, len(terms)):
+    # degree 0 is the minimal cover: free on the minimal elements of the
+    # support, in order; degree d - 1 on the joins of their d-subsets
+    cover = minimal_cover(f)
+    gens = cover.source.free_generators
+    terms, diffs = [cover.source], [cover]
+    below = {(g,): i for i, g in enumerate(gens)}
+    for d in range(2, len(gens) + 1):
+        subs = list(itertools.combinations(gens, d))
+        term = free_on(poset, [poset.join(s) for s in subs], f.p)
         coeffs = {}
-        for s, j in subsets[d].items():
-            for i in range(len(s)):
-                t = s[:i] + s[i + 1:]
-                coeffs[(subsets[d - 1][t], j)] = (-1) ** i
-        diffs.append(free_nat(terms[d], terms[d - 1], coeffs))
-    gens = [t.free_generators for t in terms]
-    return Resolution(f, terms, gens, diffs, minimal=False, complete=True)
+        for j, s in enumerate(subs):
+            for i in range(d):
+                coeffs[(below[s[:i] + s[i + 1:]], j)] = (-1) ** i
+        diffs.append(free_nat(term, terms[-1], coeffs))
+        terms.append(term)
+        below = {s: j for j, s in enumerate(subs)}
+    return Resolution(
+        f, terms, [t.free_generators for t in terms], diffs,
+        minimal=False, complete=True,
+    )

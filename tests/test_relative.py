@@ -44,6 +44,7 @@ from relbetti.homalg import (
     identity_nat,
     kernel,
     nat_basis,
+    zero_nat,
 )
 from relbetti.pmod import (
     BettiDiagram,
@@ -351,6 +352,32 @@ class TestRealization:
         lf = realization_map(coll, f)
         lf.check()
         assert lf.source.dims == realization(coll, f.source).dims
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.integers(0, 10**6), st.sampled_from([2, 3]))
+    def test_realization_map_is_a_functor(self, seed, p):
+        rng = np.random.default_rng(seed)
+        coll = lower_hooks(Poset.grid(1, 2), p)
+        l, m, n = (
+            random_module(rng, coll.index, p, max_gens=5) for _ in range(3)
+        )
+
+        def random_nat(src, dst):
+            out = zero_nat(src, dst)
+            for phi in nat_basis(src, dst):
+                c = int(rng.integers(0, p))
+                out = NatTransformation(src, dst, [
+                    a + b.scale(c) for a, b in zip(out.comps, phi.comps)
+                ])
+            return out
+
+        f, g = random_nat(l, m), random_nat(m, n)
+        assert realization_map(coll, g @ f) == (
+            realization_map(coll, g) @ realization_map(coll, f)
+        )
+        assert realization_map(coll, identity_nat(m)) == identity_nat(
+            realization(coll, m)
+        )
 
 
 class TestUnit:

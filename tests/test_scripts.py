@@ -83,10 +83,14 @@ def test_collection_survey_runs():
         ("demo_tables.py", ["--field", "4"]),
         ("route_agreement.py", ["--field", "4"]),
         ("route_agreement.py", ["--dmax", "-1"]),
+        ("route_agreement.py", ["--ambient-n", "0", "--samples", "1"]),
+        ("route_agreement.py", ["--ambient-n", "200", "--samples", "1"]),
+        ("route_agreement.py", ["--seed", "-1"]),
         ("collection_survey.py", ["--field", "4"]),
         ("collection_survey.py", ["--n", "-1"]),
         ("collection_survey.py", ["--r", "-1"]),
         ("collection_survey.py", ["--r", "0"]),
+        ("collection_survey.py", ["--n", "200"]),
     ],
     ids=lambda v: v if isinstance(v, str) else " ".join(v),
 )
