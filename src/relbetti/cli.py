@@ -645,13 +645,10 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         args.fn(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except SizeBoundExceeded as exc:
@@ -664,10 +661,7 @@ def main(argv=None):
             file=sys.stderr,
         )
         return 2
-    except RelbettiError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (RelbettiError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

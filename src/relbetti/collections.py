@@ -102,12 +102,24 @@ def _pair_covers(base, slots, names):
     return covers
 
 
-def _pair_index(base):
-    slots = _pair_slots(base)
+def _pair_index(base, slots=None):
+    """(slots, index) for comparable pairs v <= w of base, named v|w and
+    ordered in both coordinates.  slots default to every such pair,
+    v-major; any given list must be a linear extension."""
+    if slots is None:
+        slots = _pair_slots(base)
     names = _pair_names(base, slots)
     index = Poset.from_covers(names, _pair_covers(base, slots, names))
     assert index.names == tuple(names)
     return slots, index
+
+
+def _hooks(base, slots, p):
+    """The hook members, indicators of up(v) - up(w), one per slot."""
+    return [
+        indicator(base, np.flatnonzero(base.up_mask(v) & ~base.up_mask(w)), p)
+        for v, w in slots
+    ]
 
 
 def lower_hooks(base, p):
@@ -116,10 +128,7 @@ def lower_hooks(base, p):
     kernel generates at the zero member (w, w)."""
     _require_semilattice(base)
     slots, index = _pair_index(base)
-    objs = []
-    for v, w in slots:
-        mask = base.up_mask(v) & ~base.up_mask(w)
-        objs.append(indicator(base, np.flatnonzero(mask), p))
+    objs = _hooks(base, slots, p)
     arrows = _overlap_arrows(index, objs, p)
     claims = {"thin": True, "degeneracy": True}
     return CollectionFunctor(base, index, p, objs, arrows, claims=claims)
@@ -129,32 +138,21 @@ def lower_hooks_inf(base, p):
     """The hook family extended by a free member at every (v, inf) and a
     zero member at the top slot (inf, inf)."""
     _require_semilattice(base)
-    slots = _pair_slots(base)
-    names = _pair_names(base, slots)
     if "inf" in base.names:
         raise ValueError("base element 'inf' would clash with the added "
                          "top slot of the index")
-    names = names + [f"{base.names[v]}|inf" for v in range(base.n)]
-    names.append("inf|inf")
-    covers = _pair_covers(base, slots, names)
-    pos = {s: i for i, s in enumerate(slots)}
-    everything = frozenset(range(base.n))
-    maxima = sorted(base.max_elements(everything))
-    for v in range(base.n):
-        me = f"{base.names[v]}|inf"
-        for v2 in base.parents(v):
-            covers.append((f"{base.names[v2]}|inf", me))
-        for w in maxima:
-            if base.leq(v, w):
-                covers.append((names[pos[(v, w)]], me))
-    for v in maxima:
-        covers.append((f"{base.names[v]}|inf", "inf|inf"))
-    index = Poset.from_covers(names, covers)
-    assert index.names == tuple(names)
-    objs = []
-    for v, w in slots:
-        mask = base.up_mask(v) & ~base.up_mask(w)
-        objs.append(indicator(base, np.flatnonzero(mask), p))
+    slots = _pair_slots(base)
+    inf = base.n
+    maxima = base.max_elements(frozenset(range(base.n)))
+    topped = Poset.from_covers(
+        base.names + ("inf",),
+        [(base.names[a], base.names[b]) for a, b in base.sorted_covers]
+        + [(base.names[v], "inf") for v in sorted(maxima)],
+    )
+    _, index = _pair_index(
+        topped, slots + [(v, inf) for v in range(base.n)] + [(inf, inf)]
+    )
+    objs = _hooks(base, slots, p)
     objs.extend(free(base, v, p) for v in range(base.n))
     objs.append(zero_module(base, p))
     arrows = _overlap_arrows(index, objs, p)
@@ -259,26 +257,13 @@ def spreads_omega(base, p, max_antichains=None):
     incomparable pair."""
     ap = antichain_poset(base, max_antichains)
     bound = antichain_bound(max_antichains)
-    slots = [
-        (a, b) for a in range(ap.n) for b in range(ap.n) if ap.leq(a, b)
-    ]
-    if len(slots) > bound:
+    count = int(ap.leq_matrix.sum())
+    if count > bound:
         raise SizeBoundExceeded(
-            f"{len(slots)} nested-pair slots exceed the bound {bound}"
+            f"{count} nested-pair slots exceed the bound {bound}"
         )
     ups = [base.upset_of(s) for s in ap.antichains]
-    names = [f"{ap.names[a]}|{ap.names[b]}" for a, b in slots]
-    pos = {s: i for i, s in enumerate(slots)}
-    covers = []
-    for a, b in slots:
-        me = names[pos[(a, b)]]
-        for a2 in ap.parents(a):
-            covers.append((names[pos[(a2, b)]], me))
-        for b2 in ap.parents(b):
-            if ap.leq(a, b2):
-                covers.append((names[pos[(a, b2)]], me))
-    index = Poset.from_covers(names, covers)
-    assert index.names == tuple(names)
+    slots, index = _pair_index(ap)
     objs = [indicator(base, ups[a] - ups[b], p) for a, b in slots]
     arrows = _overlap_arrows(index, objs, p)
     return CollectionFunctor(base, index, p, objs, arrows)

@@ -70,8 +70,9 @@ class CollectionFunctor:
     thin/flat/degeneracy statuses for builders whose index posets are too
     large to check directly; the property checks themselves (is_thin,
     is_flat, the degeneracy scan) never consult them, though a thinness
-    claim is trusted as the degeneracy scan's precondition.  The thinness
-    and degeneracy results are cached on the collection.
+    claim is trusted as the degeneracy scan's precondition.  The results
+    of the pairwise scan (thinness and flatness together) and of the
+    degeneracy scan are cached on the collection; no Hom basis is.
     """
 
     def __init__(self, domain, index, p, objs, arrows, claims=None):
@@ -106,7 +107,7 @@ class CollectionFunctor:
             self._arrows[(a, b)] = f
         self.claims = dict(claims or {})
         self._paths = {}
-        self._pairs = {}
+        # (is_thin's result, is_flat's result), from one pairwise scan
         self._thin = None
         self._degeneracy = None
 
@@ -114,7 +115,7 @@ class CollectionFunctor:
         return self._objs[a]
 
     def member_is_zero(self, a):
-        return sum(self._objs[a].dims) == 0
+        return not self._objs[a].support_bits
 
     def arrow(self, a, b):
         return self._arrows[(a, b)]
@@ -137,12 +138,9 @@ class CollectionFunctor:
         return got
 
     def pair_basis(self, a, b):
-        """Chosen basis of the transformations obj(b) -> obj(a), cached."""
-        got = self._pairs.get((a, b))
-        if got is None:
-            got = nat_basis(self._objs[b], self._objs[a])
-            self._pairs[(a, b)] = got
-        return got
+        """Chosen basis of the transformations obj(b) -> obj(a), solved
+        afresh on every call."""
+        return nat_basis(self._objs[b], self._objs[a])
 
     def validate(self):
         """Check path independence of the composite arrows."""
@@ -302,22 +300,17 @@ def _gather(frees, component):
     return out
 
 
-def _nat_module_data(coll, m, member=None):
+def _nat_module_data(coll, m):
     """The hom module of m plus the bases realizing its fibers and their
     free positions.
 
     The fiber at a is the space of transformations obj(a) -> m; the
     transition along an index cover precomposes with the arrow, composing
     only the components that hold free positions of the upper basis.
-    When m is the member at index element `member`, the cached pair bases
-    are reused.
     """
     index = coll.index
     p = coll.p
-    if member is None:
-        bases = [nat_basis(coll.obj(a), m) for a in range(index.n)]
-    else:
-        bases = [coll.pair_basis(member, a) for a in range(index.n)]
+    bases = [nat_basis(coll.obj(a), m) for a in range(index.n)]
     frees = [_free_positions(bas) for bas in bases]
     dims = [len(bas) for bas in bases]
     maps = {}
@@ -436,7 +429,7 @@ def unit(coll, a):
     index = coll.index
     p = coll.p
     src = free(index, a, p)
-    target, _, frees = _nat_module_data(coll, coll.obj(a), member=a)
+    target, _, frees = _nat_module_data(coll, coll.obj(a))
     comps = []
     for b in range(index.n):
         if not index.leq(a, b) or target.dims[b] == 0:
@@ -495,26 +488,34 @@ def is_thin(coll):
     """
     if coll._thin is None:
         coll._thin = _thin_scan(coll)
-    return coll._thin
+    return coll._thin[0]
 
 
 def _thin_scan(coll):
+    """Solve every ordered pair of nonzero members once, a-major, and
+    return (is_thin's result, is_flat's result).  The first comparable
+    pair with no transformation is the flatness witness; when thinness
+    fails, its witness answers both."""
     index = coll.index
+    flat = (True, None)
     for a in range(index.n):
         if coll.member_is_zero(a):
             continue
         for b in range(index.n):
             if coll.member_is_zero(b):
                 continue
-            bas = coll.pair_basis(a, b)
-            if index.leq(a, b):
-                if len(bas) > 1:
-                    return False, (a, b)
-                if len(bas) == 1 and coll.arrow_to(a, b).is_zero():
-                    return False, (a, b)
-            elif bas:
-                return False, (a, b)
-    return True, None
+            dim = len(coll.pair_basis(a, b))
+            if not index.leq(a, b):
+                thin = dim == 0
+            else:
+                if dim == 0 and flat[0]:
+                    flat = (False, (a, b))
+                thin = dim == 0 or (
+                    dim == 1 and not coll.arrow_to(a, b).is_zero()
+                )
+            if not thin:
+                return ((False, (a, b)),) * 2
+    return (True, None), flat
 
 
 def is_flat(coll):
@@ -522,20 +523,11 @@ def is_flat(coll):
 
     Index elements carrying the zero module impose no condition: the unit
     is only required to be invertible where the members do not vanish.
+    Decided by the pass that decides is_thin, which records the first
+    comparable pair with no transformation, and cached with it.
     """
-    thin, witness = is_thin(coll)
-    if not thin:
-        return False, witness
-    index = coll.index
-    for a in range(index.n):
-        if coll.member_is_zero(a):
-            continue
-        for b in range(index.n):
-            if coll.member_is_zero(b) or not index.leq(a, b):
-                continue
-            if not coll.pair_basis(a, b):
-                return False, (a, b)
-    return True, None
+    is_thin(coll)
+    return coll._thin[1]
 
 
 def _claimed_or(coll, key, check):
@@ -555,21 +547,21 @@ def _unit_kernel_generators(coll, a):
     the composite arrow obj(b) -> obj(a) is zero.  By functoriality that
     set is an up-set: b lies in it when a lower cover does, and is a
     generator when it lies in it and no lower cover does.  Only the
-    remaining elements are tested, the cheap way first: a zero member, an
-    empty pair basis the thinness scan already solved (no Hom is solved
-    here), then the arrow itself.
+    remaining elements are tested, the cheap way first: members with
+    disjoint supports, a zero member among them (every transformation
+    between them is zero), then the arrow itself.  No Hom is solved here.
     """
     if coll.member_is_zero(a):
         return [a]
     index = coll.index
+    bits = coll.obj(a).support_bits
     ker = set()
     gens = []
     for b in np.flatnonzero(index.up_mask(a)).tolist():
         if any(c in ker for c in index.parents(b)):
             ker.add(b)
         elif (
-            coll.member_is_zero(b)
-            or not coll._pairs.get((a, b), True)
+            not bits & coll.obj(b).support_bits
             or coll.arrow_to(a, b).is_zero()
         ):
             ker.add(b)

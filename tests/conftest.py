@@ -23,7 +23,10 @@ oracle_join is the numpy join over the order matrix that Poset.join's
 up-set bitsets must match.  oracle_degeneracy builds every unit's hom
 module, its kernel and the kernel's generators; the degeneracy scan in
 relbetti.relative reads the same generators off zero composite arrows
-and must give the same flag, witness and exception.
+and must give the same flag, witness and exception.  oracle_flat runs
+the thinness and flatness loops apart, solving each pair with nat_basis;
+relbetti.relative decides both in one pass and must give the same flag
+and witness.
 """
 import itertools
 
@@ -422,6 +425,30 @@ def oracle_degeneracy(coll):
         supp = [b for b in range(index.n) if gens[b]]
         for b in sorted(index.sublattice_closure(supp)):
             if not coll.member_is_zero(b):
+                return False, (a, b)
+    return True, None
+
+
+def oracle_flat(coll):
+    """Flatness as two plain loops over nat_basis: the thinness
+    conditions pair by pair, then a nonzero Hom at every comparable pair
+    of nonzero members.  Same (flag, witness) as
+    relbetti.relative.is_flat; reads no cached result."""
+    from relbetti.homalg import nat_basis
+
+    index = coll.index
+    nonzero = [a for a in range(index.n) if sum(coll.obj(a).dims)]
+    for a in nonzero:
+        for b in nonzero:
+            dim = len(nat_basis(coll.obj(b), coll.obj(a)))
+            if index.leq(a, b):
+                if dim > 1 or (dim == 1 and coll.arrow_to(a, b).is_zero()):
+                    return False, (a, b)
+            elif dim:
+                return False, (a, b)
+    for a in nonzero:
+        for b in nonzero:
+            if index.leq(a, b) and not nat_basis(coll.obj(b), coll.obj(a)):
                 return False, (a, b)
     return True, None
 

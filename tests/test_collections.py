@@ -390,6 +390,12 @@ class TestPairNameConstraints:
         with pytest.raises(ValueError, match=r"'x\|y'"):
             build(base, 2)
 
+    def test_separator_in_a_base_name_is_refused_by_spreads_omega(self):
+        # its index names pair antichain names, which hold the base names
+        base = Poset.from_covers(["a", "x|y"], [("a", "x|y")])
+        with pytest.raises(ValueError, match=r"'\{x\|y\}'"):
+            spreads_omega(base, 2)
+
     def test_inf_base_name_is_refused_by_lower_hooks_inf(self):
         base = Poset.from_covers(["a", "inf"], [("a", "inf")])
         with pytest.raises(ValueError, match="'inf'"):
