@@ -248,46 +248,55 @@ def _cover_presentation(f):
 
 
 def _presentation(f):
-    """(generators, relations, push-out) of a presentation P1 -> P0 -> f.
+    """(generators, relations, push-out, generator bits) of a presentation
+    P1 -> P0 -> f.
 
     generators lists the elements of P0's summands.  A relation (e, terms)
     is a generator of P1 at e, sent to the sum of c times generator i
     over its (i, c) terms.  pushout[x] lists (i, s) with s the row of
-    f(x) that a pointwise section puts on generator i's image.  Cached
+    f(x) that a pointwise section puts on generator i's image.  The
+    generator bits are the bitset of the generators' elements.  Cached
     on f.
     """
     if f._presentation is None:
         inside = _indicator_support(f)
         if inside is not None:
-            f._presentation = _indicator_presentation(f, inside)
+            gens, relations, pushout = _indicator_presentation(f, inside)
         else:
-            f._presentation = _cover_presentation(f)
+            gens, relations, pushout = _cover_presentation(f)
+        bits = 0
+        for m in gens:
+            bits |= 1 << m
+        f._presentation = gens, relations, pushout, bits
     return f._presentation
 
 
-def nat_basis(f, g):
-    """Deterministic basis of the space of natural transformations f -> g.
+def generator_elements(f):
+    """The elements carrying a generator of f, ascending and without
+    repetition: a transformation out of f is zero exactly when its
+    components there are."""
+    return _bits(_presentation(f)[3])
 
-    With a presentation P1 -> P0 -> f (cached on f), Hom(f, g) is the
-    kernel of Hom(P0, g) -> Hom(P1, g): one unknown vector in g at every
-    generator, one block of equations per relation.  Each kernel vector
-    is pushed out over f's support and the span is brought to the form
-    kernel_basis gives the naturality system over all components in
-    their row-major vectorization: the reduced echelon basis in reversed
-    column order, so each vector's last nonzero is a 1 where the others
-    are 0 (its free position).
+
+def _hom_system(f, g):
+    """The relation system of Hom(f, g) at f's cached presentation, or
+    None when g vanishes at every generator of f (so Hom(f, g) = 0).
+
+    Hom(f, g) is the kernel of Hom(P0, g) -> Hom(P1, g): one block of
+    unknowns in g at every generator (offs[i]:offs[i + 1] for generator
+    i), one block of equations per relation.  Returns (generators,
+    push-out, offs, system), with system None when no relation lands in
+    a nonzero space of g.
     """
     poset = f.poset
     if poset is not g.poset and poset != g.poset:
         raise ValueError("modules live on different posets")
-    gens, relations, pushout = _presentation(f)
+    gens, relations, pushout, bits = _presentation(f)
+    if not g.support_bits & bits:
+        return None
     gdims = g.dims
-    sizes = [gdims[m] for m in gens]
-    if not any(sizes):
-        # every generator lands in a zero space
-        return []
     p = f.p
-    offs = [0, *itertools.accumulate(sizes)]
+    offs = [0, *itertools.accumulate(gdims[m] for m in gens)]
     width = offs[-1]
     blocks = []
     for e, terms in relations:
@@ -295,16 +304,49 @@ def nat_basis(f, g):
             continue
         block = np.zeros((gdims[e], width), dtype=np.int64)
         for i, c in terms:
-            if sizes[i]:
+            if offs[i] < offs[i + 1]:
                 cols = slice(offs[i], offs[i + 1])
                 block[:, cols] = (block[:, cols] + c * g.map(gens[i], e).a) % p
         blocks.append(block)
-    if blocks:
-        # reduced mod p, under the modulus g's maps have checked
-        system = Matrix._trusted(np.concatenate(blocks, axis=0), p)
-        sol = kernel_basis(system)
+    # reduced mod p, under the modulus g's maps have checked
+    system = (
+        Matrix._trusted(np.concatenate(blocks, axis=0), p) if blocks else None
+    )
+    return gens, pushout, offs, system
+
+
+def hom_dim(f, g):
+    """dim Hom(f, g): the unknowns of nat_basis's system less its rank,
+    with no push-out and no canonical form."""
+    built = _hom_system(f, g)
+    if built is None:
+        return 0
+    _, _, offs, system = built
+    return offs[-1] - (0 if system is None else rank(system))
+
+
+def nat_basis(f, g):
+    """Deterministic basis of the space of natural transformations f -> g.
+
+    The kernel of _hom_system's relation system (the system hom_dim reads
+    the dimension of) gives one vector in g at every generator of f.
+    Each kernel vector is pushed out over f's support and the span is
+    brought to the form kernel_basis gives the naturality system over all
+    components in their row-major vectorization: the reduced echelon
+    basis in reversed column order, so each vector's last nonzero is a 1
+    where the others are 0 (its free position).
+    """
+    built = _hom_system(f, g)
+    if built is None:
+        return []
+    gens, pushout, offs, system = built
+    poset = f.poset
+    gdims = g.dims
+    p = f.p
+    if system is None:
+        sol = cached_identity(offs[-1], p)
     else:
-        sol = cached_identity(width, p)
+        sol = kernel_basis(system)
     k = sol.cols
     if not k:
         return []
@@ -315,7 +357,7 @@ def nat_basis(f, g):
             continue
         acc = np.zeros((k, gdims[x], f.dims[x]), dtype=np.int64)
         for i, s in terms:
-            if sizes[i]:
+            if offs[i] < offs[i + 1]:
                 img = (g.map(gens[i], x) @ sol.take_rows(
                     range(offs[i], offs[i + 1]))).a
                 acc = (acc + img.T[:, :, None] * s) % p

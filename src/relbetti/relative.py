@@ -38,7 +38,8 @@ from relbetti.homalg import (
     Resolution,
     betti_koszul,
     cokernel,
-    identity_nat,
+    generator_elements,
+    hom_dim,
     is_exact,
     koszul_table,
     minimal_cover,
@@ -65,14 +66,18 @@ class CollectionFunctor:
     objs[a] is the member at index element a.  arrows[(a, b)], for a cover
     a < b of the index poset, is a NatTransformation objs[b] -> objs[a];
     omitted arrows default to zero.  Composite arrows are derived along
-    canonical cover chains and cached; validate() confirms the composites
-    are path independent.  `claims` may record externally justified
-    thin/flat/degeneracy statuses for builders whose index posets are too
-    large to check directly; the property checks themselves (is_thin,
-    is_flat, the degeneracy scan) never consult them, though a thinness
-    claim is trusted as the degeneracy scan's precondition.  The results
-    of the pairwise scan (thinness and flatness together) and of the
-    degeneracy scan are cached on the collection; no Hom basis is.
+    canonical cover chains one base element at a time, and their
+    components are the collection's one composite cache: arrow_to
+    assembles whole arrows from it, and the property scans read it only
+    at the source member's generators.  validate() confirms the
+    composites are path independent.  `claims` may record externally
+    justified thin/flat/degeneracy statuses for builders whose index
+    posets are too large to check directly; the property checks
+    themselves (is_thin, is_flat, the degeneracy scan) never consult
+    them, though a thinness claim is trusted as the degeneracy scan's
+    precondition.  The results of the pairwise scan (thinness and
+    flatness together) and of the degeneracy scan are cached on the
+    collection; no Hom basis or dimension is.
     """
 
     def __init__(self, domain, index, p, objs, arrows, claims=None):
@@ -106,7 +111,9 @@ class CollectionFunctor:
                 )
             self._arrows[(a, b)] = f
         self.claims = dict(claims or {})
-        self._paths = {}
+        # (a, b) -> the composite arrow's components, one slot per base
+        # element, filled on first use
+        self._composites = {}
         # (is_thin's result, is_flat's result), from one pairwise scan
         self._thin = None
         self._degeneracy = None
@@ -121,25 +128,48 @@ class CollectionFunctor:
         return self._arrows[(a, b)]
 
     def arrow_to(self, a, b):
-        """Composite arrow obj(b) -> obj(a) for a <= b in the index."""
+        """Composite arrow obj(b) -> obj(a) for a <= b in the index,
+        assembled from the cached components."""
         if not self.index.leq(a, b):
             raise ValueError(
                 f"{self.index.names[a]!r} is not below {self.index.names[b]!r}"
             )
+        return NatTransformation(
+            self._objs[b], self._objs[a],
+            [self._component(a, b, x) for x in range(self.domain.n)],
+        )
+
+    def _component(self, a, b, x):
+        """Component at base element x of the composite arrow
+        obj(b) -> obj(a), a <= b, along the canonical cover chain."""
+        da, db = self._objs[a].dims[x], self._objs[b].dims[x]
         if a == b:
-            return identity_nat(self._objs[a])
-        got = self._paths.get((a, b))
+            return cached_identity(da, self.p)
+        if not da or not db:
+            return cached_zeros(da, db, self.p)
+        row = self._composites.get((a, b))
+        if row is None:
+            row = self._composites[(a, b)] = [None] * self.domain.n
+        got = row[x]
         if got is None:
             c = next(
                 c for c in self.index.children(a) if self.index.leq(c, b)
             )
-            got = self.arrow(a, c) @ self.arrow_to(c, b)
-            self._paths[(a, b)] = got
+            got = row[x] = self.arrow(a, c).comps[x] @ self._component(c, b, x)
         return got
+
+    def _arrow_is_zero(self, a, b):
+        """Whether the composite arrow obj(b) -> obj(a), a <= b, is zero:
+        a transformation is zero exactly when it is zero at its source's
+        generators, so only those components are composed."""
+        return all(
+            self._component(a, b, x).is_zero()
+            for x in generator_elements(self._objs[b])
+        )
 
     def pair_basis(self, a, b):
         """Chosen basis of the transformations obj(b) -> obj(a), solved
-        afresh on every call."""
+        afresh on every call.  The property scans read only hom_dim."""
         return nat_basis(self._objs[b], self._objs[a])
 
     def validate(self):
@@ -435,7 +465,7 @@ def unit(coll, a):
         if not index.leq(a, b) or target.dims[b] == 0:
             comps.append(cached_zeros(target.dims[b], src.dims[b], p))
             continue
-        coords = _gather(frees[b], coll.arrow_to(a, b).component)
+        coords = _gather(frees[b], lambda x: coll._component(a, b, x))
         comps.append(Matrix._trusted(coords, p))
     return NatTransformation(src, target, comps)
 
@@ -483,8 +513,9 @@ def is_thin(coll):
 
     Between members at comparable index elements the transformation space
     must be spanned by the composite arrow; between incomparable ones (in
-    either failing direction) it must vanish.  Returns (flag, witness);
-    the result is cached on the collection.
+    either failing direction) it must vanish.  Only Hom dimensions are
+    read, and arrows are tested at generators (_thin_scan).  Returns
+    (flag, witness); the result is cached on the collection.
     """
     if coll._thin is None:
         coll._thin = _thin_scan(coll)
@@ -492,10 +523,13 @@ def is_thin(coll):
 
 
 def _thin_scan(coll):
-    """Solve every ordered pair of nonzero members once, a-major, and
-    return (is_thin's result, is_flat's result).  The first comparable
-    pair with no transformation is the flatness witness; when thinness
-    fails, its witness answers both."""
+    """Read the Hom dimension of every ordered pair of nonzero members
+    once, a-major, and return (is_thin's result, is_flat's result).
+
+    A comparable pair of dimension 1 is thin when its composite arrow is
+    nonzero, which is tested at the source member's generators only.
+    The first comparable pair with no transformation is the flatness
+    witness; when thinness fails, its witness answers both."""
     index = coll.index
     flat = (True, None)
     for a in range(index.n):
@@ -504,14 +538,14 @@ def _thin_scan(coll):
         for b in range(index.n):
             if coll.member_is_zero(b):
                 continue
-            dim = len(coll.pair_basis(a, b))
+            dim = hom_dim(coll.obj(b), coll.obj(a))
             if not index.leq(a, b):
                 thin = dim == 0
             else:
                 if dim == 0 and flat[0]:
                     flat = (False, (a, b))
                 thin = dim == 0 or (
-                    dim == 1 and not coll.arrow_to(a, b).is_zero()
+                    dim == 1 and not coll._arrow_is_zero(a, b)
                 )
             if not thin:
                 return ((False, (a, b)),) * 2
@@ -549,7 +583,8 @@ def _unit_kernel_generators(coll, a):
     generator when it lies in it and no lower cover does.  Only the
     remaining elements are tested, the cheap way first: members with
     disjoint supports, a zero member among them (every transformation
-    between them is zero), then the arrow itself.  No Hom is solved here.
+    between them is zero), then the arrow at obj(b)'s generators.  No Hom
+    is solved and no whole arrow is composed here.
     """
     if coll.member_is_zero(a):
         return [a]
@@ -562,7 +597,7 @@ def _unit_kernel_generators(coll, a):
             ker.add(b)
         elif (
             not bits & coll.obj(b).support_bits
-            or coll.arrow_to(a, b).is_zero()
+            or coll._arrow_is_zero(a, b)
         ):
             ker.add(b)
             gens.append(b)
@@ -576,8 +611,8 @@ def degeneracy_hypothesis(coll):
     closed under joins, must land where the collection vanishes.  That
     kernel is supported on {b >= a : arrow_to(a, b) is zero}, and it is
     generated at the elements of that set with no lower cover in it, so
-    no hom module is built.  Returns (flag, witness); the result is cached
-    on the collection.
+    no hom module is built and arrows are composed only at generators.
+    Returns (flag, witness); the result is cached on the collection.
 
     The scan is only meaningful over a thin collection, so thinness is a
     precondition, not part of the answer: a recorded thinness claim is

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    indicator_hom_dim,
     longest_chain,
     oracle_coords,
     oracle_koszul,
@@ -15,7 +16,15 @@ from conftest import (
     random_semilattice,
     tampered_chain,
 )
-from relbetti.collections import lower_hooks, rectangles_grid
+from relbetti.collections import (
+    all_subfunctors,
+    lower_hooks,
+    lower_hooks_inf,
+    rectangles_grid,
+    rectangles_naive,
+    single_source_omega0,
+    spreads_omega,
+)
 from relbetti.errors import (
     FunctorialityViolation,
     MeetHypothesisFailed,
@@ -46,7 +55,9 @@ from relbetti.homalg import (
     betti_koszul,
     cokernel,
     free_nat,
+    generator_elements,
     global_koszul,
+    hom_dim,
     identity_nat,
     image,
     is_exact,
@@ -58,6 +69,7 @@ from relbetti.homalg import (
     section_of,
     zero_nat,
 )
+from relbetti.homalg import _indicator_support
 from relbetti.poset import Poset
 from relbetti.relative import _free_positions, _gather
 
@@ -770,6 +782,81 @@ def test_nat_basis_matches_oracle_on_grid_collections():
                 basis = nat_basis(f, g)
                 _assert_same_basis(basis, oracle_nat_basis(f, g), f, g)
                 _assert_gather_matches(rng, basis, f, g, 2)
+
+
+class TestHomDim:
+    """hom_dim reads the rank of nat_basis's relation system; the basis
+    is its oracle, and an independent count is the oracle of both: the
+    connected components of overlapping supports between indicators,
+    the naturality system over all components otherwise."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        k=st.integers(2, 4),
+        build=st.sampled_from([
+            lower_hooks, lower_hooks_inf, rectangles_naive,
+            single_source_omega0, spreads_omega, all_subfunctors,
+        ]),
+        p=st.sampled_from([2, 3, 5]),
+    )
+    def test_member_pairs_of_indicator_builders(self, seed, k, build, p):
+        rng = np.random.default_rng(seed)
+        base = random_semilattice(rng, Poset.grid(2, 2), k)
+        coll = build(base, p)
+        members = [coll.obj(a) for a in range(coll.index.n)]
+        for f in members:
+            for g in members:
+                dim = hom_dim(f, g)
+                assert dim == len(nat_basis(f, g))
+                assert dim == indicator_hom_dim(f, g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["covers", "semilattice"]),
+        p=st.sampled_from([2, 3, 5]),
+        target=st.sampled_from(KINDS),
+    )
+    def test_cover_presentations(self, seed, kind, p, target):
+        rng = np.random.default_rng(seed)
+        if kind == "covers":
+            names, covers, _ = random_poset_covers(
+                rng, int(rng.integers(2, 8))
+            )
+            poset = Poset.from_covers(
+                names, [(names[i], names[j]) for i, j in covers]
+            )
+        else:
+            poset = random_semilattice(
+                rng, Poset.grid(3, 2), int(rng.integers(2, 6))
+            )
+        f = random_module(rng, poset, p)
+        while _indicator_support(f) is not None:
+            f = random_module(rng, poset, p)
+        g = _hom_source(rng, poset, p, target)
+        for a, b in ((f, g), (g, f), (f, f)):
+            dim = hom_dim(a, b)
+            assert dim == len(nat_basis(a, b))
+            assert dim == len(oracle_nat_basis(a, b))
+
+    def test_zero_when_target_vanishes_at_generators(self):
+        p = diamond()
+        fx = free(p, p.index("x"), 2)
+        assert generator_elements(fx) == [p.index("x")]
+        # y's free module lives on {y, top}: nonzero, but not at x
+        fy = free(p, p.index("y"), 2)
+        assert hom_dim(fx, fy) == 0
+        assert hom_dim(fy, fx) == 0
+        assert hom_dim(fx, fx) == 1
+        assert hom_dim(constant(p, 2), zero_module(p, 2)) == 0
+
+    def test_generator_elements_of_a_cover_presentation(self):
+        p = diamond()
+        f = direct_sum(p, 2, [(free(p, p.index("x"), 2), 2),
+                              (free(p, p.index("y"), 2), 1)])
+        assert _indicator_support(f) is None
+        assert generator_elements(f) == [p.index("x"), p.index("y")]
 
 
 class TestGlobalKoszul:

@@ -42,6 +42,7 @@ from relbetti.homalg import (
     NatTransformation,
     Resolution,
     betti,
+    generator_elements,
     identity_nat,
     kernel,
     nat_basis,
@@ -206,6 +207,16 @@ def split_pair_collection(p=2):
     )
 
 
+_INDICATOR_BUILDERS = [
+    lower_hooks,
+    lower_hooks_inf,
+    rectangles_naive,
+    single_source_omega0,
+    spreads_omega,
+    all_subfunctors,
+]
+
+
 class TestCollectionFunctor:
     def test_interval_fixture_validates(self):
         coll = interval_collection(chain(3))
@@ -257,6 +268,39 @@ class TestCollectionFunctor:
         assert coll.arrow_to(lo, lo) == identity_nat(coll.obj(lo))
         mid = index.index("0|2")
         assert rank(coll.arrow_to(lo, mid).component(0)) == 1
+
+    def test_arrow_zero_at_generators_only(self):
+        # obj(1) is generated at "0,1" and "1,0"; the arrow to obj(0), the
+        # indicator of "1,0", is nonzero only at the second generator
+        base = Poset.grid(1, 2)
+        index = chain(2)
+        top = one_dim(base, {base.index("0,1"), base.index("1,0"),
+                             base.index("1,1")})
+        low = one_dim(base, {base.index("1,0")})
+        coll = CollectionFunctor(base, index, 2, [low, top],
+                                 {(0, 1): overlap_nat(top, low).check()})
+        assert generator_elements(top) == [base.index("0,1"),
+                                           base.index("1,0")]
+        assert not coll.arrow_to(0, 1).is_zero()
+        assert not coll._arrow_is_zero(0, 1)
+        assert not coll._arrow_is_zero(0, 0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        k=st.integers(2, 4),
+        build=st.sampled_from(_INDICATOR_BUILDERS),
+        p=st.sampled_from([2, 3]),
+    )
+    def test_arrow_zero_test_matches_whole_arrows(self, seed, k, build, p):
+        rng = np.random.default_rng(seed)
+        base = random_semilattice(rng, Poset.grid(2, 2), k)
+        coll = build(base, p)
+        index = coll.index
+        for a in range(index.n):
+            for b in np.flatnonzero(index.up_mask(a)).tolist():
+                assert (coll._arrow_is_zero(a, b)
+                        == coll.arrow_to(a, b).is_zero())
 
     def test_incomparable_arrow_rejected(self):
         coll = split_pair_collection()
@@ -509,16 +553,6 @@ def _agrees_with_oracle(coll):
     return got
 
 
-_INDICATOR_BUILDERS = [
-    lower_hooks,
-    lower_hooks_inf,
-    rectangles_naive,
-    single_source_omega0,
-    spreads_omega,
-    all_subfunctors,
-]
-
-
 class TestDegeneracyOracle:
     """The scan reads unit kernels off zero composite arrows; the oracle
     builds every unit's hom module, kernel and generators."""
@@ -603,38 +637,62 @@ class TestFlatOracle:
         assert is_flat(coll) == oracle_flat(coll)
 
 
+def _count_solves(monkeypatch):
+    """Count the Hom solves the relative module makes, through nat_basis,
+    hom_dim and pair_basis."""
+    calls = {"nat_basis": 0, "hom_dim": 0, "pair_basis": 0}
+    for owner, name in ((relbetti.relative, "nat_basis"),
+                        (relbetti.relative, "hom_dim"),
+                        (CollectionFunctor, "pair_basis")):
+        real = getattr(owner, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 class TestThinnessCache:
     @pytest.mark.parametrize("first", [is_thin, is_flat, degeneracy_hypothesis])
     def test_second_scans_solve_nothing(self, first, monkeypatch):
-        calls = {"nat_basis": 0, "pair_basis": 0}
-        real_nat = relbetti.relative.nat_basis
-        real_pair = CollectionFunctor.pair_basis
-
-        def counted_nat(f, g):
-            calls["nat_basis"] += 1
-            return real_nat(f, g)
-
-        def counted_pair(coll, a, b):
-            calls["pair_basis"] += 1
-            return real_pair(coll, a, b)
-
-        monkeypatch.setattr(relbetti.relative, "nat_basis", counted_nat)
-        monkeypatch.setattr(CollectionFunctor, "pair_basis", counted_pair)
+        calls = _count_solves(monkeypatch)
         coll = lower_hooks(Poset.grid(2, 2), 2)
         coll.claims = {}
         first(coll)
-        assert calls["nat_basis"] > 0
+        assert sum(calls.values()) > 0
         # every scan runs the thinness scan first, and its result is kept
-        calls.update(nat_basis=0, pair_basis=0)
+        none = dict.fromkeys(calls, 0)
+        calls.update(none)
         thin = is_thin(coll)
-        assert calls == {"nat_basis": 0, "pair_basis": 0}
+        assert calls == none
         # after that scan nothing solves Hom: is_flat reads its result and
         # the degeneracy scan tests supports, then arrows
         for fn in (is_thin, is_flat, degeneracy_hypothesis):
             for _ in range(2):
                 fn(coll)
-                assert calls == {"nat_basis": 0, "pair_basis": 0}, fn.__name__
+                assert calls == none, fn.__name__
         assert is_thin(coll) is thin
+
+    def test_claimed_thin_degeneracy_composes_no_whole_arrow(
+            self, monkeypatch):
+        calls = _count_solves(monkeypatch)
+        for name in ("arrow_to", "__matmul__"):
+            owner = (CollectionFunctor if name == "arrow_to"
+                     else NatTransformation)
+            real = getattr(owner, name)
+
+            def counted(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+
+            calls[name] = 0
+            monkeypatch.setattr(owner, name, counted)
+        coll = lower_hooks(Poset.grid(3, 2), 2)
+        coll.claims = {"thin": True}
+        assert degeneracy_hypothesis(coll) == (True, None)
+        assert calls == dict.fromkeys(calls, 0)
 
 
 class TestRelativeCover:
