@@ -12,7 +12,6 @@ property its collection does not have.
 
 import argparse
 import time
-from dataclasses import dataclass
 
 from relbetti.collections import (
     all_subfunctors,
@@ -27,13 +26,6 @@ from relbetti.errors import SizeBoundExceeded
 from relbetti.fieldlin import check_modulus
 from relbetti.poset import Poset, parse_nonnegative
 from relbetti.relative import degeneracy_hypothesis, is_flat, is_thin
-
-
-@dataclass
-class Config:
-    n: int = 1
-    r: int = 2
-    p: int = 2
 
 
 def timed(fn, *args):
@@ -87,22 +79,20 @@ def main():
     args = ap.parse_args()
     if args.r < 1:
         ap.error("--r must be at least 1")
-    cfg = Config(args.n, args.r, args.field)
-
     try:
-        g = Poset.grid(cfg.n, cfg.r)
+        g = Poset.grid(args.n, args.r)
     except SizeBoundExceeded as exc:
-        ap.error(f"--n {cfg.n} with --r {cfg.r}: {exc}")
-    print(f"base grid: {g.n} elements, GF({cfg.p})")
+        ap.error(f"--n {args.n} with --r {args.r}: {exc}")
+    print(f"base grid: {g.n} elements, GF({args.field})")
 
-    survey("lower_hooks", lower_hooks(g, cfg.p))
-    survey("lower_hooks_inf", lower_hooks_inf(g, cfg.p))
-    survey("rectangles_naive", rectangles_naive(g, cfg.p))
-    if cfg.r == 2:
-        survey("rectangles_grid", rectangles_grid(cfg.n, 2, cfg.p))
-    survey("single_source_omega0", single_source_omega0(g, cfg.p))
-    survey("spreads_omega", spreads_omega(g, cfg.p))
-    survey("all_subfunctors", all_subfunctors(g, cfg.p))
+    survey("lower_hooks", lower_hooks(g, args.field))
+    survey("lower_hooks_inf", lower_hooks_inf(g, args.field))
+    survey("rectangles_naive", rectangles_naive(g, args.field))
+    if args.r == 2:
+        survey("rectangles_grid", rectangles_grid(args.n, 2, args.field))
+    survey("single_source_omega0", single_source_omega0(g, args.field))
+    survey("spreads_omega", spreads_omega(g, args.field))
+    survey("all_subfunctors", all_subfunctors(g, args.field))
 
 
 if __name__ == "__main__":

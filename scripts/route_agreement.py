@@ -14,7 +14,6 @@ import argparse
 import math
 import statistics
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,16 +48,6 @@ def prime(text):
     return check_modulus(int(text))
 
 
-@dataclass
-class Config:
-    samples: int = 100
-    seed: int = 0
-    p: int = 2
-    ambient_n: int = 2
-    relative: str = ""
-    dmax: int = 8
-
-
 def random_free_map(rng, poset, p, n_dst, n_src):
     gens_dst = sorted(int(g) for g in rng.integers(0, poset.n, n_dst))
     gens_src = sorted(int(g) for g in rng.integers(0, poset.n, n_src))
@@ -88,14 +77,14 @@ def random_semilattice(rng, ambient):
     return Poset.from_order(names, leq)
 
 
-def standard_run(cfg):
-    rng = np.random.default_rng(cfg.seed)
-    ambient = Poset.grid(cfg.ambient_n, 2)
+def standard_run(args):
+    rng = np.random.default_rng(args.seed)
+    ambient = Poset.grid(args.ambient_n, 2)
     agree = 0
     res_times, kos_times = [], []
-    for i in range(cfg.samples):
+    for i in range(args.samples):
         j = random_semilattice(rng, ambient)
-        m = random_module(rng, j, cfg.p)
+        m = random_module(rng, j, args.field)
         dmax = j.n + 1
         t0 = time.perf_counter()
         via_res = minimal_resolution(m, dmax).multiplicities()
@@ -107,23 +96,23 @@ def standard_run(cfg):
         if via_res == via_kos:
             agree += 1
         else:
-            print(f"DISAGREE sample {i}: seed={cfg.seed} "
+            print(f"DISAGREE sample {i}: seed={args.seed} "
                   f"res={dict(via_res.items())} kos={dict(via_kos.items())}")
     return agree, res_times, kos_times
 
 
-def relative_run(cfg):
-    rng = np.random.default_rng(cfg.seed)
+def relative_run(args):
+    rng = np.random.default_rng(args.seed)
     g = Poset.grid(3, 2)
-    coll = BUILDERS[cfg.relative](g, cfg.p)
+    coll = BUILDERS[args.relative](g, args.field)
     agree = 0
     res_times, kos_times = [], []
-    for i in range(cfg.samples):
-        m = random_module(rng, g, cfg.p)
+    for i in range(args.samples):
+        m = random_module(rng, g, args.field)
         t0 = time.perf_counter()
-        res = relative_minimal_resolution(coll, m, cfg.dmax)
+        res = relative_minimal_resolution(coll, m, args.dmax)
         t1 = time.perf_counter()
-        kos = relative_betti_diagram(coll, m, cfg.dmax)
+        kos = relative_betti_diagram(coll, m, args.dmax)
         t2 = time.perf_counter()
         res_times.append(t1 - t0)
         kos_times.append(t2 - t1)
@@ -165,16 +154,13 @@ def main():
         Poset.grid(args.ambient_n, 2)
     except SizeBoundExceeded as exc:
         ap.error(f"--ambient-n {args.ambient_n}: {exc}")
-    cfg = Config(args.samples, args.seed, args.field, args.ambient_n,
-                 args.relative, args.dmax)
-
-    if cfg.relative:
-        agree, res_t, kos_t = relative_run(cfg)
-        what = f"relative routes ({cfg.relative})"
+    if args.relative:
+        agree, res_t, kos_t = relative_run(args)
+        what = f"relative routes ({args.relative})"
     else:
-        agree, res_t, kos_t = standard_run(cfg)
+        agree, res_t, kos_t = standard_run(args)
         what = "standard routes"
-    print(f"{what}: {agree}/{cfg.samples} agree, GF({cfg.p})")
+    print(f"{what}: {agree}/{args.samples} agree, GF({args.field})")
     summarize("resolution", res_t)
     summarize("koszul    ", kos_t)
 

@@ -279,10 +279,6 @@ def _base_poset(obj):
 # -- rendering ---------------------------------------------------------
 
 
-def _diagram_entries(diagram, poset):
-    return diagram.to_json(poset)["betti"]
-
-
 def _diagram_table(diagram, poset):
     top = diagram.max_degree()
     if top < 0:
@@ -327,13 +323,6 @@ def _diagram_dot(diagram, poset):
     return _dot("betti", "BT", lines)
 
 
-def _term_counts(gens, names):
-    counts = {}
-    for g in gens:
-        counts[g] = counts.get(g, 0) + 1
-    return [{"at": names[g], "mult": counts[g]} for g in sorted(counts)]
-
-
 def _term_label(d, term):
     parts = [
         e["at"] if e["mult"] == 1 else f'{e["at"]}^{e["mult"]}' for e in term
@@ -343,7 +332,12 @@ def _term_label(d, term):
 
 def _render_chain(args, res, poset, dmax, fields):
     """Write a resolution's terms; its JSON form adds fields."""
-    terms = [_term_counts(gens, poset.names) for gens in res.generators]
+    mults = res.multiplicities()
+    terms = [
+        [{"at": poset.names[a], "mult": k}
+         for a, k in sorted(mults.degree(d).items())]
+        for d in range(len(res.generators))
+    ]
     if args.format == "table":
         lines = [_term_label(d, term) for d, term in enumerate(terms)]
         sys.stdout.write("\n".join(lines) + "\n")
@@ -361,9 +355,7 @@ def _render_chain(args, res, poset, dmax, fields):
             "dmax": dmax,
             "length": res.length,
             "minimal": res.minimal,
-            "multiplicities": {
-                "betti": _diagram_entries(res.multiplicities(), poset)
-            },
+            "multiplicities": mults.to_json(poset),
             "terms": terms,
         })
 
@@ -373,7 +365,7 @@ def _render_diagram(args, diagram, poset, dmax, fields):
     if args.format == "json":
         _emit({
             **fields,
-            "betti": _diagram_entries(diagram, poset),
+            "betti": diagram.to_json(poset)["betti"],
             "dmax": dmax,
             "method": args.method,
         })

@@ -14,8 +14,6 @@ the computation gates do not have to re-derive them on large index
 posets; the honest checks ignore claims, and the test suite confirms the
 two agree wherever the honest check is affordable.
 """
-import itertools
-
 import numpy as np
 
 from relbetti.errors import NotSemilattice, SizeBoundExceeded
@@ -32,6 +30,7 @@ from relbetti.poset import (
     antichain_bound,
     antichain_name,
     antichain_poset,
+    antichains_within,
 )
 from relbetti.relative import CollectionFunctor
 
@@ -196,27 +195,16 @@ def _upset_slots(base, bound):
 
     Upsets inside up(v) are enumerated through their antichains of
     minimal elements, all of which lie in up(v)."""
-    comparable = base.leq_matrix | base.leq_matrix.T
     slots = []
-
-    def extend(v, allowed, current, start, acc):
-        for i in range(start, len(allowed)):
-            e = allowed[i]
-            if all(not comparable[x, e] for x in current):
-                nxt = current + [e]
-                acc.append(frozenset(nxt))
-                if len(slots) + len(acc) > bound:
-                    raise SizeBoundExceeded(
-                        f"more than {bound} upset slots; raise the bound via "
-                        "RELBETTI_MAX_ANTICHAINS or max_antichains"
-                    )
-                extend(v, allowed, nxt, i + 1, acc)
-
     for v in range(base.n):
-        allowed = sorted(base.up(v))
-        acc = [frozenset()]
-        extend(v, allowed, [], 0, acc)
-        slots.extend((v, base.upset_of(s)) for s in acc)
+        slots.append((v, frozenset()))
+        for s in antichains_within(base, sorted(base.up(v))):
+            slots.append((v, base.upset_of(s)))
+            if len(slots) > bound:
+                raise SizeBoundExceeded(
+                    f"more than {bound} upset slots; raise the bound via "
+                    "RELBETTI_MAX_ANTICHAINS or max_antichains"
+                )
     slots.sort(key=lambda s: (s[0], -len(s[1]), tuple(sorted(s[1]))))
     return slots
 
@@ -303,21 +291,10 @@ def translated(base, translations, p):
         for t in tset:
             if s != t and all(a <= b for a, b in zip(s, t)):
                 raise ValueError("translation set is not an antichain")
-    bounds = [n - max(t[i] for t in tset) for i in range(r)]
-    coords = list(itertools.product(*(range(b + 1) for b in bounds)))
-    names = [",".join(str(c) for c in v) for v in coords]
-    pos = {v: i for i, v in enumerate(coords)}
-    covers = []
-    for v in coords:
-        for i in range(r):
-            if v[i] < bounds[i]:
-                w = v[:i] + (v[i] + 1,) + v[i + 1:]
-                covers.append((names[pos[v]], names[pos[w]]))
-    index = Poset.from_covers(names, covers, coords=coords)
-    assert index.names == tuple(names)
+    index = Poset._box([n - max(t[i] for t in tset) for i in range(r)])
     lookup = {c: i for i, c in enumerate(base.coords)}
     objs = []
-    for v in coords:
+    for v in index.coords:
         gens = [lookup[tuple(tc + vc for tc, vc in zip(t, v))] for t in tset]
         objs.append(indicator(base, base.upset_of(gens), p))
     arrows = _overlap_arrows(index, objs, p)

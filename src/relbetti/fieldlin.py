@@ -26,7 +26,6 @@ __all__ = [
     "homology_dims",
     "kron",
     "hstack",
-    "vstack",
     "is_prime",
     "check_modulus",
     "complement_coords",
@@ -177,31 +176,16 @@ def _matmul_exact(a, b, p):
     return (prod % p).astype(np.int64)
 
 
-def _common_p(mats):
-    p = mats[0].p
-    if any(m.p != p for m in mats):
-        raise ValueError("modulus mismatch")
-    return p
-
-
 def hstack(mats, rows=None, p=None):
     mats = list(mats)
     if not mats:
         if rows is None or p is None:
             raise ValueError("empty hstack needs explicit rows and p")
         return Matrix.zeros(rows, 0, p)
-    p = _common_p(mats)
+    p = mats[0].p
+    if any(m.p != p for m in mats):
+        raise ValueError("modulus mismatch")
     return Matrix._trusted(np.concatenate([m.a for m in mats], axis=1), p)
-
-
-def vstack(mats, cols=None, p=None):
-    mats = list(mats)
-    if not mats:
-        if cols is None or p is None:
-            raise ValueError("empty vstack needs explicit cols and p")
-        return Matrix.zeros(0, cols, p)
-    p = _common_p(mats)
-    return Matrix._trusted(np.concatenate([m.a for m in mats], axis=0), p)
 
 
 def kron(a, b):

@@ -211,25 +211,31 @@ class Poset:
     def _grid(n, r):
         """Poset.grid's instance for (n, r), built on first use and kept
         for the life of the process."""
+        return Poset._box((n,) * r, grid_shape=(n, r))
+
+    @staticmethod
+    def _box(bounds, grid_shape=None):
+        """The product of the chains 0 < 1 < ... < b over b in bounds,
+        each element named by its coordinates; only Poset.grid's
+        instances carry a grid_shape."""
         # lexicographic coordinate order is a linear extension
-        coords = list(itertools.product(range(n + 1), repeat=r))
+        coords = list(itertools.product(*(range(b + 1) for b in bounds)))
         index = {c: i for i, c in enumerate(coords)}
         names = [",".join(str(c) for c in co) for co in coords]
         size = len(coords)
         leq = np.ones((size, size), dtype=bool)
-        for k in range(r):
+        for k in range(len(bounds)):
             col = np.array([c[k] for c in coords])
             leq &= col[:, None] <= col[None, :]
         pairs = []
         for i, co in enumerate(coords):
-            for k in range(r):
-                if co[k] < n:
+            for k, b in enumerate(bounds):
+                if co[k] < b:
                     up = list(co)
                     up[k] += 1
                     pairs.append((i, index[tuple(up)]))
-        p = Poset(names, sorted(pairs), leq, coords=coords, grid_shape=(n, r),
-                  semilattice=True)
-        return p
+        return Poset(names, pairs, leq, coords=coords, grid_shape=grid_shape,
+                     semilattice=True)
 
     @staticmethod
     def from_json(obj):
@@ -288,9 +294,6 @@ class Poset:
 
     def up(self, a):
         return frozenset(int(x) for x in np.nonzero(self._leq[a])[0])
-
-    def down(self, a):
-        return frozenset(int(x) for x in np.nonzero(self._leq[:, a])[0])
 
     def join(self, elements):
         """Least upper bound of a nonempty subset, or None.
@@ -472,21 +475,13 @@ class Poset:
         """All antichains as frozensets, enumeration order; bounded."""
         bound = antichain_bound(max_antichains)
         out = [frozenset()]
-        strict_or_rev = self._leq | self._leq.T
-
-        def extend(current, start):
-            for e in range(start, self.n):
-                if all(not strict_or_rev[x, e] for x in current):
-                    nxt = current + [e]
-                    out.append(frozenset(nxt))
-                    if len(out) > bound:
-                        raise SizeBoundExceeded(
-                            f"more than {bound} antichains; raise the bound "
-                            "via RELBETTI_MAX_ANTICHAINS or max_antichains"
-                        )
-                    extend(nxt, e + 1)
-
-        extend([], 0)
+        for s in antichains_within(self, range(self.n)):
+            out.append(s)
+            if len(out) > bound:
+                raise SizeBoundExceeded(
+                    f"more than {bound} antichains; raise the bound "
+                    "via RELBETTI_MAX_ANTICHAINS or max_antichains"
+                )
         return out
 
     def __eq__(self, other):
@@ -501,6 +496,25 @@ class Poset:
 
     def __repr__(self):
         return f"Poset({self.n} elements, {len(self.covers)} covers)"
+
+
+def antichains_within(p, elements):
+    """The nonempty antichains of p inside an ascending element list, as
+    frozensets, depth first: each antichain is followed by its extensions
+    by later elements.  blocked is the bitset of the elements comparable
+    to some member of the current antichain."""
+    elements = list(elements)
+    up, down = p.up_bits(), p.down_bits()
+
+    def extend(current, blocked, start):
+        for i in range(start, len(elements)):
+            e = elements[i]
+            if not blocked >> e & 1:
+                nxt = current + (e,)
+                yield frozenset(nxt)
+                yield from extend(nxt, blocked | up[e] | down[e], i + 1)
+
+    return extend((), 0, 0)
 
 
 def antichain_name(p, antichain):
@@ -537,6 +551,6 @@ def antichain_poset(p, max_antichains=None):
     # from_covers keeps our order: it is already a linear extension
     assert ap.names == tuple(names)
     ap.antichains = tuple(chains)
-    ap.antichain_index = {s: i for i, s in enumerate(chains)}
+    ap.antichain_index = pos
     ap._semilattice = True  # distributive lattice of upsets
     return ap

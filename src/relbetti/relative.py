@@ -573,6 +573,21 @@ def _claimed_or(coll, key, check):
     return check(coll)
 
 
+def _require_thin(coll):
+    """The thin gate: the recorded thinness claim, else the honest check;
+    a refusal the check decided names its witness pair."""
+    thin, witness = _claimed_or(coll, "thin", is_thin)
+    if thin:
+        return
+    if witness is None:
+        raise NotThin("collection records that it is not thin")
+    a, b = witness
+    raise NotThin(
+        f"collection is not thin at pair "
+        f"({coll.index.names[a]!r}, {coll.index.names[b]!r})"
+    )
+
+
 def _unit_kernel_generators(coll, a):
     """Where the kernel of unit(coll, a) is generated, in index order.
 
@@ -622,15 +637,7 @@ def degeneracy_hypothesis(coll):
     if coll._degeneracy is not None:
         return coll._degeneracy
     index = coll.index
-    thin, witness = _claimed_or(coll, "thin", is_thin)
-    if not thin:
-        if witness is None:
-            raise NotThin("collection records that it is not thin")
-        a, b = witness
-        raise NotThin(
-            f"collection is not thin at pair "
-            f"({index.names[a]!r}, {index.names[b]!r})"
-        )
+    _require_thin(coll)
     if not index.is_upper_semilattice():
         raise NotSemilattice("the degeneracy check needs joins in the index")
     result = (True, None)
@@ -715,8 +722,7 @@ def _relative_cover(coll, m, nm, bases):
 
 def relative_minimal_cover(coll, m):
     """Minimal cover of m relative to the collection."""
-    if not _claimed_or(coll, "thin", is_thin)[0]:
-        raise NotThin("relative covers need a thin collection")
+    _require_thin(coll)
     nm, bases, _ = _nat_module_data(coll, m)
     return _relative_cover(coll, m, nm, bases)
 
@@ -752,8 +758,7 @@ class RelativeResolution(Resolution):
 def relative_minimal_resolution(coll, m, dmax):
     """Iterated relative minimal covers of successive kernels (the direct
     construction of the relative multiplicities, degree by degree)."""
-    if not _claimed_or(coll, "thin", is_thin)[0]:
-        raise NotThin("relative resolutions need a thin collection")
+    _require_thin(coll)
 
     def cover(cur):
         nm, bases, _ = _nat_module_data(coll, cur)

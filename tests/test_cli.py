@@ -967,9 +967,14 @@ def test_builder_refuses_clashing_element_name(builder, name):
     assert repr(name) in lines[0]
 
 
-def test_not_thin_error_names_elements():
+@pytest.mark.parametrize("verb", [
+    ["rbetti"],
+    ["rresolve"],
+    ["rbetti", "--method", "resolution"],
+])
+def test_not_thin_error_names_elements(verb):
     # the pair is the thin check's witness, named by the index's names
-    r = run_cli("rbetti", "--collection", '{"builtin":"spreads_omega"}',
+    r = run_cli(*verb, "--collection", '{"builtin":"spreads_omega"}',
                 "--dmax", "2", stdin=_SPEC_PAYLOAD)
     assert r.returncode == 1
     assert r.stderr == f"error: {_SPREADS_NOT_THIN}\n"

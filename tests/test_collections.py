@@ -177,9 +177,16 @@ class TestLowerHooks:
         assert support_of(coll.obj(coll.index.index("0|1"))) == {0}
 
     def test_index_matches_raw_product_order(self):
-        # cover formula vs the transitive reduction of the full relation
-        for base in [chain(3), Poset.grid(1, 2), Poset.grid(2, 2)]:
-            coll = lower_hooks(base, 2)
+        # cover formula vs the transitive reduction of the full relation;
+        # spreads_omega's index is the same pair index over the antichain
+        # lattice
+        cases = [
+            (base, lower_hooks(base, 2))
+            for base in [chain(3), Poset.grid(1, 2), Poset.grid(2, 2)]
+        ]
+        cases.append((antichain_poset(Poset.grid(1, 2)),
+                      spreads_omega(Poset.grid(1, 2), 2)))
+        for base, coll in cases:
             pairs = [
                 (v, w)
                 for v in range(base.n)
@@ -564,6 +571,14 @@ class TestSingleSourceOmega0:
         with pytest.raises(SizeBoundExceeded):
             single_source_omega0(Poset.grid(2, 2), 2, max_antichains=10)
 
+    def test_bound_admits_exactly_the_slot_count(self):
+        # grid(1, 2) has 14 slots (v, U), the empty upset at each v included
+        g = Poset.grid(1, 2)
+        assert single_source_omega0(g, 2, max_antichains=14).index.n == 14
+        with pytest.raises(SizeBoundExceeded,
+                           match="^more than 13 upset slots; "):
+            single_source_omega0(g, 2, max_antichains=13)
+
 
 class TestSpreadsOmega:
     def test_chain_structure(self):
@@ -600,6 +615,14 @@ class TestSpreadsOmega:
     def test_size_bound(self):
         with pytest.raises(SizeBoundExceeded):
             spreads_omega(Poset.grid(1, 2), 2, max_antichains=4)
+
+    def test_bound_admits_exactly_the_nested_pair_count(self):
+        # 6 antichains fit under the bound, so the 20 nested pairs decide
+        g = Poset.grid(1, 2)
+        assert spreads_omega(g, 2, max_antichains=20).index.n == 20
+        with pytest.raises(SizeBoundExceeded,
+                           match="^20 nested-pair slots exceed the bound 19$"):
+            spreads_omega(g, 2, max_antichains=19)
 
 
 class TestAllSubfunctors:

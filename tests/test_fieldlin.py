@@ -14,7 +14,6 @@ from relbetti.fieldlin import (
     rank,
     rref,
     solve,
-    vstack,
 )
 from conftest import (
     oracle_kernel_basis,
@@ -250,14 +249,9 @@ class TestStack:
         with pytest.raises(ValueError, match="modulus mismatch"):
             hstack([M([[4]], 5), M([[2]], 3)])
 
-    def test_vstack_rejects_mixed_moduli(self):
-        with pytest.raises(ValueError, match="modulus mismatch"):
-            vstack([M([[4]], 5), M([[2]], 3)])
-
     def test_stacks_keep_entries(self):
         a, b = M([[4]], 5), M([[2]], 5)
         assert hstack([a, b]).tolist() == [[4, 2]]
-        assert vstack([a, b]).tolist() == [[4], [2]]
 
 
 class TestKron:
@@ -383,4 +377,3 @@ def test_structural_results_well_formed(data):
     for j in range(a.shape[1]):
         assert_same(m.col(j), a[:, j:j + 1], p)
     assert_same(hstack([m, m]), np.concatenate([a, a], axis=1), p)
-    assert_same(vstack([m, m]), np.concatenate([a, a], axis=0), p)

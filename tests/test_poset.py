@@ -485,6 +485,14 @@ class TestAntichainPoset:
         with pytest.raises(SizeBoundExceeded):
             antichain_poset(Poset.grid(5, 2), max_antichains=10)
 
+    def test_bound_admits_exactly_the_antichain_count(self):
+        # grid(1, 2) has 6 antichains, the empty one included
+        g = Poset.grid(1, 2)
+        assert len(g.antichain_list(6)) == 6
+        with pytest.raises(SizeBoundExceeded,
+                           match="^more than 5 antichains; "):
+            g.antichain_list(5)
+
     @pytest.mark.parametrize("value", ["-1", "x", "2.5"])
     def test_bad_env_bound_names_variable(self, value, monkeypatch):
         monkeypatch.setenv("RELBETTI_MAX_ANTICHAINS", value)

@@ -755,6 +755,14 @@ class TestOracle:
         assert relative_betti_koszul(coll, s0, index.index("full"), 2) == [1, 0, 0]
         assert relative_betti_koszul(coll, s0, index.index("top"), 2) == [0, 1, 0]
 
+    def test_koszul_route_refuses_zero_member(self):
+        base, index, coll = upset_collection()
+        want = "^member at 'none' is zero; no multiplicities there$"
+        with pytest.raises(ValueError, match=want):
+            relative_betti_koszul(
+                coll, one_dim(base, {0}), index.index("none"), 2
+            )
+
     def test_flat_fixture_matches_standard_betti(self):
         base, _, coll = upset_collection()
         s0 = one_dim(base, {0})
