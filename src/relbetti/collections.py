@@ -31,6 +31,7 @@ from relbetti.poset import (
     antichain_name,
     antichain_poset,
     antichains_within,
+    bit_elements,
 )
 from relbetti.relative import CollectionFunctor
 
@@ -115,9 +116,9 @@ def _pair_index(base, slots=None):
 
 def _hooks(base, slots, p):
     """The hook members, indicators of up(v) - up(w), one per slot."""
+    up = base.up_bits()
     return [
-        indicator(base, np.flatnonzero(base.up_mask(v) & ~base.up_mask(w)), p)
-        for v, w in slots
+        indicator(base, bit_elements(up[v] & ~up[w]), p) for v, w in slots
     ]
 
 
@@ -165,10 +166,9 @@ def rectangles_naive(base, p):
     is nonzero, so a unit kernel has nowhere degenerate to generate."""
     _require_semilattice(base)
     slots, index = _pair_index(base)
-    objs = []
-    for v, w in slots:
-        mask = base.up_mask(v) & base.down_mask(w)
-        objs.append(indicator(base, np.flatnonzero(mask), p))
+    up, down = base.up_bits(), base.down_bits()
+    objs = [indicator(base, bit_elements(up[v] & down[w]), p)
+            for v, w in slots]
     arrows = _overlap_arrows(index, objs, p)
     claims = {"thin": True, "degeneracy": base.n < 2}
     return CollectionFunctor(base, index, p, objs, arrows, claims=claims)
@@ -221,15 +221,15 @@ def single_source_omega0(base, p, max_antichains=None):
         for v, u in slots
     ]
     pos = {s: i for i, s in enumerate(slots)}
-    everything = frozenset(range(base.n))
     covers = []
     for v, u in slots:
         me = names[pos[(v, u)]]
         for v2 in base.parents(v):
             covers.append((names[pos[(v2, u)]], me))
-        for w in base.max_elements(everything - u):
-            if base.leq(v, w):
-                covers.append((names[pos[(v, u | {w})]], me))
+        # up(v) is an upset: its maximal elements outside U are the
+        # maximal elements outside U that lie above v
+        for w in base.max_elements(base.up(v) - u):
+            covers.append((names[pos[(v, u | {w})]], me))
     index = Poset.from_covers(names, covers)
     assert index.names == tuple(names)
     objs = [indicator(base, base.up(v) - u, p) for v, u in slots]
@@ -245,7 +245,7 @@ def spreads_omega(base, p, max_antichains=None):
     incomparable pair."""
     ap = antichain_poset(base, max_antichains)
     bound = antichain_bound(max_antichains)
-    count = int(ap.leq_matrix.sum())
+    count = sum(up.bit_count() for up in ap.up_bits())
     if count > bound:
         raise SizeBoundExceeded(
             f"{count} nested-pair slots exceed the bound {bound}"

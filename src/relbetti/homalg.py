@@ -34,6 +34,7 @@ from relbetti.pmod import (
     radical,
     zero_module,
 )
+from relbetti.poset import bit_elements
 
 
 class NatTransformation:
@@ -159,16 +160,6 @@ def free_nat(src, dst, coeffs):
     return NatTransformation(src, dst, comps)
 
 
-def _bits(mask):
-    """Element indices of a bitset, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _indicator_support(f):
     """Bitset of A when f is 0/1 with unit maps on a convex support A,
     else None."""
@@ -180,10 +171,10 @@ def _indicator_support(f):
             return None
     down = f.poset.down_bits()
     below = 0
-    for x in _bits(inside):
+    for x in bit_elements(inside):
         below |= down[x]
     # convex: nothing outside A sits between two elements of A
-    if any(down[x] & inside for x in _bits(below & ~inside)):
+    if any(down[x] & inside for x in bit_elements(below & ~inside)):
         return None
     return inside
 
@@ -196,7 +187,7 @@ def _indicator_presentation(f, inside):
     down = poset.down_bits()
 
     def minimal(mask):
-        return [x for x in _bits(mask) if down[x] & mask == 1 << x]
+        return [x for x in bit_elements(mask) if down[x] & mask == 1 << x]
 
     gens = minimal(inside)
     ups = [poset.up_bits()[m] for m in gens]
@@ -275,7 +266,7 @@ def generator_elements(f):
     """The elements carrying a generator of f, ascending and without
     repetition: a transformation out of f is zero exactly when its
     components there are."""
-    return _bits(_presentation(f)[3])
+    return bit_elements(_presentation(f)[3])
 
 
 def _hom_system(f, g):

@@ -22,6 +22,7 @@ from relbetti.fieldlin import (
     hstack,
     rank,
 )
+from relbetti.poset import Poset, bit_elements, parse_nonnegative
 
 
 @lru_cache(maxsize=None)
@@ -133,8 +134,6 @@ class PersistenceModule:
         Dimensions follow poset.parse_nonnegative; map entries follow
         matrix_from_json.
         """
-        from relbetti.poset import Poset, parse_nonnegative
-
         poset = Poset.from_json(obj["poset"])
         dims_obj = json_object(obj.get("dims", {}), '"dims"')
         unknown = sorted(set(dims_obj) - set(poset.names))
@@ -149,7 +148,12 @@ class PersistenceModule:
         maps = {}
         for key, rows in json_object(obj.get("maps", {}), '"maps"').items():
             na, _, nb = key.partition("<")
-            a, b = poset.index(na), poset.index(nb)
+            try:
+                a, b = poset.index(na), poset.index(nb)
+            except KeyError as exc:
+                raise ValueError(
+                    f"map key {key!r} names no element {exc.args[0]!r}"
+                ) from None
             if (a, b) not in poset.covers:
                 raise ValueError(f"map key {key!r} is not a cover relation")
             maps[(a, b)] = matrix_from_json(rows, p, f"map {key!r}")
@@ -268,24 +272,19 @@ def spread(poset, sources, sinks, p):
     t = sorted(set(int(x) for x in sinks))
     if not poset.is_antichain(s) or not poset.is_antichain(t):
         raise InvalidSpread("sources and sinks must be antichains")
+    up, down = poset.up_bits(), poset.down_bits()
+    above = below = 0
     for x in s:
-        if not any(poset.leq(x, y) for y in t):
-            raise InvalidSpread(
-                f"source {poset.names[x]!r} is below no sink"
-            )
+        above |= up[x]
     for y in t:
-        if not any(poset.leq(x, y) for x in s):
-            raise InvalidSpread(
-                f"sink {poset.names[y]!r} is above no source"
-            )
-    n = poset.n
-    above = np.zeros(n, dtype=bool)
+        below |= down[y]
     for x in s:
-        above |= poset.up_mask(x)
-    below = np.zeros(n, dtype=bool)
+        if not up[x] & below:
+            raise InvalidSpread(f"source {poset.names[x]!r} is below no sink")
     for y in t:
-        below |= poset.down_mask(y)
-    return indicator(poset, np.flatnonzero(above & below), p)
+        if not down[y] & above:
+            raise InvalidSpread(f"sink {poset.names[y]!r} is above no source")
+    return indicator(poset, bit_elements(above & below), p)
 
 
 def direct_sum(poset, p, parts):
@@ -351,8 +350,6 @@ def is_spread(m):
 
 def m0_demo(p=2):
     """Staircase demo module on the 6x6 grid: one generator, 14 cells."""
-    from relbetti.poset import Poset
-
     g = Poset.grid(5, 2)
     return spread(
         g,

@@ -72,25 +72,38 @@ def antichain_bound(override=None):
         raise ValueError(f"{source}: {exc}") from None
 
 
-def _row_bits(rows):
-    """Each row of a boolean matrix as an int bitset (bit i = column i)."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+def bit_elements(mask):
+    """Element indices of a bitset, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _mask(elements):
+    """The bitset of some element indices."""
+    mask = 0
+    for x in elements:
+        mask |= 1 << int(x)
+    return mask
 
 
 class Poset:
-    """Immutable finite poset. Query via integer element indices."""
+    """Immutable finite poset. Query via integer element indices.
 
-    def __init__(self, names, covers, leq, coords=None, grid_shape=None,
+    The order is kept once, as up-set and down-set bitsets (bit b of
+    up_bits()[a] is set iff a <= b); every order query reads them."""
+
+    def __init__(self, names, covers, coords=None, grid_shape=None,
                  semilattice=None):
-        # internal constructor: data already canonical and validated
+        # internal constructor: covers already validated, and index order
+        # a linear extension of them
         self.n = len(names)
         self.names = tuple(names)
         self.covers = frozenset(covers)
         self.sorted_covers = tuple(sorted(self.covers))
-        leq = np.asarray(leq, dtype=bool)
-        leq.setflags(write=False)
-        self._leq = leq
         self.coords = tuple(coords) if coords is not None else None
         self.grid_shape = grid_shape
         self._name_to_index = {nm: i for i, nm in enumerate(self.names)}
@@ -101,9 +114,19 @@ class Poset:
             chi[a].append(b)
         self._parents = tuple(tuple(sorted(x)) for x in par)
         self._children = tuple(tuple(sorted(x)) for x in chi)
+        # every cover goes up in index order, so one pass down the indices
+        # closes the up-sets and one pass up closes the down-sets
+        up = [1 << a for a in range(self.n)]
+        for a in range(self.n - 1, -1, -1):
+            for b in chi[a]:
+                up[a] |= up[b]
+        down = [1 << a for a in range(self.n)]
+        for b in range(self.n):
+            for a in par[b]:
+                down[b] |= down[a]
+        self._up = tuple(up)
+        self._down = tuple(down)
         self._semilattice = semilattice
-        self._down_bits = None
-        self._up_bits = None
         self._parent_meets = [None] * self.n
         self._hash = hash((self.names, self.covers))
 
@@ -119,7 +142,12 @@ class Poset:
         pairs = []
         seen = set()
         for a, b in covers:
-            ia, ib = idx[a], idx[b]
+            try:
+                ia, ib = idx[a], idx[b]
+            except KeyError as exc:
+                raise ValueError(
+                    f"cover {a!r} < {b!r} names no element {exc.args[0]!r}"
+                ) from None
             if ia == ib:
                 raise CyclicCovers(f"self-cover at {a!r}")
             if (ia, ib) in seen:
@@ -151,20 +179,14 @@ class Poset:
         coords2 = [coords[old] for old in order] if coords is not None else None
         pairs2 = sorted((new_of_old[a], new_of_old[b]) for a, b in pairs)
 
-        leq = np.eye(n, dtype=bool)
-        ups = [[] for _ in range(n)]
-        for a, b in pairs2:
-            ups[a].append(b)
-        for a in range(n - 1, -1, -1):
-            for b in ups[a]:
-                leq[a] |= leq[b]
-        strict = leq & ~np.eye(n, dtype=bool)
-        for a, b in pairs2:
-            if bool(np.any(strict[a] & strict[:, b])):
+        p = Poset(names2, pairs2, coords=coords2)
+        for a, b in p.sorted_covers:
+            # redundant iff some third element lies between a and b
+            if p._up[a] & p._down[b] & ~(1 << a | 1 << b):
                 raise RedundantCover(
                     f"cover {names2[a]!r} < {names2[b]!r} is implied transitively"
                 )
-        return Poset(names2, pairs2, leq, coords=coords2)
+        return p
 
     @staticmethod
     def from_order(names, leq, coords=None):
@@ -222,11 +244,6 @@ class Poset:
         coords = list(itertools.product(*(range(b + 1) for b in bounds)))
         index = {c: i for i, c in enumerate(coords)}
         names = [",".join(str(c) for c in co) for co in coords]
-        size = len(coords)
-        leq = np.ones((size, size), dtype=bool)
-        for k in range(len(bounds)):
-            col = np.array([c[k] for c in coords])
-            leq &= col[:, None] <= col[None, :]
         pairs = []
         for i, co in enumerate(coords):
             for k, b in enumerate(bounds):
@@ -234,7 +251,7 @@ class Poset:
                     up = list(co)
                     up[k] += 1
                     pairs.append((i, index[tuple(up)]))
-        return Poset(names, pairs, leq, coords=coords, grid_shape=grid_shape,
+        return Poset(names, pairs, coords=coords, grid_shape=grid_shape,
                      semilattice=True)
 
     @staticmethod
@@ -274,11 +291,17 @@ class Poset:
         return self._name_to_index[name]
 
     def leq(self, a, b):
-        return bool(self._leq[a, b])
+        return bool(self._up[a] >> b & 1)
 
-    @property
+    @functools.cached_property
     def leq_matrix(self):
-        return self._leq
+        """The order as a read-only boolean matrix, entry [a, b] set iff
+        a <= b: an export built on first use, read by no query here."""
+        leq = np.zeros((self.n, self.n), dtype=bool)
+        for a, up in enumerate(self._up):
+            leq[a, bit_elements(up)] = True
+        leq.setflags(write=False)
+        return leq
 
     def parents(self, a):
         return self._parents[a]
@@ -286,14 +309,8 @@ class Poset:
     def children(self, a):
         return self._children[a]
 
-    def up_mask(self, a):
-        return self._leq[a]
-
-    def down_mask(self, a):
-        return self._leq[:, a]
-
     def up(self, a):
-        return frozenset(int(x) for x in np.nonzero(self._leq[a])[0])
+        return frozenset(bit_elements(self._up[a]))
 
     def join(self, elements):
         """Least upper bound of a nonempty subset, or None.
@@ -316,17 +333,13 @@ class Poset:
 
     def up_bits(self):
         """Up-sets as int bitsets (bit i set iff a <= element i), one per
-        element a; built on first use."""
-        if self._up_bits is None:
-            self._up_bits = _row_bits(self._leq)
-        return self._up_bits
+        element a."""
+        return self._up
 
     def down_bits(self):
         """Down-sets as int bitsets (bit i set iff element i <= a), one per
-        element a; built on first use."""
-        if self._down_bits is None:
-            self._down_bits = _row_bits(self._leq.T)
-        return self._down_bits
+        element a."""
+        return self._down
 
     def meet_of_bits(self, lower):
         """Greatest element of a bitset of common lower bounds, or None.
@@ -415,15 +428,10 @@ class Poset:
 
     def is_upper_semilattice(self):
         if self._semilattice is None:
-            ok = True
-            for a in range(self.n):
-                for b in range(a + 1, self.n):
-                    if self.join([a, b]) is None:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            self._semilattice = ok
+            self._semilattice = all(
+                self.join([a, b]) is not None
+                for a in range(self.n) for b in range(a + 1, self.n)
+            )
         return self._semilattice
 
     def sublattice_closure(self, elements):
@@ -443,45 +451,42 @@ class Poset:
         return frozenset(closed)
 
     def min_elements(self, subset):
-        s = list(subset)
+        mask = _mask(subset)
         return frozenset(
-            a for a in s if not any(b != a and self._leq[b, a] for b in s)
+            a for a in bit_elements(mask) if self._down[a] & mask == 1 << a
         )
 
     def max_elements(self, subset):
-        s = list(subset)
+        mask = _mask(subset)
         return frozenset(
-            a for a in s if not any(b != a and self._leq[a, b] for b in s)
+            a for a in bit_elements(mask) if self._up[a] & mask == 1 << a
         )
 
     def upset_of(self, subset):
-        s = list(subset)
-        if not s:
-            return frozenset()
-        mask = np.any(self._leq[s], axis=0)
-        return frozenset(int(x) for x in np.nonzero(mask)[0])
+        mask = 0
+        for a in subset:
+            mask |= self._up[a]
+        return frozenset(bit_elements(mask))
 
     def is_antichain(self, subset):
-        s = list(subset)
-        return not any(
-            a != b and self._leq[a, b] for a in s for b in s
-        )
+        mask = _mask(subset)
+        return all(self._up[a] & mask == 1 << a for a in bit_elements(mask))
 
     def is_upset(self, subset):
-        s = set(subset)
-        return all(b in s for a in s for b in self.up(a))
+        mask = _mask(subset)
+        return all(not self._up[a] & ~mask for a in bit_elements(mask))
 
     def antichain_list(self, max_antichains=None):
         """All antichains as frozensets, enumeration order; bounded."""
         bound = antichain_bound(max_antichains)
-        out = [frozenset()]
-        for s in antichains_within(self, range(self.n)):
-            out.append(s)
-            if len(out) > bound:
-                raise SizeBoundExceeded(
-                    f"more than {bound} antichains; raise the bound "
-                    "via RELBETTI_MAX_ANTICHAINS or max_antichains"
-                )
+        # the empty antichain counts against the bound too
+        walk = antichains_within(self, range(self.n))
+        out = [frozenset(), *itertools.islice(walk, bound)]
+        if len(out) > bound:
+            raise SizeBoundExceeded(
+                f"more than {bound} antichains; raise the bound "
+                "via RELBETTI_MAX_ANTICHAINS or max_antichains"
+            )
         return out
 
     def __eq__(self, other):
@@ -529,15 +534,11 @@ def antichain_poset(p, max_antichains=None):
     maximum. Element order: larger upsets first, ties broken by the sorted
     element tuple, which is a linear extension.
     """
-    chains = p.antichain_list(max_antichains)
+    chains = sorted(
+        p.antichain_list(max_antichains),
+        key=lambda s: (-len(p.upset_of(s)), tuple(sorted(s))),
+    )
     ups = [p.upset_of(s) for s in chains]
-
-    def key(i):
-        return (-len(ups[i]), tuple(sorted(chains[i])))
-
-    order = sorted(range(len(chains)), key=key)
-    chains = [chains[i] for i in order]
-    ups = [ups[i] for i in order]
     pos = {s: i for i, s in enumerate(chains)}
     names = [antichain_name(p, s) for s in chains]
 

@@ -58,6 +58,7 @@ from relbetti.pmod import (
     zero_module,
 )
 from relbetti.pmod import validate as validate_module
+from relbetti.poset import Poset, bit_elements
 
 
 class CollectionFunctor:
@@ -245,8 +246,6 @@ class CollectionFunctor:
         FunctorialityViolation: nat_basis solves at a presentation and the
         hom modules read coordinates without solving, so both trust them.
         """
-        from relbetti.poset import Poset
-
         p = check_modulus(obj["p"])
         domain = Poset.from_json(obj["I"])
         index = Poset.from_json(obj["J"])
@@ -275,7 +274,12 @@ class CollectionFunctor:
         arrows = {}
         for key, comps in json_object(obj.get("arrows", {}), '"arrows"').items():
             na, _, nb = key.partition("<")
-            a, b = index.index(na), index.index(nb)
+            try:
+                a, b = index.index(na), index.index(nb)
+            except KeyError as exc:
+                raise ValueError(
+                    f"arrow {key!r} names no index element {exc.args[0]!r}"
+                ) from None
             comps = json_object(comps, f"arrow {key!r}")
             unknown = sorted(set(comps) - set(domain.names))
             if unknown:
@@ -607,7 +611,7 @@ def _unit_kernel_generators(coll, a):
     bits = coll.obj(a).support_bits
     ker = set()
     gens = []
-    for b in np.flatnonzero(index.up_mask(a)).tolist():
+    for b in bit_elements(index.up_bits()[a]):
         if any(c in ker for c in index.parents(b)):
             ker.add(b)
         elif (

@@ -764,6 +764,33 @@ class TestInputErrors:
         obj["module"]["dims"]["9,9"] = 1
         assert_input_error(run_cli("betti", stdin=json.dumps(obj)))
 
+    @pytest.mark.parametrize("part", ["cover", "map", "arrow"])
+    def test_unknown_name_is_named(self, part):
+        # a cover, a module map key or a collection arrow key naming no
+        # element: the message names the key and the missing element
+        poset = {"elements": ["a", "b"], "covers": [["a", "b"]]}
+        module = {"poset": poset, "dims": {"a": 1}}
+        args = []
+        if part == "cover":
+            poset["covers"] = [["a", "z"]]
+            want = "bad module payload: cover 'a' < 'z' names no element 'z'"
+        elif part == "map":
+            module["maps"] = {"a<z": [[1]]}
+            want = "bad module payload: map key 'a<z' names no element 'z'"
+        else:
+            coll = self._explicit()
+            key = next(iter(coll["arrows"]))
+            bad = key.partition("<")[0] + "<z"
+            coll["arrows"][bad] = coll["arrows"].pop(key)
+            args = ["--collection", json.dumps(coll)]
+            module = constant(Poset.grid(1, 2), 2).to_json()
+            want = (f"bad collection payload: arrow {bad!r} names no "
+                    "index element 'z'")
+        r = run_cli("rbetti" if args else "betti", *args,
+                    stdin=json.dumps({"p": 2, "module": module}))
+        assert_input_error(r)
+        assert r.stderr == f"error: {want}\n"
+
     @pytest.mark.parametrize("entry", [10**30 + 1, -1, 3])
     def test_map_entries_reduce_mod_p(self, entry):
         demo = run_cli("demo", "m0").stdout

@@ -494,7 +494,13 @@ class TestSingleSourceOmega0:
         assert support_of(coll.obj(coll.index.index("1|{}"))) == {1}
 
     def test_index_matches_raw_order(self):
-        for base in [chain(3), Poset.grid(1, 2)]:
+        # the pentagon is join-closed but not a grid
+        pentagon = Poset.from_covers(
+            ["bot", "a", "b", "c", "top"],
+            [("bot", "a"), ("a", "b"), ("b", "top"), ("bot", "c"),
+             ("c", "top")],
+        )
+        for base in [chain(3), Poset.grid(1, 2), Poset.grid(2, 2), pentagon]:
             coll = single_source_omega0(base, 2)
             slots = []
             for v in range(base.n):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relbetti.collections import rectangles_grid
+from relbetti.collections import rectangles_grid, translated
 from relbetti.errors import MeetHypothesisFailed
 from relbetti.pmod import zero_module
 from relbetti.poset import (
@@ -486,12 +486,14 @@ class TestAntichainPoset:
             antichain_poset(Poset.grid(5, 2), max_antichains=10)
 
     def test_bound_admits_exactly_the_antichain_count(self):
-        # grid(1, 2) has 6 antichains, the empty one included
-        g = Poset.grid(1, 2)
-        assert len(g.antichain_list(6)) == 6
-        with pytest.raises(SizeBoundExceeded,
-                           match="^more than 5 antichains; "):
-            g.antichain_list(5)
+        # grid(1, 2) has 6 antichains and the empty poset 1, the empty
+        # antichain included: the bound counts it too
+        for poset, count in [(Poset.grid(1, 2), 6),
+                             (Poset.from_covers([], []), 1)]:
+            assert len(poset.antichain_list(count)) == count
+            with pytest.raises(SizeBoundExceeded,
+                               match=f"^more than {count - 1} antichains; "):
+                poset.antichain_list(count - 1)
 
     @pytest.mark.parametrize("value", ["-1", "x", "2.5"])
     def test_bad_env_bound_names_variable(self, value, monkeypatch):
@@ -569,3 +571,133 @@ def test_upset_parents_lemma_random(seed, n):
             )
         }
         assert {ap.antichains[s] for s in ap.parents(t)} == expect
+
+
+def _dfs_reach(n, covers):
+    """reach[a]: the elements a path of one or more given covers leads to
+    from a, by depth-first search over the cover list as given."""
+    out = [[] for _ in range(n)]
+    for a, b in covers:
+        out[a].append(b)
+    reach = []
+    for a in range(n):
+        seen, stack = set(), list(out[a])
+        while stack:
+            x = stack.pop()
+            if x not in seen:
+                seen.add(x)
+                stack.extend(out[x])
+        reach.append(seen)
+    return out, reach
+
+
+@st.composite
+def _cover_lists(draw):
+    """(n, covers) over elements 0..n-1, in a random order: any pairs
+    (self-covers and cycles among them), pairs going up a random order
+    (redundant covers among them), or those pairs less every cover that
+    a longer path implies."""
+    n = draw(st.integers(0, 7))
+    mode = draw(st.sampled_from(["any", "up", "reduced"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = 0.15 if mode == "any" else 0.5
+    covers = [
+        (a, b) for a in range(n) for b in range(n) if rng.random() < dense
+    ]
+    if mode != "any":
+        rank = rng.permutation(n)
+        covers = [(a, b) for a, b in covers if rank[a] < rank[b]]
+    if mode == "reduced":
+        out, reach = _dfs_reach(n, covers)
+        covers = [
+            (a, b) for a, b in covers
+            if not any(c != b and b in reach[c] for c in out[a])
+        ]
+    rng.shuffle(covers)
+    return n, covers
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cover_lists())
+def test_order_matches_dfs_oracle(drawn):
+    # from_covers refuses exactly the cyclic and the redundant cover
+    # lists a DFS finds; otherwise every order query agrees with the DFS
+    # closure, and index order is a linear extension of it
+    n, covers = drawn
+    names = [f"e{i}" for i in range(n)]
+    pairs = [(names[a], names[b]) for a, b in covers]
+    out, reach = _dfs_reach(n, covers)
+    if any(a in reach[a] for a in range(n)):
+        with pytest.raises(CyclicCovers):
+            Poset.from_covers(names, pairs)
+        return
+    if any(c != b and b in reach[c] for a, b in covers for c in out[a]):
+        with pytest.raises(RedundantCover):
+            Poset.from_covers(names, pairs)
+        return
+    p = Poset.from_covers(names, pairs)
+    old = [int(nm[1:]) for nm in p.names]
+    want = np.array(
+        [[a == b or old[b] in reach[old[a]] for b in range(n)]
+         for a in range(n)],
+        dtype=bool,
+    ).reshape(n, n)
+    assert {(old[a], old[b]) for a, b in p.covers} == set(covers)
+    assert np.array_equal(p.leq_matrix, want)
+    assert not p.leq_matrix.flags.writeable
+    up, down = p.up_bits(), p.down_bits()
+    for a in range(n):
+        assert p.up(a) == frozenset(np.flatnonzero(want[a]).tolist())
+        for b in range(n):
+            assert p.leq(a, b) == want[a, b]
+            assert bool(up[a] >> b & 1) == want[a, b]
+            assert bool(down[b] >> a & 1) == want[a, b]
+            if want[a, b]:
+                assert a <= b
+    for size in range(n + 1):
+        for sub in itertools.combinations(range(n), size):
+            sub = frozenset(sub)
+            upset = frozenset(
+                b for b in range(n) if any(want[a, b] for a in sub)
+            )
+            assert p.upset_of(sub) == upset
+            assert p.min_elements(sub) == frozenset(
+                a for a in sub
+                if not any(b != a and want[b, a] for b in sub)
+            )
+            assert p.max_elements(sub) == frozenset(
+                a for a in sub
+                if not any(b != a and want[a, b] for b in sub)
+            )
+            assert p.is_antichain(sub) == (
+                not any(a != b and want[a, b] for a in sub for b in sub)
+            )
+            assert p.is_upset(sub) == (upset == sub)
+
+
+@pytest.mark.parametrize("n, r", [(0, 1), (1, 1), (3, 1), (1, 3), (2, 2),
+                                  (3, 2)])
+def test_grid_order_is_coordinatewise(n, r):
+    _assert_coordinatewise(Poset.grid(n, r))
+
+
+@pytest.mark.parametrize("n, translations", [
+    (2, [[0, 0]]),
+    (3, [[0, 1], [1, 0]]),
+    (3, [[0, 2], [1, 1], [2, 0]]),
+    (2, [[1, 1]]),
+])
+def test_translated_index_is_coordinatewise(n, translations):
+    coll = translated(Poset.grid(n, 2), translations, 2)
+    _assert_coordinatewise(coll.index)
+
+
+def _assert_coordinatewise(p):
+    up, down = p.up_bits(), p.down_bits()
+    for a, ca in enumerate(p.coords):
+        for b, cb in enumerate(p.coords):
+            want = all(x <= y for x, y in zip(ca, cb))
+            assert p.leq(a, b) == want == bool(p.leq_matrix[a, b])
+            assert bool(up[a] >> b & 1) == want == bool(down[b] >> a & 1)
+            if want:
+                assert a <= b

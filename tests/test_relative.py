@@ -298,7 +298,7 @@ class TestCollectionFunctor:
         coll = build(base, p)
         index = coll.index
         for a in range(index.n):
-            for b in np.flatnonzero(index.up_mask(a)).tolist():
+            for b in np.flatnonzero(index.leq_matrix[a]).tolist():
                 assert (coll._arrow_is_zero(a, b)
                         == coll.arrow_to(a, b).is_zero())
 
