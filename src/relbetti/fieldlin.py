@@ -105,7 +105,7 @@ class Matrix:
         return self.a.tolist()
 
     def is_zero(self):
-        return not self.a.any()
+        return not np.count_nonzero(self.a)
 
     def transpose(self):
         return Matrix._trusted(self.a.T, self.p)
@@ -119,7 +119,7 @@ class Matrix:
             raise ValueError(
                 f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        return Matrix._trusted(_matmul_exact(self.a, other.a, self.p), self.p)
+        return Matrix._trusted(matmul_exact(self.a, other.a, self.p), self.p)
 
     def __add__(self, other):
         self._same_shape(other)
@@ -165,13 +165,15 @@ class Matrix:
         return f"Matrix({self.a.tolist()}, p={self.p})"
 
 
-def _matmul_exact(a, b, p):
+def matmul_exact(a, b, p):
+    """Product of two int64 arrays of residues mod p, reduced mod p."""
     inner = a.shape[1]
     # int64 products stay exact while inner*(p-1)^2 < 2^63
     if inner == 0:
         return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     if (p - 1) * (p - 1) <= (2**63 - 1) // inner:
-        return (a @ b) % p
+        # ndarray.dot is @ on 2-D arrays, with less overhead on small ones
+        return a.dot(b) % p
     prod = a.astype(object) @ b.astype(object)
     return (prod % p).astype(np.int64)
 

@@ -92,8 +92,7 @@ class PersistenceModule:
             )
         got = self._composites.get((a, b))
         if got is None:
-            # canonical chain: always step through the smallest child under b
-            c = next(c for c in self.poset.children(a) if self.poset.leq(c, b))
+            c = self.poset.step_toward(a, b)
             got = self.map(c, b) @ self._cover_maps[(a, c)]
             self._composites[(a, b)] = got
         return got

@@ -114,6 +114,7 @@ class Poset:
             chi[a].append(b)
         self._parents = tuple(tuple(sorted(x)) for x in par)
         self._children = tuple(tuple(sorted(x)) for x in chi)
+        self._child_bits = tuple(_mask(x) for x in chi)
         # every cover goes up in index order, so one pass down the indices
         # closes the up-sets and one pass up closes the down-sets
         up = [1 << a for a in range(self.n)]
@@ -308,6 +309,12 @@ class Poset:
 
     def children(self, a):
         return self._children[a]
+
+    def step_toward(self, a, b):
+        """The smallest child of a below b, for a < b: the next element of
+        the canonical cover chain from a up to b."""
+        below = self._child_bits[a] & self._down[b]
+        return (below & -below).bit_length() - 1
 
     def up(self, a):
         return frozenset(bit_elements(self._up[a]))

@@ -15,6 +15,8 @@ Koszul shortcut over the index poset.  `relative_minimal_resolution` is
 the direct construction the shortcut is measured against.
 """
 
+import functools
+
 import numpy as np
 
 from relbetti.errors import (
@@ -29,6 +31,7 @@ from relbetti.fieldlin import (
     check_modulus,
     hstack,
     kron,
+    matmul_exact,
 )
 # not called here: kept so that relative.rref stays fieldlin.rref, the
 # name perfbench's check_bench asserts its tracer wraps once
@@ -40,6 +43,7 @@ from relbetti.homalg import (
     cokernel,
     generator_elements,
     hom_dim,
+    identity_nat,
     is_exact,
     koszul_table,
     minimal_cover,
@@ -66,19 +70,19 @@ class CollectionFunctor:
 
     objs[a] is the member at index element a.  arrows[(a, b)], for a cover
     a < b of the index poset, is a NatTransformation objs[b] -> objs[a];
-    omitted arrows default to zero.  Composite arrows are derived along
-    canonical cover chains one base element at a time, and their
-    components are the collection's one composite cache: arrow_to
-    assembles whole arrows from it, and the property scans read it only
-    at the source member's generators.  validate() confirms the
-    composites are path independent.  `claims` may record externally
+    omitted arrows default to zero.  Composite arrows run along canonical
+    cover chains (Poset.step_toward); arrow_to composes them whole and
+    keeps nothing.  The property scans ask only which composites are
+    zero, and read it from zero_below: one bitset per index element,
+    computed on first use.  validate() confirms the composites are path
+    independent.  `claims` may record externally
     justified thin/flat/degeneracy statuses for builders whose index
     posets are too large to check directly; the property checks
     themselves (is_thin, is_flat, the degeneracy scan) never consult
     them, though a thinness claim is trusted as the degeneracy scan's
     precondition.  The results of the pairwise scan (thinness and
     flatness together) and of the degeneracy scan are cached on the
-    collection; no Hom basis or dimension is.
+    collection; no Hom basis or dimension is, and nothing per pair.
     """
 
     def __init__(self, domain, index, p, objs, arrows, claims=None):
@@ -112,9 +116,8 @@ class CollectionFunctor:
                 )
             self._arrows[(a, b)] = f
         self.claims = dict(claims or {})
-        # (a, b) -> the composite arrow's components, one slot per base
-        # element, filled on first use
-        self._composites = {}
+        # zero_below's bitsets, one per index element, filled on first use
+        self._zero_below = [None] * index.n
         # (is_thin's result, is_flat's result), from one pairwise scan
         self._thin = None
         self._degeneracy = None
@@ -130,43 +133,56 @@ class CollectionFunctor:
 
     def arrow_to(self, a, b):
         """Composite arrow obj(b) -> obj(a) for a <= b in the index,
-        assembled from the cached components."""
+        composed whole along the canonical cover chain."""
         if not self.index.leq(a, b):
             raise ValueError(
                 f"{self.index.names[a]!r} is not below {self.index.names[b]!r}"
             )
-        return NatTransformation(
-            self._objs[b], self._objs[a],
-            [self._component(a, b, x) for x in range(self.domain.n)],
-        )
-
-    def _component(self, a, b, x):
-        """Component at base element x of the composite arrow
-        obj(b) -> obj(a), a <= b, along the canonical cover chain."""
-        da, db = self._objs[a].dims[x], self._objs[b].dims[x]
         if a == b:
-            return cached_identity(da, self.p)
-        if not da or not db:
-            return cached_zeros(da, db, self.p)
-        row = self._composites.get((a, b))
-        if row is None:
-            row = self._composites[(a, b)] = [None] * self.domain.n
-        got = row[x]
-        if got is None:
-            c = next(
-                c for c in self.index.children(a) if self.index.leq(c, b)
-            )
-            got = row[x] = self.arrow(a, c).comps[x] @ self._component(c, b, x)
-        return got
+            return identity_nat(self._objs[a])
+        c = self.index.step_toward(a, b)
+        return self.arrow(a, c) @ self.arrow_to(c, b)
 
-    def _arrow_is_zero(self, a, b):
-        """Whether the composite arrow obj(b) -> obj(a), a <= b, is zero:
-        a transformation is zero exactly when it is zero at its source's
-        generators, so only those components are composed."""
-        return all(
-            self._component(a, b, x).is_zero()
-            for x in generator_elements(self._objs[b])
-        )
+    @functools.cached_property
+    def _members_at(self):
+        """Bitsets over the index, one per base element x: bit a is set
+        iff obj(a) is nonzero at x."""
+        out = [0] * self.domain.n
+        for a, m in enumerate(self._objs):
+            for x in bit_elements(m.support_bits):
+                out[x] |= 1 << a
+        return out
+
+    def zero_below(self, b):
+        """Bitset of the a <= b whose composite arrow obj(b) -> obj(a) is
+        zero, computed on first use; only the int is kept.
+
+        A transformation is zero exactly when it is zero at its source's
+        generators.  For each generator element x of obj(b), one pass
+        pushes obj(b)'s component at x down the index in decreasing order,
+        through the members nonzero at x: each takes its image from the
+        next element of its canonical chain to b.  Zero images are
+        dropped, and the rest go when the pass ends."""
+        got = self._zero_below[b]
+        if got is None:
+            index, ob, p = self.index, self._objs[b], self.p
+            down = index.down_bits()[b]
+            nonzero = 1 << b if ob.support_bits else 0
+            for x in generator_elements(ob):
+                images = {b: cached_identity(ob.dims[x], p).a}
+                below = down & self._members_at[x] & ~(1 << b)
+                for a in reversed(bit_elements(below)):
+                    c = index.step_toward(a, b)
+                    if c not in images:
+                        continue
+                    image = matmul_exact(
+                        self._arrows[(a, c)].comps[x].a, images[c], p
+                    )
+                    if np.count_nonzero(image):
+                        images[a] = image
+                        nonzero |= 1 << a
+            got = self._zero_below[b] = down & ~nonzero
+        return got
 
     def pair_basis(self, a, b):
         """Chosen basis of the transformations obj(b) -> obj(a), solved
@@ -174,17 +190,20 @@ class CollectionFunctor:
         return nat_basis(self._objs[b], self._objs[a])
 
     def validate(self):
-        """Check path independence of the composite arrows."""
+        """Check path independence: for each b the composites into b are
+        built down the index along their canonical chains (the first
+        child below b), and every other child below b must agree."""
         index = self.index
-        for a in range(index.n):
-            for b in range(index.n):
-                if b == a or not index.leq(a, b):
-                    continue
-                ref = self.arrow_to(a, b)
+        for b in range(index.n):
+            into = {b: identity_nat(self._objs[b])}
+            for a in reversed(bit_elements(index.down_bits()[b] & ~(1 << b))):
                 for c in index.children(a):
                     if not index.leq(c, b):
                         continue
-                    if self.arrow(a, c) @ self.arrow_to(c, b) != ref:
+                    f = self.arrow(a, c) @ into[c]
+                    if a not in into:
+                        into[a] = f
+                    elif f != into[a]:
                         raise FunctorialityViolation(
                             f"composite arrows from {index.names[b]!r} to "
                             f"{index.names[a]!r} disagree through "
@@ -469,7 +488,7 @@ def unit(coll, a):
         if not index.leq(a, b) or target.dims[b] == 0:
             comps.append(cached_zeros(target.dims[b], src.dims[b], p))
             continue
-        coords = _gather(frees[b], lambda x: coll._component(a, b, x))
+        coords = _gather(frees[b], coll.arrow_to(a, b).component)
         comps.append(Matrix._trusted(coords, p))
     return NatTransformation(src, target, comps)
 
@@ -531,9 +550,9 @@ def _thin_scan(coll):
     once, a-major, and return (is_thin's result, is_flat's result).
 
     A comparable pair of dimension 1 is thin when its composite arrow is
-    nonzero, which is tested at the source member's generators only.
-    The first comparable pair with no transformation is the flatness
-    witness; when thinness fails, its witness answers both."""
+    nonzero, which is read from coll.zero_below.  The first comparable
+    pair with no transformation is the flatness witness; when thinness
+    fails, its witness answers both."""
     index = coll.index
     flat = (True, None)
     for a in range(index.n):
@@ -549,7 +568,7 @@ def _thin_scan(coll):
                 if dim == 0 and flat[0]:
                     flat = (False, (a, b))
                 thin = dim == 0 or (
-                    dim == 1 and not coll._arrow_is_zero(a, b)
+                    dim == 1 and not coll.zero_below(b) >> a & 1
                 )
             if not thin:
                 return ((False, (a, b)),) * 2
@@ -597,29 +616,19 @@ def _unit_kernel_generators(coll, a):
 
     The free index module at a is one-dimensional on the up-set of a with
     identity maps, so the kernel at b is nonzero exactly when a <= b and
-    the composite arrow obj(b) -> obj(a) is zero.  By functoriality that
-    set is an up-set: b lies in it when a lower cover does, and is a
-    generator when it lies in it and no lower cover does.  Only the
-    remaining elements are tested, the cheap way first: members with
-    disjoint supports, a zero member among them (every transformation
-    between them is zero), then the arrow at obj(b)'s generators.  No Hom
-    is solved and no whole arrow is composed here.
+    the composite arrow obj(b) -> obj(a) is zero: when a lies in
+    coll.zero_below(b).  By functoriality that set is an up-set, and it is
+    generated at its elements with no lower cover in it.  No Hom is
+    solved and no arrow is composed here.
     """
-    if coll.member_is_zero(a):
-        return [a]
     index = coll.index
-    bits = coll.obj(a).support_bits
-    ker = set()
+    ker = 0
     gens = []
     for b in bit_elements(index.up_bits()[a]):
-        if any(c in ker for c in index.parents(b)):
-            ker.add(b)
-        elif (
-            not bits & coll.obj(b).support_bits
-            or coll._arrow_is_zero(a, b)
-        ):
-            ker.add(b)
-            gens.append(b)
+        if coll.zero_below(b) >> a & 1:
+            if not any(ker >> c & 1 for c in index.parents(b)):
+                gens.append(b)
+            ker |= 1 << b
     return gens
 
 
@@ -630,8 +639,9 @@ def degeneracy_hypothesis(coll):
     closed under joins, must land where the collection vanishes.  That
     kernel is supported on {b >= a : arrow_to(a, b) is zero}, and it is
     generated at the elements of that set with no lower cover in it, so
-    no hom module is built and arrows are composed only at generators.
-    Returns (flag, witness); the result is cached on the collection.
+    no hom module is built and the zero arrows are read from
+    coll.zero_below.  Returns (flag, witness); the result is cached on
+    the collection.
 
     The scan is only meaningful over a thin collection, so thinness is a
     precondition, not part of the answer: a recorded thinness claim is

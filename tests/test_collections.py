@@ -35,6 +35,7 @@ from relbetti.homalg import (
     NatTransformation,
     betti,
     betti_koszul,
+    hom_dim,
     nat_basis,
     zero_nat,
 )
@@ -259,6 +260,23 @@ class TestLowerHooks:
         for _ in range(20):
             m = random_module(rng, base, 2)
             assert relative_projective_dimension(coll, m, 4) <= 2
+
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10**6), k=st.integers(2, 5),
+           p=st.sampled_from([2, 3, 5]))
+    def test_hom_out_of_a_hook_is_a_kernel(self, seed, k, p):
+        # K(v, w) has one generator at v and one vanishing relation at w,
+        # so Hom(K(v, w), M) is the kernel of M(v -> w)
+        rng = np.random.default_rng(seed)
+        base = random_semilattice(rng, Poset.grid(2, 2), k)
+        coll = lower_hooks(base, p)
+        m = random_module(rng, base, p)
+        for a, name in enumerate(coll.index.names):
+            v, w = (base.index(x) for x in name.split("|"))
+            want = m.dims[v] - rank(m.map(v, w))
+            assert hom_dim(coll.obj(a), m) == want, name
+            assert len(nat_basis(coll.obj(a), m)) == want, name
 
 
 class TestLowerHooksInf:
@@ -835,6 +853,27 @@ class TestClaimsAgainstHonestChecks:
             self._verify(
                 translated(Poset.grid(n, r), [tuple(0 for _ in range(r))], 2)
             )
+
+    @pytest.mark.parametrize("build", [
+        lower_hooks,
+        lower_hooks_inf,
+        rectangles_naive,
+        lambda base, p: rectangles_grid(5, 2, p),
+    ], ids=["lower_hooks", "lower_hooks_inf", "rectangles_naive",
+            "rectangles_grid"])
+    def test_degeneracy_on_m0_base(self, build):
+        # the recorded thinness is trusted, as `relbetti check
+        # --degeneracy` does; the scan itself is honest
+        coll = build(m0_demo().poset, 2)
+        claimed = coll.claims["degeneracy"]
+        coll.claims = {"thin": coll.claims["thin"]}
+        assert degeneracy_hypothesis(coll)[0] == claimed
+        # what the scan keeps is per element, never per pair
+        bound = max(coll.index.n, len(coll.index.covers), coll.domain.n)
+        for name, value in vars(coll).items():
+            if isinstance(value, (dict, list, set, tuple)):
+                assert len(value) <= bound, name
+        assert all(isinstance(z, int) for z in coll._zero_below)
 
     @settings(max_examples=12, deadline=None)
     @given(k=st.integers(min_value=1, max_value=4), p=st.sampled_from([2, 5]))

@@ -86,6 +86,17 @@ class TestMatrixBasics:
         assert z.rows == 3 and z.cols == 0
         assert (z.transpose() @ z).rows == 0
 
+    @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_shapes_are_zero(self, rows, cols):
+        assert Matrix.zeros(rows, cols, 2).is_zero()
+        assert Matrix(np.ones((rows, cols), dtype=np.int64), 3).is_zero()
+
+    def test_is_zero_sees_one_entry(self):
+        a = np.zeros((2, 3), dtype=np.int64)
+        a[1, 2] = 5
+        assert Matrix(a, 5).is_zero()
+        assert not Matrix(a, 7).is_zero()
+
     def test_large_p_matmul_exact(self):
         # inner dim * (p-1)^2 overflows int64; result must still be exact
         p = (1 << 31) - 1  # Mersenne prime

@@ -271,6 +271,25 @@ class TestJoinMeet:
                     expect = most[0] if most else None
                     assert p.meet_bounded(s) == expect
 
+class TestStepToward:
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 9))
+    def test_matches_child_search(self, seed, n):
+        rng = np.random.default_rng(seed)
+        names, covers, _ = random_poset_covers(rng, n)
+        p = Poset.from_covers(names, [(names[i], names[j]) for i, j in covers])
+        for a in range(p.n):
+            for b in range(p.n):
+                if a != b and p.leq(a, b):
+                    want = next(c for c in p.children(a) if p.leq(c, b))
+                    assert p.step_toward(a, b) == want
+
+    def test_grid_steps_in_the_last_coordinate_first(self):
+        g = Poset.grid(2, 2)
+        assert g.step_toward(g.index("0,0"), g.index("1,1")) == g.index("0,1")
+        assert g.step_toward(g.index("0,0"), g.index("2,0")) == g.index("1,0")
+
+
 class TestParentMeets:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 9))

@@ -198,6 +198,18 @@ def twin_generator_collection(p=2):
     return CollectionFunctor(base, Poset.from_covers(["pt"], []), p, [m], {})
 
 
+def _assert_zero_below_matches_arrows(coll):
+    """zero_below(b) holds exactly the a <= b whose whole composite arrow
+    obj(b) -> obj(a) is zero."""
+    index = coll.index
+    for b in range(index.n):
+        want = 0
+        for a in range(index.n):
+            if index.leq(a, b) and coll.arrow_to(a, b).is_zero():
+                want |= 1 << a
+        assert coll.zero_below(b) == want, index.names[b]
+
+
 def split_pair_collection(p=2):
     base = chain(2)
     index = Poset.from_covers(["a", "b"], [])
@@ -269,7 +281,7 @@ class TestCollectionFunctor:
         mid = index.index("0|2")
         assert rank(coll.arrow_to(lo, mid).component(0)) == 1
 
-    def test_arrow_zero_at_generators_only(self):
+    def test_zero_below_reads_every_generator(self):
         # obj(1) is generated at "0,1" and "1,0"; the arrow to obj(0), the
         # indicator of "1,0", is nonzero only at the second generator
         base = Poset.grid(1, 2)
@@ -282,8 +294,15 @@ class TestCollectionFunctor:
         assert generator_elements(top) == [base.index("0,1"),
                                            base.index("1,0")]
         assert not coll.arrow_to(0, 1).is_zero()
-        assert not coll._arrow_is_zero(0, 1)
-        assert not coll._arrow_is_zero(0, 0)
+        assert coll.zero_below(1) == 0
+        assert coll.zero_below(0) == 0
+
+    def test_zero_below_holds_zero_members(self):
+        _, index, coll = upset_collection()
+        # obj("none") vanishes: every arrow out of it is zero, itself too
+        none = index.index("none")
+        assert coll.zero_below(none) == index.down_bits()[none]
+        assert coll.zero_below(index.index("top")) == 0
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -292,15 +311,41 @@ class TestCollectionFunctor:
         build=st.sampled_from(_INDICATOR_BUILDERS),
         p=st.sampled_from([2, 3]),
     )
-    def test_arrow_zero_test_matches_whole_arrows(self, seed, k, build, p):
+    def test_zero_below_matches_whole_arrows(self, seed, k, build, p):
         rng = np.random.default_rng(seed)
         base = random_semilattice(rng, Poset.grid(2, 2), k)
-        coll = build(base, p)
-        index = coll.index
-        for a in range(index.n):
-            for b in np.flatnonzero(index.leq_matrix[a]).tolist():
-                assert (coll._arrow_is_zero(a, b)
-                        == coll.arrow_to(a, b).is_zero())
+        _assert_zero_below_matches_arrows(build(base, p))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        k=st.integers(2, 4),
+        p=st.sampled_from([2, 3, 5]),
+    )
+    def test_zero_below_powers_of_a_nilpotent(self, seed, k, p):
+        # every member is M = N^k and every cover arrow the one natural
+        # endomorphism phi = T (x) id_N, T strictly lower triangular, so
+        # the composite along a chain of length l is phi^l
+        rng = np.random.default_rng(seed)
+        base = Poset.grid(1, 2)
+        n = random_module(rng, base, p)
+        while not sum(n.dims):
+            n = random_module(rng, base, p)
+        m = direct_sum(base, p, [(n, k)])
+        t = np.tril(rng.integers(0, p, (k, k)), -1)
+        phi = NatTransformation(m, m, [
+            Matrix(np.kron(t, np.eye(d, dtype=np.int64)), p) for d in n.dims
+        ]).check()
+        index = Poset.grid(2, 2)
+        coll = CollectionFunctor(base, index, p, [m] * index.n,
+                                 dict.fromkeys(index.covers, phi))
+        _assert_zero_below_matches_arrows(coll)
+        for b in range(index.n):
+            for a in range(index.n):
+                if index.leq(a, b):
+                    steps = sum(index.coords[b]) - sum(index.coords[a])
+                    power = np.linalg.matrix_power(t, steps) % p
+                    assert (coll.zero_below(b) >> a & 1) == (not power.any())
 
     def test_incomparable_arrow_rejected(self):
         coll = split_pair_collection()
@@ -668,7 +713,7 @@ class TestThinnessCache:
         thin = is_thin(coll)
         assert calls == none
         # after that scan nothing solves Hom: is_flat reads its result and
-        # the degeneracy scan tests supports, then arrows
+        # the degeneracy scan reads the zero arrows from zero_below
         for fn in (is_thin, is_flat, degeneracy_hypothesis):
             for _ in range(2):
                 fn(coll)
