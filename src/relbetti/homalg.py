@@ -5,6 +5,7 @@ deterministic minimal covers and resolutions, Betti diagrams, and the local
 and global Koszul complexes that recompute them.
 """
 
+import bisect
 import itertools
 
 import numpy as np
@@ -316,60 +317,68 @@ def hom_dim(f, g):
     return offs[-1] - (0 if system is None else rank(system))
 
 
-def nat_basis(f, g):
-    """Deterministic basis of the space of natural transformations f -> g.
+def hom_basis(f, g):
+    """Deterministic basis of Hom(f, g) as flat rows: (canon, offs, frees).
 
     The kernel of _hom_system's relation system (the system hom_dim reads
-    the dimension of) gives one vector in g at every generator of f.
-    Each kernel vector is pushed out over f's support and the span is
-    brought to the form kernel_basis gives the naturality system over all
-    components in their row-major vectorization: the reduced echelon
-    basis in reversed column order, so each vector's last nonzero is a 1
-    where the others are 0 (its free position).
+    the dimension of) gives one vector in g at every generator of f,
+    pushed out over f's support and brought to the reduced echelon form,
+    in reversed column order, of the naturality system over all
+    row-major components.  canon holds it as rows, component x at
+    offs[x]:offs[x + 1].  frees lists each row's last nonzero as
+    (element, row, column): a 1 there where the other rows are 0, so a
+    transformation in the span has its coordinates at these positions.
     """
     built = _hom_system(f, g)
-    if built is None:
-        return []
-    gens, pushout, offs, system = built
-    poset = f.poset
-    gdims = g.dims
+    sizes = [gd * fd for gd, fd in zip(g.dims, f.dims)]
+    offs = [0, *itertools.accumulate(sizes)]
     p = f.p
-    if system is None:
-        sol = cached_identity(offs[-1], p)
-    else:
-        sol = kernel_basis(system)
+    if built is not None:
+        gens, pushout, goffs, system = built
+        if system is None:
+            sol = cached_identity(goffs[-1], p)
+        else:
+            sol = kernel_basis(system)
+    if built is None or not sol.cols:
+        return np.zeros((0, offs[-1]), dtype=np.int64), offs, []
     k = sol.cols
-    if not k:
-        return []
     parts = []
     for x, terms in enumerate(pushout):
-        size = gdims[x] * f.dims[x]
-        if not size:
+        if not sizes[x]:
             continue
-        acc = np.zeros((k, gdims[x], f.dims[x]), dtype=np.int64)
+        acc = np.zeros((k, g.dims[x], f.dims[x]), dtype=np.int64)
         for i, s in terms:
-            if offs[i] < offs[i + 1]:
+            if goffs[i] < goffs[i + 1]:
                 img = (g.map(gens[i], x) @ sol.take_rows(
-                    range(offs[i], offs[i + 1]))).a
+                    range(goffs[i], goffs[i + 1]))).a
                 acc = (acc + img.T[:, :, None] * s) % p
-        parts.append(acc.reshape(k, size))
-    # rows reversed in both directions are the reduced echelon basis
+        parts.append(acc.reshape(k, sizes[x]))
+    # reversed both ways, rows are the basis and pivots last nonzeros
     flat = np.concatenate(parts, axis=1)[:, ::-1]
-    canon = rref(Matrix._trusted(flat, p))[0].a[k - 1::-1, ::-1]
+    red, pivots = rref(Matrix._trusted(flat, p))
+    canon = red.a[::-1, ::-1].copy()
+    frees = []
+    for c in reversed(pivots):
+        q = offs[-1] - 1 - c
+        x = bisect.bisect_right(offs, q) - 1
+        frees.append((x, *divmod(q - offs[x], f.dims[x])))
+    return canon, offs, frees
+
+
+def nat_basis(f, g):
+    """Deterministic basis of the space of natural transformations f -> g:
+    the rows of hom_basis, each split into its components."""
+    canon, offs, _ = hom_basis(f, g)
+    shapes = list(zip(g.dims, f.dims))
     out = []
     for vec in canon:
         # a copy of its own, so a kept component pins no other vector
         vec = vec.copy()
-        comps = []
-        pos = 0
-        for a in range(poset.n):
-            size = gdims[a] * f.dims[a]
-            if size:
-                chunk = vec[pos:pos + size].reshape(gdims[a], f.dims[a])
-                comps.append(Matrix._trusted(chunk, p))
-                pos += size
-            else:
-                comps.append(cached_zeros(gdims[a], f.dims[a], p))
+        comps = [
+            Matrix._trusted(vec[offs[a]:offs[a + 1]].reshape(shape), f.p)
+            if offs[a] < offs[a + 1] else cached_zeros(*shape, f.p)
+            for a, shape in enumerate(shapes)
+        ]
         out.append(NatTransformation(f, g, comps))
     return out
 

@@ -29,7 +29,7 @@ from relbetti.errors import (
 from relbetti.fieldlin import (
     Matrix,
     check_modulus,
-    hstack,
+    complement_coords,
     kron,
     matmul_exact,
 )
@@ -42,11 +42,11 @@ from relbetti.homalg import (
     betti_koszul,
     cokernel,
     generator_elements,
+    hom_basis,
     hom_dim,
     identity_nat,
     is_exact,
     koszul_table,
-    minimal_cover,
     nat_basis,
     section_of,
     zero_nat,
@@ -59,6 +59,7 @@ from relbetti.pmod import (
     free,
     json_object,
     matrix_from_json,
+    radical,
     zero_module,
 )
 from relbetti.pmod import validate as validate_module
@@ -150,6 +151,16 @@ class CollectionFunctor:
         out = [0] * self.domain.n
         for a, m in enumerate(self._objs):
             for x in bit_elements(m.support_bits):
+                out[x] |= 1 << a
+        return out
+
+    @functools.cached_property
+    def _generated_at(self):
+        """Bitsets over the index, one per base element x: bit a is set
+        iff obj(a) has a generator at x."""
+        out = [0] * self.domain.n
+        for a, m in enumerate(self._objs):
+            for x in generator_elements(m):
                 out[x] |= 1 << a
         return out
 
@@ -262,7 +273,7 @@ class CollectionFunctor:
         Malformed input raises ValueError (members and arrow entries
         follow PersistenceModule.from_json's rules).  A member that is
         not a functor or an arrow that is not natural raises
-        FunctorialityViolation: nat_basis solves at a presentation and the
+        FunctorialityViolation: hom_basis solves at a presentation and the
         hom modules read coordinates without solving, so both trust them.
         """
         p = check_modulus(obj["p"])
@@ -321,25 +332,6 @@ class CollectionFunctor:
         return CollectionFunctor(domain, index, p, objs, arrows)
 
 
-def _free_positions(basis):
-    """Where each vector of a nat_basis basis has its last nonzero entry,
-    as (element, row, column).
-
-    The basis is in reduced echelon form read from the last entry back:
-    every other vector is 0 there and this one is 1, so the coordinates of
-    a transformation in the span are its entries at these positions.
-    """
-    out = []
-    for phi in basis:
-        x = next(
-            x for x in range(len(phi.comps) - 1, -1, -1)
-            if phi.comps[x].a.any()
-        )
-        last = int(np.flatnonzero(phi.comps[x].a)[-1])
-        out.append((x, *divmod(last, phi.comps[x].cols)))
-    return out
-
-
 def _gather(frees, component):
     """Coordinates of a transformation in a basis with these free
     positions; component(x) gives its component at x and is asked only
@@ -353,31 +345,55 @@ def _gather(frees, component):
     return out
 
 
-def _nat_module_data(coll, m):
-    """The hom module of m plus the bases realizing its fibers and their
-    free positions.
+def _evaluations(coll, m, bases, picked):
+    """Per base element, the components of the rows picked[a] of every
+    flat basis bases[a] of Hom(obj(a), m), side by side."""
+    comps = []
+    for x, d in enumerate(m.dims):
+        blocks = [np.zeros((d, 0), dtype=np.int64)]
+        for a, rows in picked.items():
+            canon, offs, _ = bases[a]
+            block = canon[rows, offs[x]:offs[x + 1]]
+            blocks.extend(block.reshape(len(block), d, coll.obj(a).dims[x]))
+        comps.append(Matrix._trusted(np.hstack(blocks), coll.p))
+    return comps
 
-    The fiber at a is the space of transformations obj(a) -> m; the
-    transition along an index cover precomposes with the arrow, composing
-    only the components that hold free positions of the upper basis.
+
+def _nat_module_data(coll, m):
+    """The hom module of m plus hom_basis(obj(a), m) for every a; where m
+    vanishes at every generator of obj(a) (coll._generated_at) nothing
+    is solved, the fiber is 0 and the basis None.  A transition
+    precomposes with the arrow: at each free position (x, r, c) of the
+    upper basis, one product of row r of the lower basis's components at
+    x by column c of the arrow there.
     """
     index = coll.index
     p = coll.p
-    bases = [nat_basis(coll.obj(a), m) for a in range(index.n)]
-    frees = [_free_positions(bas) for bas in bases]
-    dims = [len(bas) for bas in bases]
+    if m.poset != coll.domain:
+        raise ValueError("modules live on different posets")
+    solved = 0
+    for x in bit_elements(m.support_bits):
+        solved |= coll._generated_at[x]
+    bases = [None] * index.n
+    for a in bit_elements(solved):
+        bases[a] = hom_basis(coll.obj(a), m)
+    dims = [0 if bas is None else len(bas[0]) for bas in bases]
     maps = {}
     for a, b in index.covers:
         if dims[b] == 0 or dims[a] == 0:
             # omitted maps default to zero
             continue
+        canon, offs, _ = bases[a]
+        width = coll.obj(a).dims
         arrow = coll.arrow(a, b).comps
-        cols = [
-            _gather(frees[b], lambda x: phi.comps[x] @ arrow[x])
-            for phi in bases[a]
-        ]
-        maps[(a, b)] = Matrix._trusted(np.hstack(cols), p)
-    return PersistenceModule(index, p, dims, maps), bases, frees
+        arr = np.empty((dims[b], dims[a]), dtype=np.int64)
+        for i, (x, r, c) in enumerate(bases[b][2]):
+            start = offs[x] + r * width[x]
+            arr[i] = matmul_exact(
+                canon[:, start:start + width[x]], arrow[x].a[:, c:c + 1], p
+            )[:, 0]
+        maps[(a, b)] = Matrix._trusted(arr, p)
+    return PersistenceModule(index, p, dims, maps), bases
 
 
 def nat_module(coll, m):
@@ -390,19 +406,23 @@ def nat_module(coll, m):
 
 
 def nat_module_map(coll, f):
-    """The map induced on hom modules by postcomposition with f."""
-    src, sbases, _ = _nat_module_data(coll, f.source)
-    dst, _, dfrees = _nat_module_data(coll, f.target)
+    """The map induced on hom modules by postcomposition with f: row r
+    of f at x times column c of the source basis at each free position
+    (x, r, c) of the target basis."""
+    src, sbases = _nat_module_data(coll, f.source)
+    dst, dbases = _nat_module_data(coll, f.target)
     comps = []
     for a in range(coll.index.n):
         if src.dims[a] == 0 or dst.dims[a] == 0:
             comps.append(cached_zeros(dst.dims[a], src.dims[a], coll.p))
             continue
-        cols = [
-            _gather(dfrees[a], lambda x: f.comps[x] @ phi.comps[x])
-            for phi in sbases[a]
-        ]
-        comps.append(Matrix._trusted(np.hstack(cols), coll.p))
+        canon, offs, _ = sbases[a]
+        width = coll.obj(a).dims
+        arr = np.empty((dst.dims[a], src.dims[a]), dtype=np.int64)
+        for i, (x, r, c) in enumerate(dbases[a][2]):
+            column = canon[:, offs[x] + c:offs[x + 1]:width[x]]
+            arr[i] = matmul_exact(column, f.comps[x].a[r:r + 1].T, coll.p)[:, 0]
+        comps.append(Matrix._trusted(arr, coll.p))
     return NatTransformation(src, dst, comps)
 
 
@@ -482,13 +502,13 @@ def unit(coll, a):
     index = coll.index
     p = coll.p
     src = free(index, a, p)
-    target, _, frees = _nat_module_data(coll, coll.obj(a))
+    target, bases = _nat_module_data(coll, coll.obj(a))
     comps = []
     for b in range(index.n):
         if not index.leq(a, b) or target.dims[b] == 0:
             comps.append(cached_zeros(target.dims[b], src.dims[b], p))
             continue
-        coords = _gather(frees[b], coll.arrow_to(a, b).component)
+        coords = _gather(bases[b][2], coll.arrow_to(a, b).component)
         comps.append(Matrix._trusted(coords, p))
     return NatTransformation(src, target, comps)
 
@@ -499,7 +519,7 @@ def unit_map(coll, f):
     index = coll.index
     p = coll.p
     lmod, proj, _, offsets = _realized(coll, f)
-    target, _, frees = _nat_module_data(coll, lmod)
+    target, bases = _nat_module_data(coll, lmod)
     comps = []
     for a in range(index.n):
         if f.dims[a] == 0 or target.dims[a] == 0:
@@ -511,7 +531,7 @@ def unit_map(coll, f):
                 k = coll.obj(a).dims[x]
                 start = offsets[x][a] + v * k
                 return proj.comps[x].take_cols(range(start, start + k))
-            cols.append(_gather(frees[a], inserted))
+            cols.append(_gather(bases[a][2], inserted))
         comps.append(Matrix._trusted(np.hstack(cols), p))
     return NatTransformation(f, target, comps)
 
@@ -519,16 +539,11 @@ def unit_map(coll, f):
 def counit_map(coll, m):
     """Counit of the adjunction: realize the hom module and evaluate, the
     i-th copy of obj(a) mapping to m by the i-th basis transformation."""
-    nm, bases, _ = _nat_module_data(coll, m)
+    nm, bases = _nat_module_data(coll, m)
     lmod, _, section, _ = _realized(coll, nm)
-    comps = [
-        hstack(
-            [phi.component(x) for bas in bases for phi in bas],
-            rows=m.dims[x], p=coll.p,
-        ) @ section.comps[x]
-        for x in range(coll.domain.n)
-    ]
-    return NatTransformation(lmod, m, comps)
+    picked = dict.fromkeys(bit_elements(nm.support_bits), slice(None))
+    comps = _evaluations(coll, m, bases, picked)
+    return NatTransformation(lmod, m, [c @ s for c, s in zip(comps, section.comps)])
 
 
 def is_thin(coll):
@@ -705,31 +720,18 @@ def relative_betti_diagram(coll, m, dmax, force=False):
 def _relative_cover(coll, m, nm, bases):
     """Adjoint of the minimal cover of the hom module.
 
-    One summand per generator, realized as a copy of the generating
-    member; the component on a summand is the transformation the
-    generator's coordinates select.
+    Its generators are minimal_cover's, the complement coordinates of the
+    radical, each a unit vector.  One summand per generator, a copy of
+    the generating member, whose component is the basis row it selects.
     """
-    domain = coll.domain
-    p = coll.p
-    cov = minimal_cover(nm)
-    gens = cov.source.free_generators
-    realized = direct_sum(domain, p, [(coll.obj(a), 1) for a in gens])
-    picked = []
-    for k, a in enumerate(gens):
-        pos = cov.source.generators_at[a].index(k)
-        picked.append((a, cov.component(a).col(pos).a.reshape(-1)))
-    comps = []
-    for x in range(domain.n):
-        blocks = []
-        for a, coords in picked:
-            w = coll.obj(a).dims[x]
-            arr = np.zeros((m.dims[x], w), dtype=np.int64)
-            for i, c in enumerate(coords):
-                if c:
-                    arr += int(c) * bases[a][i].component(x).a
-            blocks.append(Matrix(arr, p))
-        comps.append(hstack(blocks, rows=m.dims[x], p=p))
-    g = NatTransformation(realized, m, comps)
+    rad = radical(nm)
+    picked = {}
+    for a in bit_elements(nm.support_bits):
+        if qs := complement_coords(rad[a]):
+            picked[a] = qs
+    gens = tuple(a for a, qs in picked.items() for _ in qs)
+    realized = direct_sum(coll.domain, coll.p, [(coll.obj(a), 1) for a in gens])
+    g = NatTransformation(realized, m, _evaluations(coll, m, bases, picked))
     g.relative_generators = gens
     return g
 
@@ -737,8 +739,7 @@ def _relative_cover(coll, m, nm, bases):
 def relative_minimal_cover(coll, m):
     """Minimal cover of m relative to the collection."""
     _require_thin(coll)
-    nm, bases, _ = _nat_module_data(coll, m)
-    return _relative_cover(coll, m, nm, bases)
+    return _relative_cover(coll, m, *_nat_module_data(coll, m))
 
 
 class RelativeResolution(Resolution):
@@ -775,7 +776,7 @@ def relative_minimal_resolution(coll, m, dmax):
     _require_thin(coll)
 
     def cover(cur):
-        nm, bases, _ = _nat_module_data(coll, cur)
+        nm, bases = _nat_module_data(coll, cur)
         if sum(nm.dims) == 0:
             # nothing maps in: the chain so far is already exact through
             # the hom module

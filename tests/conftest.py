@@ -26,7 +26,10 @@ relbetti.relative reads the same generators off zero composite arrows
 and must give the same flag, witness and exception.  oracle_flat runs
 the thinness and flatness loops apart, solving each pair with nat_basis;
 relbetti.relative decides both in one pass and must give the same flag
-and witness.
+and witness.  oracle_relative_cover builds the relative cover through
+homalg.minimal_cover of the hom module and nat_basis's transformations;
+relbetti.relative reads the generators off the radical and the
+components off flat bases, and must give the same ones.
 """
 import itertools
 
@@ -397,6 +400,33 @@ def oracle_coords(basis, f):
         return np.zeros(0, dtype=np.int64)
     cols = Matrix(np.stack([_flatten(b) for b in basis], axis=1), p)
     return solve(cols, Matrix(_flatten(f).reshape(-1, 1), p)).a[:, 0]
+
+
+def oracle_relative_cover(coll, m):
+    """(generators, components) of the relative cover of m: one summand
+    per generator of minimal_cover(nat_module(coll, m)), whose component
+    is the nat_basis combination that generator's coordinates select."""
+    from relbetti.homalg import minimal_cover, nat_basis
+    from relbetti.relative import nat_module
+
+    p = coll.p
+    cov = minimal_cover(nat_module(coll, m))
+    gens = cov.source.free_generators
+    picked = []
+    for k, a in enumerate(gens):
+        pos = cov.source.generators_at[a].index(k)
+        coords = cov.component(a).col(pos).a[:, 0]
+        picked.append((coords, nat_basis(coll.obj(a), m)))
+    comps = []
+    for x in range(coll.domain.n):
+        blocks = [np.zeros((m.dims[x], 0), dtype=np.int64)]
+        for coords, basis in picked:
+            arr = np.zeros_like(basis[0].comps[x].a)
+            for c, phi in zip(coords, basis):
+                arr = (arr + int(c) * phi.comps[x].a) % p
+            blocks.append(arr)
+        comps.append(np.concatenate(blocks, axis=1))
+    return gens, comps
 
 
 def oracle_degeneracy(coll):

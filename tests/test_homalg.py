@@ -57,6 +57,7 @@ from relbetti.homalg import (
     free_nat,
     generator_elements,
     global_koszul,
+    hom_basis,
     hom_dim,
     identity_nat,
     image,
@@ -71,7 +72,7 @@ from relbetti.homalg import (
 )
 from relbetti.homalg import _indicator_support
 from relbetti.poset import Poset
-from relbetti.relative import _free_positions, _gather
+from relbetti.relative import _gather
 
 
 def chain(k):
@@ -725,8 +726,32 @@ def _assert_same_basis(got, want, f, g):
             assert c.a.shape == d.a.shape and np.array_equal(c.a, d.a)
 
 
+def _assert_hom_basis_matches(basis, f, g):
+    """hom_basis's rows are the basis flattened, component x at
+    offs[x]:offs[x + 1]; each free position is its row's last nonzero,
+    1 there and 0 in every other row."""
+    canon, offs, frees = hom_basis(f, g)
+    assert canon.dtype == np.int64
+    assert np.diff(offs).tolist() == [
+        gd * fd for gd, fd in zip(g.dims, f.dims)
+    ]
+    want = [np.concatenate([c.a.reshape(-1) for c in phi.comps])
+            for phi in basis]
+    assert canon.shape == (len(basis), offs[-1])
+    assert np.array_equal(canon, np.array(want, dtype=np.int64).reshape(
+        len(basis), offs[-1]))
+    assert len(frees) == len(basis)
+    for i, (x, r, c) in enumerate(frees):
+        assert 0 <= r < g.dims[x] and 0 <= c < f.dims[x]
+        q = offs[x] + r * f.dims[x] + c
+        assert not canon[i, q + 1:].any()
+        assert canon[i, q] == 1
+        assert np.count_nonzero(canon[:, q]) == 1
+    return frees
+
+
 def _assert_gather_matches(rng, basis, f, g, p):
-    frees = _free_positions(basis)
+    frees = _assert_hom_basis_matches(basis, f, g)
     coeffs = rng.integers(0, p, len(basis))
     comps = []
     for x in range(f.poset.n):
@@ -765,10 +790,11 @@ def test_nat_basis_matches_oracle(seed, kind, p, source, target):
     g = _hom_source(rng, poset, p, target)
     for a, b in ((f, g), (g, f), (f, f)):
         basis = nat_basis(a, b)
-        _assert_same_basis(basis, oracle_nat_basis(a, b), a, b)
+        want = oracle_nat_basis(a, b)
+        _assert_same_basis(basis, want, a, b)
         for phi in basis:
             phi.check()
-        _assert_gather_matches(rng, basis, a, b, p)
+        _assert_gather_matches(rng, want, a, b, p)
 
 
 def test_nat_basis_matches_oracle_on_grid_collections():
@@ -780,9 +806,9 @@ def test_nat_basis_matches_oracle_on_grid_collections():
         for a in range(coll.index.n):
             x = coll.obj(a)
             for f, g in ((x, m0), (m0, x)):
-                basis = nat_basis(f, g)
-                _assert_same_basis(basis, oracle_nat_basis(f, g), f, g)
-                _assert_gather_matches(rng, basis, f, g, 2)
+                want = oracle_nat_basis(f, g)
+                _assert_same_basis(nat_basis(f, g), want, f, g)
+                _assert_gather_matches(rng, want, f, g, 2)
 
 
 class TestHomDim:

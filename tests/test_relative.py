@@ -14,7 +14,9 @@ import relbetti.relative
 from conftest import (
     indicator_hom_dim,
     oracle_degeneracy,
+    oracle_coords,
     oracle_flat,
+    oracle_relative_cover,
     random_free_map,
     random_module,
     random_semilattice,
@@ -43,8 +45,10 @@ from relbetti.homalg import (
     Resolution,
     betti,
     generator_elements,
+    hom_dim,
     identity_nat,
     kernel,
+    minimal_cover,
     nat_basis,
     zero_nat,
 )
@@ -210,6 +214,57 @@ def _assert_zero_below_matches_arrows(coll):
         assert coll.zero_below(b) == want, index.names[b]
 
 
+def nilpotent_collection(rng, k, p):
+    """Every member of a grid(2,2) index is M = N^k, N a random nonzero
+    module over grid(1,2), and every cover arrow the one natural
+    endomorphism phi = T (x) id_N, T strictly lower triangular, so the
+    composite along a chain of length l is phi^l.  Returns (coll, T)."""
+    base = Poset.grid(1, 2)
+    n = random_module(rng, base, p)
+    while not sum(n.dims):
+        n = random_module(rng, base, p)
+    m = direct_sum(base, p, [(n, k)])
+    t = np.tril(rng.integers(0, p, (k, k)), -1)
+    phi = NatTransformation(m, m, [
+        Matrix(np.kron(t, np.eye(d, dtype=np.int64)), p) for d in n.dims
+    ]).check()
+    index = Poset.grid(2, 2)
+    coll = CollectionFunctor(base, index, p, [m] * index.n,
+                             dict.fromkeys(index.covers, phi))
+    return coll, t
+
+
+def _assert_dims_are_hom_dims(coll, m):
+    """The hom module solves only the members with a generator where m
+    is nonzero; every fiber still has dimension dim Hom(obj(a), m)."""
+    got = nat_module(coll, m).dims
+    assert list(got) == [hom_dim(coll.obj(a), m) for a in range(coll.index.n)]
+
+
+def _assert_hom_maps_match_oracle(coll, f):
+    """nat_module's transitions for f's source, and nat_module_map of f,
+    written column by column in nat_basis's bases through oracle_coords."""
+    index = coll.index
+
+    def matrix(basis, images):
+        out = np.zeros((len(basis), len(images)), dtype=np.int64)
+        for j, psi in enumerate(images):
+            out[:, j] = oracle_coords(basis, psi)
+        return out
+
+    src = [nat_basis(coll.obj(a), f.source) for a in range(index.n)]
+    dst = [nat_basis(coll.obj(a), f.target) for a in range(index.n)]
+    nm = nat_module(coll, f.source)
+    for a, b in index.covers:
+        arrow = coll.arrow(a, b)
+        want = matrix(src[b], [phi @ arrow for phi in src[a]])
+        assert np.array_equal(nm.cover_map(a, b).a, want)
+    got = nat_module_map(coll, f)
+    for a in range(index.n):
+        want = matrix(dst[a], [f @ phi for phi in src[a]])
+        assert np.array_equal(got.comps[a].a, want)
+
+
 def split_pair_collection(p=2):
     base = chain(2)
     index = Poset.from_covers(["a", "b"], [])
@@ -323,22 +378,8 @@ class TestCollectionFunctor:
         p=st.sampled_from([2, 3, 5]),
     )
     def test_zero_below_powers_of_a_nilpotent(self, seed, k, p):
-        # every member is M = N^k and every cover arrow the one natural
-        # endomorphism phi = T (x) id_N, T strictly lower triangular, so
-        # the composite along a chain of length l is phi^l
-        rng = np.random.default_rng(seed)
-        base = Poset.grid(1, 2)
-        n = random_module(rng, base, p)
-        while not sum(n.dims):
-            n = random_module(rng, base, p)
-        m = direct_sum(base, p, [(n, k)])
-        t = np.tril(rng.integers(0, p, (k, k)), -1)
-        phi = NatTransformation(m, m, [
-            Matrix(np.kron(t, np.eye(d, dtype=np.int64)), p) for d in n.dims
-        ]).check()
-        index = Poset.grid(2, 2)
-        coll = CollectionFunctor(base, index, p, [m] * index.n,
-                                 dict.fromkeys(index.covers, phi))
+        coll, t = nilpotent_collection(np.random.default_rng(seed), k, p)
+        index = coll.index
         _assert_zero_below_matches_arrows(coll)
         for b in range(index.n):
             for a in range(index.n):
@@ -405,6 +446,72 @@ class TestNatModule:
         for i, name in enumerate(coll.index.names):
             v, w = (base.index(s) for s in name.split("|"))
             assert nm.dims[i] == kernel_basis(m.map(v, w)).cols
+
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 10**6), p=st.sampled_from([2, 3, 5]))
+    def test_dims_are_hom_dims_with_zero_members(self, seed, p):
+        # random members over grid(2,1), about a third of them zero, and
+        # no arrows; m is zero one time in four
+        rng = np.random.default_rng(seed)
+        base = Poset.grid(2, 1)
+        index = Poset.grid(1, 2)
+        objs = [
+            zero_module(base, p) if rng.random() < 0.3
+            else random_module(rng, base, p)
+            for _ in range(index.n)
+        ]
+        coll = CollectionFunctor(base, index, p, objs, {})
+        m = (zero_module(base, p) if rng.random() < 0.25
+             else random_module(rng, base, p))
+        _assert_dims_are_hom_dims(coll, m)
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        seed=st.integers(0, 10**6),
+        k=st.integers(2, 4),
+        p=st.sampled_from([2, 3, 5]),
+    )
+    def test_dims_are_hom_dims_on_a_nilpotent_collection(self, seed, k, p):
+        rng = np.random.default_rng(seed)
+        coll, _ = nilpotent_collection(rng, k, p)
+        _assert_dims_are_hom_dims(coll, coll.obj(0))
+        _assert_dims_are_hom_dims(coll, random_module(rng, coll.domain, p))
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        seed=st.integers(0, 10**6),
+        k=st.integers(2, 3),
+        p=st.sampled_from([2, 3, 5]),
+    )
+    def test_hom_maps_match_oracle_on_a_nilpotent_collection(self, seed, k,
+                                                             p):
+        # members N^k have dimensions above 1, so free positions sit off
+        # the first row and column of their components
+        rng = np.random.default_rng(seed)
+        coll, _ = nilpotent_collection(rng, k, p)
+        m = random_module(rng, coll.domain, p)
+        _assert_hom_maps_match_oracle(coll, minimal_cover(m))
+        _assert_hom_maps_match_oracle(coll, kernel(minimal_cover(m))[1])
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        seed=st.integers(0, 10**6),
+        build=st.sampled_from(_INDICATOR_BUILDERS),
+        p=st.sampled_from([2, 3]),
+    )
+    def test_dims_are_hom_dims_on_builders(self, seed, build, p):
+        rng = np.random.default_rng(seed)
+        base = random_semilattice(rng, Poset.grid(2, 2), 3)
+        coll = build(base, p)
+        _assert_dims_are_hom_dims(coll, random_module(rng, base, p))
+        _assert_dims_are_hom_dims(coll, zero_module(base, p))
+
+    def test_other_poset_rejected(self):
+        base, _ = chain3_module()
+        coll = interval_collection(base)
+        with pytest.raises(ValueError, match="different posets"):
+            nat_module(coll, zero_module(chain(2), 2))
 
 
 class TestRealization:
@@ -683,10 +790,10 @@ class TestFlatOracle:
 
 
 def _count_solves(monkeypatch):
-    """Count the Hom solves the relative module makes, through nat_basis,
-    hom_dim and pair_basis."""
-    calls = {"nat_basis": 0, "hom_dim": 0, "pair_basis": 0}
-    for owner, name in ((relbetti.relative, "nat_basis"),
+    """Count the Hom solves the relative module makes: the hom module's
+    hom_basis, the scans' hom_dim and pair_basis."""
+    calls = {"hom_basis": 0, "hom_dim": 0, "pair_basis": 0}
+    for owner, name in ((relbetti.relative, "hom_basis"),
                         (relbetti.relative, "hom_dim"),
                         (CollectionFunctor, "pair_basis")):
         real = getattr(owner, name)
@@ -740,6 +847,24 @@ class TestThinnessCache:
         assert calls == dict.fromkeys(calls, 0)
 
 
+def _assert_cover_matches_oracle(coll, m):
+    """The relative cover of m and of its kernel have the generators and
+    components that minimal_cover of the hom module gives, and the
+    relative minimal resolution of m passes its check."""
+    cur = m
+    for _ in range(2):
+        g = relative_minimal_cover(coll, cur)
+        gens, comps = oracle_relative_cover(coll, cur)
+        assert g.relative_generators == gens
+        for x in range(coll.domain.n):
+            assert g.comps[x].a.dtype == np.int64
+            assert np.array_equal(g.comps[x].a, comps[x])
+        cur = kernel(g)[0]
+    res = relative_minimal_resolution(coll, m, 8)
+    assert res.complete
+    res.check(coll)
+
+
 class TestRelativeCover:
     def test_member_covers_itself(self):
         base, _ = chain3_module()
@@ -776,6 +901,28 @@ class TestRelativeCover:
         coll = twin_generator_collection()
         with pytest.raises(NotThin):
             relative_minimal_cover(coll, coll.obj(0))
+
+    @pytest.mark.parametrize("build", [
+        lower_hooks, lambda g, p: rectangles_grid(3, 2, p),
+    ], ids=["lower_hooks", "rectangles_grid"])
+    def test_matches_oracle_on_criterion3_modules(self, build):
+        # acceptance criterion 3's fifty random modules over grid(3,2)
+        g = Poset.grid(3, 2)
+        rng = np.random.default_rng(33)
+        colls = {p: build(g, p) for p in (2, 5)}
+        for i in range(50):
+            p = 2 if i % 2 == 0 else 5
+            _assert_cover_matches_oracle(colls[p], random_module(rng, g, p))
+
+    @pytest.mark.parametrize("build", [
+        lower_hooks, lambda g, p: rectangles_grid(5, 2, p),
+    ], ids=["lower_hooks", "rectangles_grid"])
+    def test_matches_oracle_on_m0(self, build):
+        # m0 + m0 has two generators at each of m0's index elements
+        m0 = m0_demo(2)
+        coll = build(m0.poset, 2)
+        _assert_cover_matches_oracle(coll, m0)
+        _assert_cover_matches_oracle(coll, direct_sum(m0.poset, 2, [(m0, 2)]))
 
 
 class TestOracle:
