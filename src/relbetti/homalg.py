@@ -65,6 +65,14 @@ class NatTransformation:
                 raise ValueError("component modulus mismatch")
         self.comps = comps
 
+    @classmethod
+    def _trusted(cls, source, target, comps):
+        """A transformation from components the caller built with the
+        shapes and modulus the constructor checks; nothing is checked."""
+        f = object.__new__(cls)
+        f.source, f.target, f.comps = source, target, tuple(comps)
+        return f
+
     def component(self, a):
         return self.comps[a]
 
@@ -683,12 +691,17 @@ def betti_koszul(f, a, dmax):
 
 
 def koszul_table(m, elements, dmax):
-    """Diagram of the local Koszul homology of m at the given elements,
-    up to dmax: the table both the standard and the relative Koszul
-    routes read."""
+    """Diagram of the local Koszul homology of m at the elements of the
+    bitset elements, up to dmax: the table both Koszul routes read.  Only
+    elements above m's support are visited; below any other a, where
+    every meet of its complex lies, m vanishes."""
+    up = m.poset.up_bits()
+    reach = 0
+    for x in bit_elements(m.support_bits):
+        reach |= up[x]
     return BettiDiagram({
         (d, a): k
-        for a in elements
+        for a in bit_elements(reach & elements)
         for d, k in enumerate(betti_koszul(m, a, dmax))
         if k
     })
@@ -697,7 +710,7 @@ def koszul_table(m, elements, dmax):
 def koszul_betti_diagram(m, dmax):
     """Full table of standard multiplicities up to dmax from the local
     Koszul complex at every element."""
-    return koszul_table(m, range(m.poset.n), dmax)
+    return koszul_table(m, (1 << m.poset.n) - 1, dmax)
 
 
 def global_koszul(f):

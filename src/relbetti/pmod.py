@@ -39,7 +39,8 @@ class PersistenceModule:
     """Functor from a finite poset to GF(p) vector spaces.
 
     Data: one dimension per element, one matrix per cover (a, b) of shape
-    dims[b] x dims[a]. Maps omitted from the constructor default to zero.
+    dims[b] x dims[a]. Maps omitted from the constructor default to zero,
+    and only the given maps whose two ends are nonzero are stored.
     """
 
     def __init__(self, poset, p, dims, cover_maps):
@@ -61,11 +62,8 @@ class PersistenceModule:
         if extra:
             raise ValueError(f"maps attached to non-covers: {sorted(extra)}")
         maps = {}
-        for a, b in poset.sorted_covers:
-            m = cover_maps.get((a, b))
-            if m is None:
-                maps[(a, b)] = cached_zeros(dims[b], dims[a], self.p)
-                continue
+        for a, b in sorted(cover_maps):
+            m = cover_maps[(a, b)]
             if m.p != self.p:
                 raise ValueError("cover map modulus differs from module modulus")
             if m.rows != dims[b] or m.cols != dims[a]:
@@ -73,14 +71,20 @@ class PersistenceModule:
                     f"cover map {poset.names[a]!r} < {poset.names[b]!r} has shape "
                     f"{m.rows}x{m.cols}, expected {dims[b]}x{dims[a]}"
                 )
-            maps[(a, b)] = m
+            if dims[a] and dims[b]:
+                maps[(a, b)] = m
         self._cover_maps = maps
         self._composites = {}
         # homalg.nat_basis's presentation of this module, built on first use
         self._presentation = None
 
     def cover_map(self, a, b):
-        return self._cover_maps[(a, b)]
+        """The map on the cover a < b; KeyError on a non-cover."""
+        if (a, b) in self._cover_maps:
+            return self._cover_maps[(a, b)]
+        if (a, b) not in self.poset.covers:
+            raise KeyError((a, b))
+        return cached_zeros(self.dims[b], self.dims[a], self.p)
 
     def map(self, a, b):
         """Transition matrix for a <= b along the canonical cover chain."""
@@ -93,19 +97,23 @@ class PersistenceModule:
         got = self._composites.get((a, b))
         if got is None:
             c = self.poset.step_toward(a, b)
-            got = self.map(c, b) @ self._cover_maps[(a, c)]
+            got = self.map(c, b) @ self.cover_map(a, c)
             self._composites[(a, b)] = got
         return got
 
     def __eq__(self, other):
         if not isinstance(other, PersistenceModule):
             return NotImplemented
-        return (
-            self.poset == other.poset
-            and self.p == other.p
-            and self.dims == other.dims
-            and self._cover_maps == other._cover_maps
-        )
+        if self is other:
+            return True
+        if (self.poset, self.p, self.dims) != (other.poset, other.p, other.dims):
+            return False
+        # same stored keys: one dict comparison; else a map stored on one
+        # side only must be zero
+        if self._cover_maps.keys() == other._cover_maps.keys():
+            return self._cover_maps == other._cover_maps
+        keys = self._cover_maps.keys() | other._cover_maps.keys()
+        return all(self.cover_map(*k) == other.cover_map(*k) for k in keys)
 
     __hash__ = None
 
@@ -311,15 +319,16 @@ def direct_sum(poset, p, parts):
 
 def radical(m):
     """Per element, the pivot columns of the stacked images of the cover
-    maps into it: an independent basis of the radical there."""
-    poset = m.poset
-    return tuple(
-        column_basis(hstack(
-            [m.cover_map(s, a) for s in poset.parents(a)],
-            rows=m.dims[a], p=m.p,
-        ))
-        for a in range(poset.n)
-    )
+    maps into it: an independent basis of the radical there.  Where m is
+    zero, or zero at every lower cover, the basis is empty and nothing is
+    stacked or eliminated."""
+    out = []
+    for a, d in enumerate(m.dims):
+        lower = [
+            m.cover_map(s, a) for s in m.poset.parents(a) if d and m.dims[s]
+        ]
+        out.append(column_basis(hstack(lower)) if lower else cached_zeros(d, 0, m.p))
+    return tuple(out)
 
 
 def h0(m):

@@ -145,6 +145,11 @@ class CollectionFunctor:
         return self.arrow(a, c) @ self.arrow_to(c, b)
 
     @functools.cached_property
+    def _nonzero(self):
+        """Bitset over the index: bit a is set iff obj(a) is nonzero."""
+        return sum(1 << a for a, m in enumerate(self._objs) if m.support_bits)
+
+    @functools.cached_property
     def _members_at(self):
         """Bitsets over the index, one per base element x: bit a is set
         iff obj(a) is nonzero at x."""
@@ -362,9 +367,10 @@ def _evaluations(coll, m, bases, picked):
 def _nat_module_data(coll, m):
     """The hom module of m plus hom_basis(obj(a), m) for every a; where m
     vanishes at every generator of obj(a) (coll._generated_at) nothing
-    is solved, the fiber is 0 and the basis None.  A transition
-    precomposes with the arrow: at each free position (x, r, c) of the
-    upper basis, one product of row r of the lower basis's components at
+    is solved, the fiber is 0 and the basis None.  Only the covers up
+    from a solved member between two nonzero fibers get a transition: it
+    precomposes with the arrow, at each free position (x, r, c) of the
+    upper basis one product of row r of the lower basis's components at
     x by column c of the arrow there.
     """
     index = coll.index
@@ -379,20 +385,20 @@ def _nat_module_data(coll, m):
         bases[a] = hom_basis(coll.obj(a), m)
     dims = [0 if bas is None else len(bas[0]) for bas in bases]
     maps = {}
-    for a, b in index.covers:
-        if dims[b] == 0 or dims[a] == 0:
-            # omitted maps default to zero
-            continue
-        canon, offs, _ = bases[a]
-        width = coll.obj(a).dims
-        arrow = coll.arrow(a, b).comps
-        arr = np.empty((dims[b], dims[a]), dtype=np.int64)
-        for i, (x, r, c) in enumerate(bases[b][2]):
-            start = offs[x] + r * width[x]
-            arr[i] = matmul_exact(
-                canon[:, start:start + width[x]], arrow[x].a[:, c:c + 1], p
-            )[:, 0]
-        maps[(a, b)] = Matrix._trusted(arr, p)
+    for a in bit_elements(solved):
+        for b in index.children(a):
+            if dims[a] == 0 or dims[b] == 0:
+                continue
+            canon, offs, _ = bases[a]
+            width = coll.obj(a).dims
+            arrow = coll.arrow(a, b).comps
+            arr = np.empty((dims[b], dims[a]), dtype=np.int64)
+            for i, (x, r, c) in enumerate(bases[b][2]):
+                start = offs[x] + r * width[x]
+                arr[i] = matmul_exact(
+                    canon[:, start:start + width[x]], arrow[x].a[:, c:c + 1], p
+                )[:, 0]
+            maps[(a, b)] = Matrix._trusted(arr, p)
     return PersistenceModule(index, p, dims, maps), bases
 
 
@@ -561,32 +567,38 @@ def is_thin(coll):
 
 
 def _thin_scan(coll):
-    """Read the Hom dimension of every ordered pair of nonzero members
-    once, a-major, and return (is_thin's result, is_flat's result).
+    """Read the Hom dimension of every ordered pair of nonzero members,
+    a-major, and return (is_thin's result, is_flat's result).
 
-    A comparable pair of dimension 1 is thin when its composite arrow is
+    Row a asks hom_dim only of the members with a generator where obj(a)
+    is nonzero (coll._generated_at); the others have dimension 0.  A
+    comparable pair of dimension 1 is thin when its composite arrow is
     nonzero, which is read from coll.zero_below.  The first comparable
     pair with no transformation is the flatness witness; when thinness
     fails, its witness answers both."""
     index = coll.index
+    nonzero = coll._nonzero
     flat = (True, None)
-    for a in range(index.n):
-        if coll.member_is_zero(a):
-            continue
-        for b in range(index.n):
-            if coll.member_is_zero(b):
-                continue
+    for a in bit_elements(nonzero):
+        cand = 0
+        for x in bit_elements(coll.obj(a).support_bits):
+            cand |= coll._generated_at[x]
+        # comparable pairs with no transformation, candidates added below
+        empty = index.up_bits()[a] & nonzero & ~cand
+        for b in bit_elements(nonzero & cand):
             dim = hom_dim(coll.obj(b), coll.obj(a))
             if not index.leq(a, b):
                 thin = dim == 0
             else:
-                if dim == 0 and flat[0]:
-                    flat = (False, (a, b))
+                if dim == 0:
+                    empty |= 1 << b
                 thin = dim == 0 or (
                     dim == 1 and not coll.zero_below(b) >> a & 1
                 )
             if not thin:
                 return ((False, (a, b)),) * 2
+        if empty and flat[0]:
+            flat = (False, (a, (empty & -empty).bit_length() - 1))
     return (True, None), flat
 
 
@@ -713,8 +725,7 @@ def relative_betti_diagram(coll, m, dmax, force=False):
     relative_betti_koszul.
     """
     _require_degeneracy(coll, force)
-    nonzero = [a for a in range(coll.index.n) if not coll.member_is_zero(a)]
-    return koszul_table(nat_module(coll, m), nonzero, dmax)
+    return koszul_table(nat_module(coll, m), coll._nonzero, dmax)
 
 
 def _relative_cover(coll, m, nm, bases):

@@ -29,7 +29,12 @@ relbetti.relative decides both in one pass and must give the same flag
 and witness.  oracle_relative_cover builds the relative cover through
 homalg.minimal_cover of the hom module and nat_basis's transformations;
 relbetti.relative reads the generators off the radical and the
-components off flat bases, and must give the same ones.
+components off flat bases, and must give the same ones.  oracle_radical
+stacks the cover maps into every element and eliminates there;
+relbetti.pmod.radical skips the elements where nothing can arrive and
+must give the same bases.  oracle_koszul_table reads betti_koszul at
+every requested element; relbetti.homalg.koszul_table visits only those
+above the module's support and must give the same diagram.
 """
 import itertools
 
@@ -331,6 +336,34 @@ def longest_chain(poset):
         for a in poset.parents(b):
             depth[b] = max(depth[b], depth[a] + 1)
     return max(depth, default=0)
+
+
+def oracle_radical(m):
+    """Per element, column_basis of every cover map into it side by side,
+    stacked and eliminated at every element."""
+    from relbetti.fieldlin import column_basis, hstack
+
+    return tuple(
+        column_basis(hstack(
+            [m.cover_map(s, a) for s in m.poset.parents(a)],
+            rows=m.dims[a], p=m.p,
+        ))
+        for a in range(m.poset.n)
+    )
+
+
+def oracle_koszul_table(m, elements, dmax):
+    """BettiDiagram of betti_koszul at every element of the bitset
+    elements, up to dmax."""
+    from relbetti.homalg import betti_koszul
+    from relbetti.pmod import BettiDiagram
+
+    return BettiDiagram({
+        (d, a): k
+        for a in range(m.poset.n) if elements >> a & 1
+        for d, k in enumerate(betti_koszul(m, a, dmax))
+        if k
+    })
 
 
 def oracle_nat_basis(f, g):

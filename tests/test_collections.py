@@ -137,6 +137,35 @@ def check_all_arrows(coll):
         coll.arrow(a, b).check()
 
 
+# every builder that assembles its arrows with _overlap_arrows, on a base
+BUILDERS = {
+    "lower_hooks": lower_hooks,
+    "lower_hooks_inf": lower_hooks_inf,
+    "rectangles_naive": rectangles_naive,
+    "rectangles_grid": lambda base, p: rectangles_grid(*base.grid_shape, p),
+    "single_source_omega0": single_source_omega0,
+    "spreads_omega": spreads_omega,
+    "all_subfunctors": all_subfunctors,
+    "translated": lambda base, p: translated(
+        base, [(1,) + (0,) * (base.grid_shape[1] - 1)], p
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("shape", [(1, 1), (2, 1), (1, 2)])
+def test_trusted_arrows_pass_the_checks(name, shape):
+    # the builders skip the constructor's shape checks; rebuilding every
+    # arrow through it, and checking naturality, must both pass
+    for p in (2, 3):
+        coll = BUILDERS[name](Poset.grid(*shape), p)
+        for a, b in coll.index.covers:
+            f = coll.arrow(a, b)
+            assert f.source is coll.obj(b) and f.target is coll.obj(a)
+            assert NatTransformation(f.source, f.target, f.comps) == f
+            f.check()
+
+
 class TestSingleton:
     def test_zero_member_gives_empty_diagrams(self):
         base = chain(3)

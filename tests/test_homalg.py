@@ -9,6 +9,7 @@ from conftest import (
     longest_chain,
     oracle_coords,
     oracle_koszul,
+    oracle_koszul_table,
     oracle_nat_basis,
     random_free_map,
     random_module,
@@ -64,6 +65,7 @@ from relbetti.homalg import (
     is_exact,
     kernel,
     koszul,
+    koszul_table,
     minimal_cover,
     minimal_resolution,
     nat_basis,
@@ -592,6 +594,27 @@ class TestKoszul:
             for d in range(dmax + 1):
                 assert b.get(d, a) == kos[d], (seed, a, d)
 
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_koszul_table_matches_every_element(self, seed):
+        # koszul_table visits only the up-closure of the support; read at
+        # every requested element the table must be the same
+        rng = np.random.default_rng(seed)
+        j = random_semilattice(rng, Poset.grid(2, 2))
+        p = 2 if seed % 2 == 0 else 5
+        m = random_module(rng, j, p)
+        dmax = longest_chain(j) + 1
+        elements = int(rng.integers(1, 1 << j.n))
+        assert koszul_table(m, elements, dmax) == oracle_koszul_table(
+            m, elements, dmax
+        )
+
+    def test_koszul_table_matches_every_element_on_m0(self):
+        # m0's relations sit outside its support
+        m = m0_demo(2)
+        every = (1 << m.poset.n) - 1
+        assert koszul_table(m, every, 4) == oracle_koszul_table(m, every, 4)
 
 
 def _outcome(fn, *args):

@@ -1,8 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_module, random_poset_covers, sympy_rank
+from conftest import (
+    oracle_radical,
+    random_module,
+    random_poset_covers,
+    sympy_rank,
+)
 from relbetti.fieldlin import Matrix, hstack, rank
 from relbetti.poset import Poset
 from relbetti.pmod import (
@@ -117,6 +124,84 @@ class TestOmittedMaps:
     def test_supplied_map_still_checked(self, dims, bad):
         with pytest.raises(ValueError, match="shape|modulus"):
             PersistenceModule(chain(2), 2, dims, {(0, 1): bad})
+
+    def test_stored_zero_map_equals_omitted_one(self):
+        # both ends nonzero, so the explicit zero is stored and the
+        # omitted one is not
+        p = diamond()
+        dims = [1, 2, 1, 1]
+        base = {(0, 1): Matrix([[1], [1]], 2), (0, 2): Matrix([[1]], 2)}
+        explicit = dict(base)
+        explicit[(1, 3)] = Matrix.zeros(1, 2, 2)
+        omitted = PersistenceModule(p, 2, dims, base)
+        stored = PersistenceModule(p, 2, dims, explicit)
+        assert stored == omitted and omitted == stored
+        assert stored.cover_map(1, 3) == omitted.cover_map(1, 3)
+        # a nonzero map stored on one side only tells them apart
+        explicit[(1, 3)] = Matrix([[0, 1]], 2)
+        other = PersistenceModule(p, 2, dims, explicit)
+        assert other != omitted and omitted != other
+        assert other.cover_map(1, 3) == Matrix([[0, 1]], 2)
+
+    def test_to_json_skips_zero_maps(self):
+        p = diamond()
+        maps = {
+            (0, 1): Matrix([[1], [2]], 3),
+            (1, 3): Matrix([[0, 0]], 3),
+            (0, 2): Matrix.zeros(0, 1, 3),
+        }
+        m = PersistenceModule(p, 3, [1, 2, 0, 1], maps)
+        assert json.dumps(m.to_json(), sort_keys=True) == (
+            '{"dims": {"bot": 1, "top": 1, "x": 2}, '
+            '"maps": {"bot<x": [[1], [2]]}, '
+            '"poset": {"covers": [["bot", "x"], ["bot", "y"], '
+            '["x", "top"], ["y", "top"]], '
+            '"elements": ["bot", "x", "y", "top"]}}'
+        )
+        assert PersistenceModule.from_json(m.to_json(), 3) == m
+
+    @pytest.mark.parametrize("key", [(0, 2), (1, 0), (0, 0)])
+    def test_cover_map_on_non_cover_raises(self, key):
+        m = PersistenceModule(chain(3), 2, [1, 1, 1], {})
+        with pytest.raises(KeyError):
+            m.cover_map(*key)
+
+    def test_first_bad_map_in_sorted_order_is_named(self):
+        bad = {(1, 2): Matrix.zeros(2, 1, 2), (0, 1): Matrix.zeros(3, 1, 2)}
+        with pytest.raises(ValueError, match="^cover map '0' < '1' has shape"):
+            PersistenceModule(chain(3), 2, [1, 1, 1], bad)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), p=st.sampled_from([2, 3]))
+    def test_map_composites_on_modules_with_zero_regions(self, seed, p):
+        # a random cokernel over a grid vanishes below its generators;
+        # given its maps with some zero ones left out, every composite is
+        # the product of the full cover arrays along any maximal chain
+        rng = np.random.default_rng(seed)
+        g = Poset.grid(2, 2)
+        src = random_module(rng, g, p)
+        dims = src.dims
+        full = {
+            (a, b): src.cover_map(a, b).a if dims[a] and dims[b]
+            else np.zeros((dims[b], dims[a]), dtype=np.int64)
+            for a, b in g.covers
+        }
+        kept = {
+            k: Matrix(arr, p) for k, arr in full.items()
+            if np.count_nonzero(arr) or rng.random() < 0.5
+        }
+        m = PersistenceModule(g, p, dims, kept)
+        assert m == src and src == m
+        for a in range(g.n):
+            for b in sorted(g.up(a)):
+                arr = np.eye(dims[a], dtype=np.int64)
+                cur = a
+                while cur != b:
+                    up = [c for c in g.children(cur) if g.leq(c, b)]
+                    nxt = up[int(rng.integers(len(up)))]
+                    arr = full[(cur, nxt)] @ arr % p
+                    cur = nxt
+                assert np.array_equal(m.map(a, b).a, arr)
 
     def test_support_bits(self):
         m = m0_demo(2)
@@ -268,6 +353,14 @@ class TestRadicalH0:
         g = Poset.grid(int(rng.integers(1, 3)), 2)
         m = random_module(rng, g, p)
         assert_radical_bases(m, radical(m))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), p=st.sampled_from([2, 3]))
+    def test_radical_matches_oracle(self, seed, p):
+        rng = np.random.default_rng(seed)
+        g = Poset.grid(int(rng.integers(1, 3)), 2)
+        m = random_module(rng, g, p)
+        assert radical(m) == oracle_radical(m)
 
     def test_h0_free(self):
         p = diamond()

@@ -16,6 +16,8 @@ from conftest import (
     oracle_degeneracy,
     oracle_coords,
     oracle_flat,
+    oracle_koszul_table,
+    oracle_radical,
     oracle_relative_cover,
     random_free_map,
     random_module,
@@ -48,6 +50,7 @@ from relbetti.homalg import (
     hom_dim,
     identity_nat,
     kernel,
+    koszul_table,
     minimal_cover,
     nat_basis,
     zero_nat,
@@ -60,6 +63,7 @@ from relbetti.pmod import (
     free_on,
     h0,
     m0_demo,
+    radical,
     validate,
     zero_module,
 )
@@ -788,6 +792,17 @@ class TestFlatOracle:
             coll.claims = {}
         assert is_flat(coll) == oracle_flat(coll)
 
+    def test_witness_where_the_source_generates_inside_the_target(self):
+        # obj(1) = [1, 1] is generated where obj(0) = [0, 2] is nonzero,
+        # yet no map [1, 1] -> [0, 2] survives the cover 1 < 2
+        base = chain(3)
+        coll = CollectionFunctor(
+            base, chain(2), 2, [one_dim(base, {0, 1, 2}), one_dim(base, {1})],
+            {},
+        )
+        assert is_thin(coll) == (True, None)
+        assert is_flat(coll) == oracle_flat(coll) == (False, (0, 1))
+
 
 def _count_solves(monkeypatch):
     """Count the Hom solves the relative module makes: the hom module's
@@ -865,6 +880,18 @@ def _assert_cover_matches_oracle(coll, m):
     res.check(coll)
 
 
+def _assert_hom_module_skips_match_oracles(coll, m):
+    """radical and koszul_table skip the dead elements of the hom module;
+    stacked and read at every element they give the same."""
+    nm = nat_module(coll, m)
+    assert radical(nm) == oracle_radical(nm)
+    every = (1 << coll.index.n) - 1
+    for elements in (every, coll._nonzero):
+        assert koszul_table(nm, elements, 6) == oracle_koszul_table(
+            nm, elements, 6
+        )
+
+
 class TestRelativeCover:
     def test_member_covers_itself(self):
         base, _ = chain3_module()
@@ -913,6 +940,27 @@ class TestRelativeCover:
         for i in range(50):
             p = 2 if i % 2 == 0 else 5
             _assert_cover_matches_oracle(colls[p], random_module(rng, g, p))
+
+    @pytest.mark.parametrize("build", [
+        lower_hooks, lambda g, p: rectangles_grid(3, 2, p),
+    ], ids=["lower_hooks", "rectangles_grid"])
+    def test_hom_module_skips_on_criterion3_modules(self, build):
+        g = Poset.grid(3, 2)
+        rng = np.random.default_rng(33)
+        colls = {p: build(g, p) for p in (2, 5)}
+        for i in range(50):
+            p = 2 if i % 2 == 0 else 5
+            _assert_hom_module_skips_match_oracles(
+                colls[p], random_module(rng, g, p)
+            )
+
+    def test_hom_module_skips_on_m0(self):
+        m0 = m0_demo(2)
+        coll = lower_hooks(m0.poset, 2)
+        _assert_hom_module_skips_match_oracles(coll, m0)
+        _assert_hom_module_skips_match_oracles(
+            coll, direct_sum(m0.poset, 2, [(m0, 2)])
+        )
 
     @pytest.mark.parametrize("build", [
         lower_hooks, lambda g, p: rectangles_grid(5, 2, p),
