@@ -204,19 +204,23 @@ def rref(m):
 
     Deterministic: columns scanned left to right, first nonzero row at or
     below the current row becomes the pivot. Each pivot clears its column
-    in every other row with one outer-product update; left of the pivot
-    column the pivot row is zero, so only the columns from it on change.
+    in every other row with one rank-one update, skipped when the pivot is
+    the only nonzero there; left of the pivot column the pivot row is
+    zero, so only the columns from it on change. An empty matrix is its
+    own form, returned as it is.
     """
     p = m.p
+    rows, cols = m.a.shape
+    if not rows or not cols:
+        return m, ()
     a = m.a.copy()
-    rows, cols = a.shape
     pivots = []
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
+        nz = a[r:, c].nonzero()[0]
+        if not nz.size:
             continue
         i = r + int(nz[0])
         if i != r:
@@ -224,10 +228,10 @@ def rref(m):
         inv = pow(int(a[r, c]), p - 2, p)
         if inv != 1:
             a[r, c:] = (a[r, c:] * inv) % p
-        hit = np.flatnonzero(a[:, c])
-        hit = hit[hit != r]
-        if hit.size:
-            a[hit, c:] = (a[hit, c:] - np.outer(a[hit, c], a[r, c:])) % p
+        hit = a[:, c].nonzero()[0]
+        if hit.size > 1:
+            hit = hit[hit != r]
+            a[hit, c:] = (a[hit, c:] - a[hit, c, None] * a[r, c:]) % p
         pivots.append(c)
         r += 1
     return Matrix._trusted(a, p), tuple(pivots)
@@ -247,6 +251,9 @@ def kernel_basis(m):
 
     The basis column for free column f has a 1 in slot f and back-substituted
     pivot entries above; columns ordered by ascending free-column index.
+    So slot f is the column's last nonzero and the basis is the identity
+    at the free rows: a kernel vector's coordinates are its entries there,
+    which is how homalg.kernel writes its transitions without a solve.
     """
     r, pivots = rref(m)
     p = m.p

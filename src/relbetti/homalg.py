@@ -391,26 +391,49 @@ def nat_basis(f, g):
     return out
 
 
-def _submodule(ambient, bases):
-    """The submodule spanned by independent columns at every element, with
-    the transitions it inherits, plus its inclusion."""
-    poset = ambient.poset
-    maps = {}
-    for a, b in poset.covers:
-        img = ambient.cover_map(a, b) @ bases[a]
-        maps[(a, b)] = solve(bases[b], img)
-    mod = PersistenceModule(poset, ambient.p, [b.cols for b in bases], maps)
-    return mod, NatTransformation(mod, ambient, bases)
-
-
 def kernel(f):
-    """Pointwise kernel with induced transitions, plus its inclusion."""
-    return _submodule(f.source, [kernel_basis(c) for c in f.comps])
+    """Pointwise kernel with induced transitions, plus its inclusion.
+
+    The kernel at a maps into the kernel at b, whose kernel_basis K_b is
+    the identity at the free columns of its component's RREF (each basis
+    column's last nonzero).  So the transition on a cover a < b is
+    M(a -> b) @ K_a read at those rows of K_b, with no solve.  It is
+    formed only on the covers between two nonzero kernel fibers.
+    """
+    src = f.source
+    poset = src.poset
+    p = src.p
+    bases = [kernel_basis(c) for c in f.comps]
+    maps = {}
+    for b, kb in enumerate(bases):
+        if not kb.cols:
+            continue
+        lower = [a for a in poset.parents(b) if bases[a].cols]
+        if not lower:
+            continue
+        # the last nonzero of each basis column
+        at = kb.rows - 1 - (kb.a[::-1] != 0).argmax(axis=0)
+        for a in lower:
+            cover = Matrix._trusted(src.cover_map(a, b).a[at], p)
+            maps[(a, b)] = cover @ bases[a]
+    mod = PersistenceModule(poset, p, [k.cols for k in bases], maps)
+    return mod, NatTransformation(mod, src, bases)
 
 
 def image(f):
-    """Pointwise image with induced transitions, plus its inclusion."""
-    return _submodule(f.target, [column_basis(c) for c in f.comps])
+    """Pointwise image with induced transitions, plus its inclusion.
+
+    The transition on a cover solves for the image of the lower basis in
+    the upper one."""
+    tgt = f.target
+    poset = tgt.poset
+    bases = [column_basis(c) for c in f.comps]
+    maps = {}
+    for a, b in poset.covers:
+        img = tgt.cover_map(a, b) @ bases[a]
+        maps[(a, b)] = solve(bases[b], img)
+    mod = PersistenceModule(poset, tgt.p, [b.cols for b in bases], maps)
+    return mod, NatTransformation(mod, tgt, bases)
 
 
 def cokernel(f):

@@ -7,6 +7,7 @@ upsets, spreads) plus the staircase demo module used throughout the tests.
 """
 
 from functools import lru_cache
+from itertools import compress
 
 import numpy as np
 
@@ -46,17 +47,16 @@ class PersistenceModule:
     def __init__(self, poset, p, dims, cover_maps):
         self.poset = poset
         self.p = check_modulus(p)
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(map(int, dims))
         if len(dims) != poset.n:
             raise ValueError("need one dimension per poset element")
-        if any(d < 0 for d in dims):
+        if min(dims, default=0) < 0:
             raise ValueError("dimensions must be nonnegative")
         self.dims = dims
         # bit x set iff dims[x] > 0
         support = 0
-        for x, d in enumerate(dims):
-            if d:
-                support |= 1 << x
+        for x in compress(range(poset.n), dims):
+            support |= 1 << x
         self.support_bits = support
         extra = set(cover_maps) - poset.covers
         if extra:

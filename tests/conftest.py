@@ -352,6 +352,23 @@ def oracle_radical(m):
     )
 
 
+def oracle_kernel(f):
+    """The kernel of a natural map with every transition solved for:
+    solve(bases[b], cover_map(a, b) @ bases[a]) on every cover.  Returns
+    (module, bases)."""
+    from relbetti.fieldlin import kernel_basis, solve
+    from relbetti.pmod import PersistenceModule
+
+    src = f.source
+    bases = [kernel_basis(c) for c in f.comps]
+    maps = {
+        (a, b): solve(bases[b], src.cover_map(a, b) @ bases[a])
+        for a, b in src.poset.covers
+    }
+    dims = [k.cols for k in bases]
+    return PersistenceModule(src.poset, src.p, dims, maps), bases
+
+
 def oracle_koszul_table(m, elements, dmax):
     """BettiDiagram of betti_koszul at every element of the bitset
     elements, up to dmax."""

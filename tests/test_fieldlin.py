@@ -7,6 +7,7 @@ from relbetti.fieldlin import (
     ComplexInvalid,
     NoSolution,
     check_modulus,
+    complement_coords,
     homology_dims,
     hstack,
     kernel_basis,
@@ -365,6 +366,34 @@ def test_kernel_bit_identical_to_oracle(data):
         assert_same(solve(m, mb), expect_x, p)
 
     assert_same(kron(m, mc), oracle_kron(a, c, p), p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_kernel_basis_is_identity_at_free_columns(data):
+    # homalg.kernel reads a kernel vector's coordinates at these rows
+    p = data.draw(st.sampled_from(ORACLE_PRIMES))
+    m = Matrix(data.draw(residue_arrays(p)), p)
+    _, pivots = rref(m)
+    free = [c for c in range(m.cols) if c not in pivots]
+    k = kernel_basis(m).a
+    assert k.shape == (m.cols, len(free))
+    for j, f in enumerate(free):
+        assert np.flatnonzero(k[:, j])[-1] == f
+        assert k[f, j] == 1
+    assert np.array_equal(k[free], np.eye(len(free), dtype=np.int64))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_empty_shapes(shape):
+    rows, cols = shape
+    m = Matrix.zeros(rows, cols, 5)
+    r, pivots = rref(m)
+    assert pivots == ()
+    assert_same(r, np.zeros(shape, dtype=np.int64), 5)
+    assert rank(m) == 0
+    assert_same(kernel_basis(m), np.eye(cols, dtype=np.int64), 5)
+    assert complement_coords(m) == list(range(rows))
 
 
 @settings(max_examples=100, deadline=None)

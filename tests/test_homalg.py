@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from conftest import (
     indicator_hom_dim,
     longest_chain,
     oracle_coords,
+    oracle_kernel,
     oracle_koszul,
     oracle_koszul_table,
     oracle_nat_basis,
@@ -75,6 +77,7 @@ from relbetti.homalg import (
 from relbetti.homalg import _indicator_support
 from relbetti.poset import Poset
 from relbetti.relative import _gather
+import relbetti.homalg as homalg
 
 
 def chain(k):
@@ -832,6 +835,78 @@ def test_nat_basis_matches_oracle_on_grid_collections():
                 want = oracle_nat_basis(f, g)
                 _assert_same_basis(nat_basis(f, g), want, f, g)
                 _assert_gather_matches(rng, want, f, g, 2)
+
+
+def _assert_kernel_matches_oracle(f):
+    """kernel(f) equals oracle_kernel's solved module with the same
+    inclusion, and hands the module no map on a cover where either
+    kernel fiber is 0."""
+    given = []
+
+    def spy(poset, p, dims, cover_maps):
+        given.extend(cover_maps)
+        return PersistenceModule(poset, p, dims, cover_maps)
+
+    with mock.patch.object(homalg, "PersistenceModule", spy):
+        k, incl = kernel(f)
+    want, bases = oracle_kernel(f)
+    assert k == want
+    assert incl.source is k and incl.target is f.source
+    assert incl.comps == tuple(bases)
+    assert all(k.dims[a] and k.dims[b] for a, b in given)
+    return k
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["covers", "semilattice"]),
+    p=st.sampled_from([2, 3, 5, 7]),
+    source=st.sampled_from(KINDS),
+    target=st.sampled_from(KINDS),
+    nat=st.sampled_from(["combination", "cover", "free", "zero", "identity"]),
+)
+def test_kernel_matches_solve_oracle(seed, kind, p, source, target, nat):
+    # a zero map has the full kernel, the identity the zero kernel
+    rng = np.random.default_rng(seed)
+    if kind == "covers":
+        names, covers, _ = random_poset_covers(rng, int(rng.integers(2, 10)))
+        poset = Poset.from_covers(
+            names, [(names[i], names[j]) for i, j in covers]
+        )
+    else:
+        poset = random_semilattice(rng, Poset.grid(3, 2), int(rng.integers(2, 6)))
+    src = _hom_source(rng, poset, p, source)
+    tgt = _hom_source(rng, poset, p, target)
+    if nat == "cover":
+        f = minimal_cover(direct_sum(poset, p, [(src, 1), (tgt, 1)]))
+    elif nat == "free":
+        f = random_free_map(rng, poset, p, int(rng.integers(1, 4)),
+                            int(rng.integers(1, 6)))
+    elif nat == "zero":
+        f = zero_nat(src, tgt)
+    elif nat == "identity":
+        f = identity_nat(src)
+    else:
+        comps = [
+            Matrix.zeros(tgt.dims[a], src.dims[a], p) for a in range(poset.n)
+        ]
+        for phi in nat_basis(src, tgt):
+            c = int(rng.integers(0, p))
+            comps = [acc + x.scale(c) for acc, x in zip(comps, phi.comps)]
+        f = NatTransformation(src, tgt, comps)
+    k = _assert_kernel_matches_oracle(f)
+    if nat == "zero":
+        assert k.dims == src.dims
+    if nat == "identity":
+        assert sum(k.dims) == 0
+
+
+def test_kernel_matches_solve_oracle_along_m0_resolution():
+    # every kernel the minimal resolution of m0 takes
+    cur = m0_demo(3)
+    while sum(cur.dims):
+        cur = _assert_kernel_matches_oracle(minimal_cover(cur))
 
 
 class TestHomDim:

@@ -210,6 +210,30 @@ class TestOmittedMaps:
         )
         assert zero_module(chain(3), 2).support_bits == 0
 
+    def test_numpy_dims_become_ints(self):
+        # numpy dims become Python ints; the support is their nonzero bits
+        g = Poset.grid(2, 2)
+        dims = np.zeros(g.n, dtype=np.int64)
+        dims[[1, 5]] = [2, 1]
+        m = PersistenceModule(g, 2, dims, {})
+        assert m.dims == (0, 2, 0, 0, 0, 1, 0, 0, 0)
+        assert all(type(d) is int for d in m.dims)
+        assert m.support_bits == 1 << 1 | 1 << 5
+
+    @pytest.mark.parametrize(
+        "dims, maps, message",
+        [([1, -1, 1, 1], {}, "dimensions must be nonnegative"),
+         ([1, -1], {}, "need one dimension per poset element"),
+         ([-1, 1, 1, 1], {(0, 3): Matrix.zeros(1, 1, 2)},
+          "dimensions must be nonnegative"),
+         ([1, 1, 1, 1], {(0, 3): Matrix.zeros(1, 1, 2)},
+          "maps attached to non-covers")],
+    )
+    def test_dims_checked_in_order(self, dims, maps, message):
+        # the length before the signs, both before the maps
+        with pytest.raises(ValueError, match=message):
+            PersistenceModule(diamond(), 2, dims, maps)
+
 
 class TestFree:
     def test_middle_of_chain(self):
