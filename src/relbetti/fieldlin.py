@@ -204,10 +204,10 @@ def rref(m):
 
     Deterministic: columns scanned left to right, first nonzero row at or
     below the current row becomes the pivot. Each pivot clears its column
-    in every other row with one rank-one update, skipped when the pivot is
-    the only nonzero there; left of the pivot column the pivot row is
-    zero, so only the columns from it on change. An empty matrix is its
-    own form, returned as it is.
+    in every other row with one rank-one update (in the last column, only
+    setting it to 0), skipped when the pivot is the only nonzero there;
+    left of the pivot column the pivot row is zero, so only the columns
+    from it on change. An empty matrix is its own form, returned as it is.
     """
     p = m.p
     rows, cols = m.a.shape
@@ -231,7 +231,10 @@ def rref(m):
         hit = a[:, c].nonzero()[0]
         if hit.size > 1:
             hit = hit[hit != r]
-            a[hit, c:] = (a[hit, c:] - a[hit, c, None] * a[r, c:]) % p
+            if c + 1 < cols:
+                a[hit, c:] = (a[hit, c:] - a[hit, c, None] * a[r, c:]) % p
+            else:
+                a[hit, c] = 0
         pivots.append(c)
         r += 1
     return Matrix._trusted(a, p), tuple(pivots)
@@ -242,8 +245,16 @@ def rank(m):
 
 
 def column_basis(m):
-    """The pivot columns of m: an independent basis of its column span."""
-    return m.take_cols(list(rref(m)[1]))
+    """The reduced echelon basis of the column span of m, the transposed
+    nonzero rows of rref(m^T): each column's first nonzero is a 1 where
+    the others are 0, so the basis is the identity at its pivot_rows."""
+    r, pivots = rref(m.transpose())
+    return Matrix._trusted(r.a[: len(pivots)].T, m.p)
+
+
+def pivot_rows(basis):
+    """The first nonzero row of each column of a column_basis."""
+    return (basis.a != 0).argmax(axis=0) if basis.rows else np.arange(0)
 
 
 def kernel_basis(m):
@@ -252,8 +263,7 @@ def kernel_basis(m):
     The basis column for free column f has a 1 in slot f and back-substituted
     pivot entries above; columns ordered by ascending free-column index.
     So slot f is the column's last nonzero and the basis is the identity
-    at the free rows: a kernel vector's coordinates are its entries there,
-    which is how homalg.kernel writes its transitions without a solve.
+    at its free_rows: a kernel vector's coordinates are its entries there.
     """
     r, pivots = rref(m)
     p = m.p
@@ -265,6 +275,11 @@ def kernel_basis(m):
         if pivots:
             k[list(pivots)] = (-r.a[: len(pivots), free]) % p
     return Matrix._trusted(k, p)
+
+
+def free_rows(basis):
+    """The last nonzero row of each column of a kernel_basis."""
+    return basis.rows - 1 - (basis.a[::-1] != 0).argmax(axis=0)
 
 
 def solve(m, b):
@@ -284,26 +299,22 @@ def solve(m, b):
 
 
 def complement_coords(basis):
-    """Standard coordinates completing independent columns to a basis.
-
-    They are the non-pivot columns of the RREF of the transpose, ascending.
-    """
-    _, pivots = rref(basis.transpose())
-    pset = set(pivots)
-    return [q for q in range(basis.rows) if q not in pset]
+    """Standard coordinates completing a column_basis to a basis of the
+    ambient space: its rows other than its pivot_rows, ascending."""
+    pivots = set(pivot_rows(basis).tolist())
+    return [q for q in range(basis.rows) if q not in pivots]
 
 
 def quotient(basis):
-    """Projection onto the quotient by the span of independent columns.
-
-    The section is the identity's columns at complement_coords(basis); the
-    projection is the rows of [basis | section]^-1 past basis's columns, so
-    it kills basis and splits the section. Returns (proj, section).
-    """
-    eye = Matrix.identity(basis.rows, basis.p)
-    section = eye.take_cols(complement_coords(basis))
-    inv = solve(hstack([basis, section]), eye)
-    return inv.take_rows(range(basis.cols, basis.rows)), section
+    """Projection onto the quotient by the span of a column_basis, indexed
+    by its complement_coords Q: the identity at Q and -basis[Q] at the
+    pivot rows, where basis is the identity, so it kills basis and splits
+    the standard section, the identity's columns at Q.  Returns (proj, Q)."""
+    coords = complement_coords(basis)
+    proj = np.zeros((len(coords), basis.rows), dtype=np.int64)
+    proj[range(len(coords)), coords] = 1
+    proj[:, pivot_rows(basis)] = (-basis.a[coords]) % basis.p
+    return Matrix._trusted(proj, basis.p), coords
 
 
 def homology_dims(dims, diffs, p):

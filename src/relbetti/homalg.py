@@ -18,9 +18,11 @@ from relbetti.fieldlin import (
     Matrix,
     column_basis,
     complement_coords,
+    free_rows,
     hstack,
     homology_dims,
     kernel_basis,
+    pivot_rows,
     quotient,
     rank,
     rref,
@@ -391,74 +393,63 @@ def nat_basis(f, g):
     return out
 
 
-def kernel(f):
-    """Pointwise kernel with induced transitions, plus its inclusion.
-
-    The kernel at a maps into the kernel at b, whose kernel_basis K_b is
-    the identity at the free columns of its component's RREF (each basis
-    column's last nonzero).  So the transition on a cover a < b is
-    M(a -> b) @ K_a read at those rows of K_b, with no solve.  It is
-    formed only on the covers between two nonzero kernel fibers.
-    """
-    src = f.source
-    poset = src.poset
-    p = src.p
-    bases = [kernel_basis(c) for c in f.comps]
+def _submodule(ambient, bases, rows):
+    """The submodule of ambient spanned by bases, one per element and each
+    the identity at its rows(basis), plus its inclusion.  By naturality
+    the transition on a cover a < b is M(a -> b) @ bases[a] read at the
+    rows of bases[b]; it is formed only between two nonzero fibers."""
+    poset = ambient.poset
+    p = ambient.p
     maps = {}
-    for b, kb in enumerate(bases):
-        if not kb.cols:
-            continue
-        lower = [a for a in poset.parents(b) if bases[a].cols]
-        if not lower:
-            continue
-        # the last nonzero of each basis column
-        at = kb.rows - 1 - (kb.a[::-1] != 0).argmax(axis=0)
-        for a in lower:
-            cover = Matrix._trusted(src.cover_map(a, b).a[at], p)
-            maps[(a, b)] = cover @ bases[a]
+    for b, upper in enumerate(bases):
+        if upper.cols:
+            at = rows(upper)
+            for a in poset.parents(b):
+                if bases[a].cols:
+                    cover = Matrix._trusted(ambient.cover_map(a, b).a[at], p)
+                    maps[(a, b)] = cover @ bases[a]
     mod = PersistenceModule(poset, p, [k.cols for k in bases], maps)
-    return mod, NatTransformation(mod, src, bases)
+    return mod, NatTransformation(mod, ambient, bases)
+
+
+def kernel(f):
+    """Pointwise kernel with induced transitions, plus its inclusion:
+    the submodule spanned by the kernel_basis of every component."""
+    return _submodule(f.source, [kernel_basis(c) for c in f.comps], free_rows)
 
 
 def image(f):
-    """Pointwise image with induced transitions, plus its inclusion.
-
-    The transition on a cover solves for the image of the lower basis in
-    the upper one."""
-    tgt = f.target
-    poset = tgt.poset
-    bases = [column_basis(c) for c in f.comps]
-    maps = {}
-    for a, b in poset.covers:
-        img = tgt.cover_map(a, b) @ bases[a]
-        maps[(a, b)] = solve(bases[b], img)
-    mod = PersistenceModule(poset, tgt.p, [b.cols for b in bases], maps)
-    return mod, NatTransformation(mod, tgt, bases)
+    """Pointwise image with induced transitions, plus its inclusion:
+    the submodule spanned by the column_basis of every component."""
+    return _submodule(f.target, [column_basis(c) for c in f.comps], pivot_rows)
 
 
 def cokernel(f):
-    """Pointwise cokernel with induced transitions, plus its projection.
-
-    At each element the pivot columns of the component are an image basis;
-    its quotient (fieldlin.quotient) gives the projection and the standard
-    section that index the cokernel by complement coordinates.
-    """
+    """Pointwise cokernel with induced transitions, its projection and a
+    pointwise section of it (not natural in general).  At each element
+    fieldlin.quotient of the column_basis of the component gives the
+    projection and the complement coordinates Q indexing the cokernel;
+    the section is the identity's columns at Q, so the transition on a
+    cover a < b is proj_b @ M(a -> b)[:, Q_a]."""
     tgt = f.target
-    poset = tgt.poset
     p = tgt.p
-    projs = []
-    sections = []
-    for c in f.comps:
-        proj, section = quotient(column_basis(c))
-        projs.append(proj)
-        sections.append(section)
-    dims = [pr.rows for pr in projs]
-    maps = {}
-    for a, b in poset.covers:
-        maps[(a, b)] = projs[b] @ tgt.cover_map(a, b) @ sections[a]
-    mod = PersistenceModule(poset, p, dims, maps)
-    proj = NatTransformation(tgt, mod, projs)
-    return mod, proj
+    quots = [quotient(column_basis(c)) for c in f.comps]
+    dims = [len(q) for _, q in quots]
+    maps = {
+        (a, b): quots[b][0] @ tgt.cover_map(a, b).take_cols(quots[a][1])
+        for a, b in tgt.poset.covers
+        if dims[a] and dims[b]
+    }
+    mod = PersistenceModule(tgt.poset, p, dims, maps)
+    sections = [
+        cached_identity(d, p).take_cols(q)
+        for d, (_, q) in zip(tgt.dims, quots)
+    ]
+    return (
+        mod,
+        NatTransformation(tgt, mod, [proj for proj, _ in quots]),
+        NatTransformation(mod, tgt, sections),
+    )
 
 
 def section_of(f):
@@ -473,18 +464,13 @@ def section_of(f):
 def minimal_cover(m):
     """Epimorphism onto m from a free module with one generator per
     complement coordinate of the radical, lifted in place."""
-    poset = m.poset
-    lifts = [complement_coords(b) for b in radical(m)]
-    gens = []
-    coords = []
-    for a in range(poset.n):
-        for q in lifts[a]:
-            gens.append(a)
-            coords.append(q)
-    c0 = free_on(poset, gens, m.p)
+    lifts = [
+        (a, q) for a, b in enumerate(radical(m)) for q in complement_coords(b)
+    ]
+    c0 = free_on(m.poset, [a for a, _ in lifts], m.p)
     comps = [
         hstack(
-            [m.map(gens[k], x).col(coords[k]) for k in at],
+            [m.map(lifts[k][0], x).col(lifts[k][1]) for k in at],
             rows=m.dims[x], p=m.p,
         )
         for x, at in enumerate(c0.generators_at)

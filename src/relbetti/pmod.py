@@ -215,8 +215,10 @@ def free_on(poset, generators, p):
 
     At each element x the generators at or below x, in list order, index
     the coordinates; generators_at[x] lists their positions in that
-    order.  Transitions are the induced 0/1 selection matrices.
+    order.  Transitions are the induced 0/1 selection matrices, built
+    only on the covers a < b with a nonzero fiber at a (and so at b).
     """
+    p = check_modulus(p)
     gens = tuple(int(g) for g in generators)
     alive = tuple(
         tuple(k for k, g in enumerate(gens) if poset.leq(g, x))
@@ -224,12 +226,14 @@ def free_on(poset, generators, p):
     )
     dims = [len(a) for a in alive]
     maps = {}
-    for a, b in poset.covers:
-        rows_at = {k: r for r, k in enumerate(alive[b])}
-        arr = np.zeros((dims[b], dims[a]), dtype=np.int64)
-        for c, k in enumerate(alive[a]):
-            arr[rows_at[k], c] = 1
-        maps[(a, b)] = Matrix(arr, p)
+    for b, at in enumerate(alive):
+        rows_at = {k: r for r, k in enumerate(at)}
+        for a in poset.parents(b):
+            if dims[a]:
+                arr = np.zeros((dims[b], dims[a]), dtype=np.int64)
+                for c, k in enumerate(alive[a]):
+                    arr[rows_at[k], c] = 1
+                maps[(a, b)] = Matrix._trusted(arr, p)
     m = PersistenceModule(poset, p, dims, maps)
     m.free_generators = gens
     m.generators_at = alive
@@ -318,8 +322,8 @@ def direct_sum(poset, p, parts):
 
 
 def radical(m):
-    """Per element, the pivot columns of the stacked images of the cover
-    maps into it: an independent basis of the radical there.  Where m is
+    """Per element, the column_basis of the stacked images of the cover
+    maps into it: the reduced echelon basis of the radical there.  Where m is
     zero, or zero at every lower cover, the basis is empty and nothing is
     stacked or eliminated."""
     out = []

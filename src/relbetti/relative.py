@@ -48,7 +48,6 @@ from relbetti.homalg import (
     is_exact,
     koszul_table,
     nat_basis,
-    section_of,
     zero_nat,
 )
 from relbetti.pmod import (
@@ -440,8 +439,8 @@ def _realized(coll, f):
     f.dims[a] copies of obj(a) for every index element a, and `rels` holds
     f.dims[a] copies of obj(b) for every index cover a < b.  Such a
     relation copy goes to b's copies along f's cover map and, negated, to
-    the same copy of a along the collection's arrow.  Returns (module,
-    projection from sums, a pointwise section of it, offsets), with
+    the same copy of a along the collection's arrow.  Returns cokernel's
+    (module, projection from sums, pointwise section) and offsets, with
     offsets[x][a] where a's copies start in sums at x.
     """
     index = coll.index
@@ -471,8 +470,7 @@ def _realized(coll, f):
             c0 += w
         offsets.append(offs)
         comps.append(Matrix(arr, p))
-    module, proj = cokernel(NatTransformation(rels, sums, comps))
-    return module, proj, section_of(proj), offsets
+    return (*cokernel(NatTransformation(rels, sums, comps)), offsets)
 
 
 def realization(coll, f):

@@ -32,9 +32,18 @@ relbetti.relative reads the generators off the radical and the
 components off flat bases, and must give the same ones.  oracle_radical
 stacks the cover maps into every element and eliminates there;
 relbetti.pmod.radical skips the elements where nothing can arrive and
-must give the same bases.  oracle_koszul_table reads betti_koszul at
-every requested element; relbetti.homalg.koszul_table visits only those
-above the module's support and must give the same diagram.
+must give the same bases.  oracle_submodule solves every transition of a
+submodule; relbetti.homalg.kernel and image read them at the identity
+rows of their bases (oracle_kernel, oracle_image).
+oracle_complement_coords and oracle_quotient eliminate on the pivot
+columns of a matrix and invert [basis | section]; relbetti.fieldlin
+reads both off the reduced echelon column_basis, and oracle_cokernel
+built on them must equal relbetti.homalg.cokernel.  oracle_free_on
+builds every cover of a free module densely.  hook_hom_dim is the Hom
+out of a lower hook, read off the rank of one map of the target.
+oracle_koszul_table reads betti_koszul at every requested element;
+relbetti.homalg.koszul_table visits only those above the module's
+support and must give the same diagram.
 """
 import itertools
 
@@ -352,21 +361,113 @@ def oracle_radical(m):
     )
 
 
-def oracle_kernel(f):
-    """The kernel of a natural map with every transition solved for:
-    solve(bases[b], cover_map(a, b) @ bases[a]) on every cover.  Returns
-    (module, bases)."""
-    from relbetti.fieldlin import kernel_basis, solve
+def oracle_submodule(ambient, bases):
+    """The submodule of ambient spanned by bases with every transition
+    solved for: solve(bases[b], cover_map(a, b) @ bases[a]) on every
+    cover."""
+    from relbetti.fieldlin import solve
     from relbetti.pmod import PersistenceModule
 
-    src = f.source
-    bases = [kernel_basis(c) for c in f.comps]
     maps = {
-        (a, b): solve(bases[b], src.cover_map(a, b) @ bases[a])
-        for a, b in src.poset.covers
+        (a, b): solve(bases[b], ambient.cover_map(a, b) @ bases[a])
+        for a, b in ambient.poset.covers
     }
     dims = [k.cols for k in bases]
-    return PersistenceModule(src.poset, src.p, dims, maps), bases
+    return PersistenceModule(ambient.poset, ambient.p, dims, maps)
+
+
+def oracle_kernel(f):
+    """The solved submodule of f's source on the kernel_basis of every
+    component.  Returns (module, bases)."""
+    from relbetti.fieldlin import kernel_basis
+
+    bases = [kernel_basis(c) for c in f.comps]
+    return oracle_submodule(f.source, bases), bases
+
+
+def oracle_image(f):
+    """The solved submodule of f's target on the column_basis of every
+    component.  Returns (module, bases)."""
+    from relbetti.fieldlin import column_basis
+
+    bases = [column_basis(c) for c in f.comps]
+    return oracle_submodule(f.target, bases), bases
+
+
+def oracle_complement_coords(m):
+    """Standard coordinates completing the column span of m, by the
+    eliminations of the pivot-column route: the pivot columns of m are a
+    basis, and the coordinates are the non-pivot columns of the RREF of
+    its transpose."""
+    from relbetti.fieldlin import rref
+
+    basis = m.take_cols(rref(m)[1])
+    pivots = rref(basis.transpose())[1]
+    return [q for q in range(m.rows) if q not in pivots]
+
+
+def oracle_quotient(m):
+    """Projection onto the quotient by the column span of m, by inverting
+    [basis | section]: basis the pivot columns of m, section the
+    identity's columns at oracle_complement_coords(m).  The rows of the
+    inverse past basis's columns kill basis and split the section.
+    Returns (proj, coords)."""
+    from relbetti.fieldlin import Matrix, hstack, rref, solve
+
+    basis = m.take_cols(rref(m)[1])
+    coords = oracle_complement_coords(m)
+    eye = Matrix.identity(m.rows, m.p)
+    inv = solve(hstack([basis, eye.take_cols(coords)]), eye)
+    return inv.take_rows(range(basis.cols, m.rows)), coords
+
+
+def oracle_cokernel(f):
+    """(module, projection) of the pointwise cokernel by oracle_quotient,
+    with the transition proj_b @ M(a -> b) @ section_a on every cover."""
+    from relbetti.homalg import NatTransformation
+    from relbetti.pmod import PersistenceModule, cached_identity
+
+    tgt = f.target
+    quots = [oracle_quotient(c) for c in f.comps]
+    sections = [
+        cached_identity(d, tgt.p).take_cols(q)
+        for d, (_, q) in zip(tgt.dims, quots)
+    ]
+    maps = {
+        (a, b): quots[b][0] @ tgt.cover_map(a, b) @ sections[a]
+        for a, b in tgt.poset.covers
+    }
+    dims = [len(q) for _, q in quots]
+    mod = PersistenceModule(tgt.poset, tgt.p, dims, maps)
+    return mod, NatTransformation(tgt, mod, [pr for pr, _ in quots])
+
+
+def oracle_free_on(poset, generators, p):
+    """Free module on a list of generators, a dense 0/1 selection matrix
+    built and checked on every cover."""
+    from relbetti.fieldlin import Matrix
+    from relbetti.pmod import PersistenceModule
+
+    gens = tuple(int(g) for g in generators)
+    alive = [
+        [k for k, g in enumerate(gens) if poset.leq(g, x)]
+        for x in range(poset.n)
+    ]
+    maps = {}
+    for a, b in poset.covers:
+        arr = np.zeros((len(alive[b]), len(alive[a])), dtype=np.int64)
+        for c, k in enumerate(alive[a]):
+            arr[alive[b].index(k), c] = 1
+        maps[(a, b)] = Matrix(arr, p)
+    return PersistenceModule(poset, p, [len(a) for a in alive], maps), alive
+
+
+def hook_hom_dim(m, v, w):
+    """dim Hom(K, m) for the lower-hook member K, the indicator of
+    up(v) - up(w) with v <= w.  K has one generator at v and one relation
+    at w, so Hom(K, m) is the kernel of m(v -> w): dim m(v) less the rank
+    of that map, by sympy."""
+    return m.dims[v] - sympy_rank(m.map(v, w).a, m.p)
 
 
 def oracle_koszul_table(m, elements, dmax):

@@ -904,6 +904,34 @@ class TestClaimsAgainstHonestChecks:
                 assert len(value) <= bound, name
         assert all(isinstance(z, int) for z in coll._zero_below)
 
+    @pytest.mark.parametrize("build", [
+        lower_hooks,
+        lower_hooks_inf,
+        rectangles_naive,
+        lambda base, p: rectangles_grid(5, 2, p),
+        lambda base, p: translated(base, [(0, 2), (1, 0)], p),
+    ], ids=["lower_hooks", "lower_hooks_inf", "rectangles_naive",
+            "rectangles_grid", "translated"])
+    def test_every_claim_on_m0_base(self, build):
+        """Every recorded claim, checked on m0's grid with the claims
+        removed, so that nothing the checks read was recorded: the
+        degeneracy scan runs the honest thinness check first.  Two
+        builders are left out for their cost on this base:
+        all_subfunctors, whose thinness scan alone takes about 40 s, and
+        single_source_omega0, whose 3,418 members make 11.7M ordered
+        pairs."""
+        coll = build(m0_demo().poset, 2)
+        claims = coll.claims
+        coll.claims = {}
+        assert claims
+        checks = {
+            "thin": is_thin,
+            "flat": is_flat,
+            "degeneracy": degeneracy_hypothesis,
+        }
+        for key, claimed in claims.items():
+            assert checks[key](coll)[0] == claimed, key
+
     @settings(max_examples=12, deadline=None)
     @given(k=st.integers(min_value=1, max_value=4), p=st.sampled_from([2, 5]))
     def test_hook_members_on_chains(self, k, p):

@@ -7,18 +7,24 @@ from relbetti.fieldlin import (
     ComplexInvalid,
     NoSolution,
     check_modulus,
+    column_basis,
     complement_coords,
+    free_rows,
     homology_dims,
     hstack,
     kernel_basis,
     kron,
+    pivot_rows,
+    quotient,
     rank,
     rref,
     solve,
 )
 from conftest import (
+    oracle_complement_coords,
     oracle_kernel_basis,
     oracle_kron,
+    oracle_quotient,
     oracle_rref,
     oracle_solve,
     sympy_rank,
@@ -382,6 +388,41 @@ def test_kernel_basis_is_identity_at_free_columns(data):
         assert np.flatnonzero(k[:, j])[-1] == f
         assert k[f, j] == 1
     assert np.array_equal(k[free], np.eye(len(free), dtype=np.int64))
+    if free:
+        assert free_rows(kernel_basis(m)).tolist() == free
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_column_basis_is_identity_at_pivot_rows(data):
+    # homalg.image reads a vector's coordinates in the span at these rows
+    p = data.draw(st.sampled_from(ORACLE_PRIMES))
+    a = data.draw(residue_arrays(p))
+    r, pivots = oracle_rref(a.T, p)
+    basis = column_basis(Matrix(a, p))
+    assert_same(basis, r[: len(pivots)].T, p)
+    if pivots:
+        at = pivot_rows(basis)
+        assert at.tolist() == list(pivots)
+        assert np.array_equal(basis.a[at], np.eye(len(pivots), dtype=np.int64))
+        for j, q in enumerate(pivots):
+            assert np.flatnonzero(basis.a[:, j])[0] == q
+    both = np.concatenate([a, basis.a], axis=1)
+    assert sympy_rank(both, p) == sympy_rank(a, p) == basis.cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_quotient_matches_inverted_route(data):
+    p = data.draw(st.sampled_from(ORACLE_PRIMES))
+    m = Matrix(data.draw(residue_arrays(p)), p)
+    basis = column_basis(m)
+    want, coords = oracle_quotient(m)
+    assert complement_coords(basis) == oracle_complement_coords(m) == coords
+    proj, got = quotient(basis)
+    assert got == coords
+    assert_same(proj, want.a, p)
+    assert (proj @ basis).is_zero()
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
@@ -394,6 +435,11 @@ def test_empty_shapes(shape):
     assert rank(m) == 0
     assert_same(kernel_basis(m), np.eye(cols, dtype=np.int64), 5)
     assert complement_coords(m) == list(range(rows))
+    basis = column_basis(m)
+    assert_same(basis, np.zeros((rows, 0), dtype=np.int64), 5)
+    proj, coords = quotient(basis)
+    assert coords == list(range(rows))
+    assert_same(proj, np.eye(rows, dtype=np.int64), 5)
 
 
 @settings(max_examples=100, deadline=None)

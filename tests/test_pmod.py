@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    oracle_free_on,
     oracle_radical,
     random_module,
     random_poset_covers,
@@ -279,6 +280,29 @@ class TestFree:
             for r, k in enumerate(want):
                 col = m.map(gens[k], x).a[:, m.generators_at[gens[k]].index(k)]
                 assert col.tolist() == [int(i == r) for i in range(len(want))]
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([2, 3, 5]))
+    def test_free_on_matches_dense_oracle(self, seed, p):
+        # only the covers with two nonzero ends are built, on the same
+        # module and bytes as every cover built densely
+        rng = np.random.default_rng(seed)
+        names, covers, _ = random_poset_covers(rng, int(rng.integers(0, 9)))
+        poset = Poset.from_covers(
+            names, [(names[i], names[j]) for i, j in covers]
+        )
+        count = int(rng.integers(0, 6)) if poset.n else 0
+        gens = [int(g) for g in rng.integers(0, poset.n or 1, count)]
+        m = free_on(poset, gens, p)
+        want, alive = oracle_free_on(poset, gens, p)
+        assert m == want
+        assert json.dumps(m.to_json()) == json.dumps(want.to_json())
+        assert m.generators_at == tuple(map(tuple, alive))
+        assert m.free_generators == tuple(gens)
+        for (a, b), c in m._cover_maps.items():
+            assert m.dims[a] and m.dims[b]
+            assert c.a.dtype == np.int64 and not c.a.flags.writeable
 
 
 class TestIndicatorConstructors:
