@@ -122,12 +122,20 @@ def _nonnegative(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _load_module(obj, p):
-    mj = obj.get("module")
+def _load_module(mj, p, label=None):
+    """The module that mj encodes, refused unless functorial.  A module
+    other than the payload's own has a label, put in front of its
+    errors."""
     if mj is None:
         raise InputError('payload has no "module"')
-    with _input_error("bad module payload"):
-        return PersistenceModule.from_json(mj, p)
+    with _input_error(f"bad {label or 'module payload'}"):
+        m = PersistenceModule.from_json(mj, p)
+    try:
+        return validate_module(m)
+    except FunctorialityViolation as exc:
+        if label is None:
+            raise
+        raise FunctorialityViolation(f"{label}: {exc}") from None
 
 
 def _load_collection_json(obj, p):
@@ -174,13 +182,7 @@ def _build_builtin(name, params, base, p, bound):
         mj = params.get("member")
         if mj is None:
             raise InputError('singleton needs a "member" module in params')
-        with _input_error("bad singleton member"):
-            member = PersistenceModule.from_json(mj, p)
-        try:
-            validate_module(member)
-        except FunctorialityViolation as exc:
-            raise FunctorialityViolation(f"singleton member: {exc}") from None
-        return singleton(member)
+        return singleton(_load_module(mj, p, "singleton member"))
     if base is None:
         raise InputError(f"builtin {name!r} needs a poset in the payload")
     if name in _PLAIN_BUILTINS:
@@ -408,7 +410,7 @@ def _cmd_validate(args):
         raise InputError('payload needs exactly one of "module", "collection"')
     p = _resolve_p(obj, args.field)
     if has_module:
-        validate_module(_load_module(obj, p))
+        _load_module(obj["module"], p)
         _emit({"ok": True, "kind": "module", "p": p})
     else:
         _load_collection_json(obj["collection"], p).validate()
@@ -419,7 +421,7 @@ def _module_input(args):
     """The payload's module and the modulus it is read with."""
     obj = _read_payload(args.input)
     p = _resolve_p(obj, args.field)
-    return _load_module(obj, p), p
+    return _load_module(obj.get("module"), p), p
 
 
 def _collection_over(args, m, p):

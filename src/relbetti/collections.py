@@ -1,9 +1,13 @@
 """Builders for the builtin families of graded projective collections.
 
-Every builder returns a CollectionFunctor over the given base poset.  The
-members of all families except `singleton` are 0/1-dimensional indicator
-modules and the arrows are the canonical maps induced by inclusions of
-upsets: scalar 1 wherever source and target supports overlap.  For each
+Every builder returns a CollectionFunctor over the given base poset.
+Each family except `singleton` states its index poset in its own order,
+its slots named and its covers given as index pairs to Poset's
+constructor, which refuses a cover that goes down that order, and one
+support per slot.  _indicator_collection then builds the members as
+indicator modules and the arrows as the canonical maps induced by
+inclusions of upsets: scalar 1 wherever source and target supports
+overlap.  For each
 family the overlap supports satisfy the containment property that makes
 these arrows compose path-independently, so the outputs satisfy
 CollectionFunctor.validate (checked in the test suite on small bases
@@ -18,13 +22,7 @@ import numpy as np
 
 from relbetti.errors import NotSemilattice, SizeBoundExceeded
 from relbetti.homalg import NatTransformation
-from relbetti.pmod import (
-    cached_identity,
-    cached_zeros,
-    free,
-    indicator,
-    zero_module,
-)
+from relbetti.pmod import cached_identity, cached_zeros, indicator
 from relbetti.poset import (
     Poset,
     antichain_bound,
@@ -48,19 +46,23 @@ __all__ = [
 ]
 
 
-def _overlap_arrows(index, objs, p):
+def _indicator_collection(base, index, supports, p, claims=None):
+    """The collection with the indicator of supports[a] at each element a
+    of index; the arrow on a cover is 1 exactly where its two members
+    overlap."""
+    objs = [indicator(base, s, p) for s in supports]
     one = cached_identity(1, p)
     arrows = {}
     for a, b in index.covers:
         src, dst = objs[b], objs[a]
-        comps = []
-        for x in range(src.poset.n):
-            if src.dims[x] and dst.dims[x]:
-                comps.append(one)
-            else:
-                comps.append(cached_zeros(dst.dims[x], src.dims[x], p))
+        both = src.support_bits & dst.support_bits
+        comps = [
+            one if both >> x & 1
+            else cached_zeros(dst.dims[x], src.dims[x], p)
+            for x in range(base.n)
+        ]
         arrows[(a, b)] = NatTransformation._trusted(src, dst, comps)
-    return arrows
+    return CollectionFunctor(base, index, p, objs, arrows, claims=claims)
 
 
 def _require_semilattice(base):
@@ -71,55 +73,37 @@ def _require_semilattice(base):
 def singleton(m):
     """One-member collection; no status is claimed (a doubled free member
     already fails thinness)."""
-    index = Poset.from_covers(["pt"], [])
-    return CollectionFunctor(m.poset, index, m.p, [m], {})
+    return CollectionFunctor(m.poset, Poset(["pt"], []), m.p, [m], {})
 
 
 def _pair_slots(base):
-    # (v, w) with v <= w, v-major; element order is a linear extension
-    # because the base's own index order is one
+    """(v, w) with v <= w, v-major, which is a linear extension of the
+    pair order because the base's own index order is one."""
     return [(v, w) for v in range(base.n) for w in sorted(base.up(v))]
 
 
-def _pair_names(base, slots):
+def _pair_index(base, slots):
+    """The pairs v <= w of base listed in slots, named v|w and ordered in
+    both coordinates; slots must list a linear extension of that order."""
     for nm in base.names:
         if "|" in nm:
             raise ValueError(f"base element {nm!r} contains '|', which "
                              "separates the pair names of the index")
-    return [f"{base.names[v]}|{base.names[w]}" for v, w in slots]
-
-
-def _pair_covers(base, slots, names):
     pos = {s: i for i, s in enumerate(slots)}
     covers = []
-    for v, w in slots:
-        me = names[pos[(v, w)]]
-        for v2 in base.parents(v):
-            covers.append((names[pos[(v2, w)]], me))
-        for w2 in base.parents(w):
-            if base.leq(v, w2):
-                covers.append((names[pos[(v, w2)]], me))
-    return covers
+    for i, (v, w) in enumerate(slots):
+        covers += [(pos[(v2, w)], i) for v2 in base.parents(v)]
+        covers += [(pos[(v, w2)], i) for w2 in base.parents(w)
+                   if base.leq(v, w2)]
+    names = [f"{base.names[v]}|{base.names[w]}" for v, w in slots]
+    return Poset(names, covers)
 
 
-def _pair_index(base, slots=None):
-    """(slots, index) for comparable pairs v <= w of base, named v|w and
-    ordered in both coordinates.  slots default to every such pair,
-    v-major; any given list must be a linear extension."""
-    if slots is None:
-        slots = _pair_slots(base)
-    names = _pair_names(base, slots)
-    index = Poset.from_covers(names, _pair_covers(base, slots, names))
-    assert index.names == tuple(names)
-    return slots, index
-
-
-def _hooks(base, slots, p):
-    """The hook members, indicators of up(v) - up(w), one per slot."""
-    up = base.up_bits()
-    return [
-        indicator(base, bit_elements(up[v] & ~up[w]), p) for v, w in slots
-    ]
+def _hooks(base, slots):
+    """The supports up(v) - up(w) of the hook members, one per slot; an
+    element past the base has the empty up-set."""
+    up = base.up_bits() + (0,)
+    return [bit_elements(up[v] & ~up[w]) for v, w in slots]
 
 
 def lower_hooks(base, p):
@@ -127,11 +111,11 @@ def lower_hooks(base, p):
     members vanish.  Thin, and the degeneracy condition holds: each unit
     kernel generates at the zero member (w, w)."""
     _require_semilattice(base)
-    slots, index = _pair_index(base)
-    objs = _hooks(base, slots, p)
-    arrows = _overlap_arrows(index, objs, p)
+    slots = _pair_slots(base)
     claims = {"thin": True, "degeneracy": True}
-    return CollectionFunctor(base, index, p, objs, arrows, claims=claims)
+    return _indicator_collection(
+        base, _pair_index(base, slots), _hooks(base, slots), p, claims
+    )
 
 
 def lower_hooks_inf(base, p):
@@ -141,23 +125,15 @@ def lower_hooks_inf(base, p):
     if "inf" in base.names:
         raise ValueError("base element 'inf' would clash with the added "
                          "top slot of the index")
-    slots = _pair_slots(base)
     inf = base.n
     maxima = base.max_elements(frozenset(range(base.n)))
-    topped = Poset.from_covers(
-        base.names + ("inf",),
-        [(base.names[a], base.names[b]) for a, b in base.sorted_covers]
-        + [(base.names[v], "inf") for v in sorted(maxima)],
-    )
-    _, index = _pair_index(
-        topped, slots + [(v, inf) for v in range(base.n)] + [(inf, inf)]
-    )
-    objs = _hooks(base, slots, p)
-    objs.extend(free(base, v, p) for v in range(base.n))
-    objs.append(zero_module(base, p))
-    arrows = _overlap_arrows(index, objs, p)
+    topped = Poset(base.names + ("inf",),
+                   [*base.covers, *((v, inf) for v in maxima)])
+    slots = [*_pair_slots(base), *((v, inf) for v in range(inf)), (inf, inf)]
     claims = {"thin": True, "degeneracy": True}
-    return CollectionFunctor(base, index, p, objs, arrows, claims=claims)
+    return _indicator_collection(
+        base, _pair_index(topped, slots), _hooks(base, slots), p, claims
+    )
 
 
 def rectangles_naive(base, p):
@@ -165,29 +141,29 @@ def rectangles_naive(base, p):
     condition fails as soon as the base has a cover relation: every member
     is nonzero, so a unit kernel has nowhere degenerate to generate."""
     _require_semilattice(base)
-    slots, index = _pair_index(base)
+    slots = _pair_slots(base)
     up, down = base.up_bits(), base.down_bits()
-    objs = [indicator(base, bit_elements(up[v] & down[w]), p)
-            for v, w in slots]
-    arrows = _overlap_arrows(index, objs, p)
+    supports = [bit_elements(up[v] & down[w]) for v, w in slots]
     claims = {"thin": True, "degeneracy": base.n < 2}
-    return CollectionFunctor(base, index, p, objs, arrows, claims=claims)
+    return _indicator_collection(
+        base, _pair_index(base, slots), supports, p, claims
+    )
 
 
 def rectangles_grid(n, r, p):
     """Members are the half-open boxes [v, w) in the grid; the member is
     zero exactly when some coordinate satisfies v_i = w_i."""
     base = Poset.grid(n, r)
-    slots, index = _pair_index(base)
+    slots = _pair_slots(base)
     coords = np.array(base.coords)
-    objs = []
-    for v, w in slots:
-        cv, cw = coords[v], coords[w]
-        mask = np.all((coords >= cv) & (coords < cw), axis=1)
-        objs.append(indicator(base, np.flatnonzero(mask), p))
-    arrows = _overlap_arrows(index, objs, p)
+    supports = [
+        np.flatnonzero(((coords >= coords[v]) & (coords < coords[w])).all(1))
+        for v, w in slots
+    ]
     claims = {"thin": True, "degeneracy": True}
-    return CollectionFunctor(base, index, p, objs, arrows, claims=claims)
+    return _indicator_collection(
+        base, _pair_index(base, slots), supports, p, claims
+    )
 
 
 def _upset_slots(base, bound):
@@ -222,20 +198,17 @@ def single_source_omega0(base, p, max_antichains=None):
     ]
     pos = {s: i for i, s in enumerate(slots)}
     covers = []
-    for v, u in slots:
-        me = names[pos[(v, u)]]
-        for v2 in base.parents(v):
-            covers.append((names[pos[(v2, u)]], me))
+    for i, (v, u) in enumerate(slots):
+        covers += [(pos[(v2, u)], i) for v2 in base.parents(v)]
         # up(v) is an upset: its maximal elements outside U are the
         # maximal elements outside U that lie above v
-        for w in base.max_elements(base.up(v) - u):
-            covers.append((names[pos[(v, u | {w})]], me))
-    index = Poset.from_covers(names, covers)
-    assert index.names == tuple(names)
-    objs = [indicator(base, base.up(v) - u, p) for v, u in slots]
-    arrows = _overlap_arrows(index, objs, p)
+        covers += [(pos[(v, u | {w})], i)
+                   for w in base.max_elements(base.up(v) - u)]
+    supports = [base.up(v) - u for v, u in slots]
     claims = {"thin": True, "degeneracy": True}
-    return CollectionFunctor(base, index, p, objs, arrows, claims=claims)
+    return _indicator_collection(
+        base, Poset(names, covers), supports, p, claims
+    )
 
 
 def spreads_omega(base, p, max_antichains=None):
@@ -251,10 +224,9 @@ def spreads_omega(base, p, max_antichains=None):
             f"{count} nested-pair slots exceed the bound {bound}"
         )
     ups = [base.upset_of(s) for s in ap.antichains]
-    slots, index = _pair_index(ap)
-    objs = [indicator(base, ups[a] - ups[b], p) for a, b in slots]
-    arrows = _overlap_arrows(index, objs, p)
-    return CollectionFunctor(base, index, p, objs, arrows)
+    slots = _pair_slots(ap)
+    supports = [ups[a] - ups[b] for a, b in slots]
+    return _indicator_collection(base, _pair_index(ap, slots), supports, p)
 
 
 def all_subfunctors(base, p, max_antichains=None):
@@ -263,14 +235,11 @@ def all_subfunctors(base, p, max_antichains=None):
     as its top.  Flat when the base has a unique maximal element; with
     two maxima thinness already fails, so nothing is claimed then."""
     ap = antichain_poset(base, max_antichains)
-    objs = [
-        indicator(base, base.upset_of(s), p) for s in ap.antichains
-    ]
-    arrows = _overlap_arrows(ap, objs, p)
+    supports = [base.upset_of(s) for s in ap.antichains]
     claims = {}
     if len(base.max_elements(frozenset(range(base.n)))) == 1:
         claims = {"thin": True, "flat": True, "degeneracy": True}
-    return CollectionFunctor(base, ap, p, objs, arrows, claims=claims)
+    return _indicator_collection(base, ap, supports, p, claims)
 
 
 def translated(base, translations, p):
@@ -293,10 +262,11 @@ def translated(base, translations, p):
                 raise ValueError("translation set is not an antichain")
     index = Poset._box([n - max(t[i] for t in tset) for i in range(r)])
     lookup = {c: i for i, c in enumerate(base.coords)}
-    objs = []
-    for v in index.coords:
-        gens = [lookup[tuple(tc + vc for tc, vc in zip(t, v))] for t in tset]
-        objs.append(indicator(base, base.upset_of(gens), p))
-    arrows = _overlap_arrows(index, objs, p)
+    supports = [
+        base.upset_of(
+            lookup[tuple(tc + vc for tc, vc in zip(t, v))] for t in tset
+        )
+        for v in index.coords
+    ]
     claims = {"thin": True, "flat": True, "degeneracy": True}
-    return CollectionFunctor(base, index, p, objs, arrows, claims=claims)
+    return _indicator_collection(base, index, supports, p, claims)

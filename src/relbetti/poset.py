@@ -98,8 +98,9 @@ class Poset:
 
     def __init__(self, names, covers, coords=None, grid_shape=None,
                  semilattice=None):
-        # internal constructor: covers already validated, and index order
-        # a linear extension of them
+        # the constructor for posets stated in index order: covers are
+        # index pairs, each going up the listed order; duplicate and
+        # redundant covers are not looked for (from_covers does that)
         self.n = len(names)
         self.names = tuple(names)
         self.covers = frozenset(covers)
@@ -110,6 +111,11 @@ class Poset:
         par = [[] for _ in range(self.n)]
         chi = [[] for _ in range(self.n)]
         for a, b in self.sorted_covers:
+            if a >= b:
+                raise ValueError(
+                    f"cover {self.names[a]!r} < {self.names[b]!r} does not "
+                    "go up the listed order"
+                )
             par[b].append(a)
             chi[a].append(b)
         self._parents = tuple(tuple(sorted(x)) for x in par)
@@ -134,7 +140,7 @@ class Poset:
     # -- construction ---------------------------------------------------
 
     @staticmethod
-    def from_covers(names, covers, coords=None):
+    def from_covers(names, covers):
         names = list(names)
         if len(set(names)) != len(names):
             raise ValueError("duplicate element names")
@@ -177,10 +183,9 @@ class Poset:
             raise CyclicCovers(f"cover digraph has a cycle through {stuck}")
         new_of_old = {old: new for new, old in enumerate(order)}
         names2 = [names[old] for old in order]
-        coords2 = [coords[old] for old in order] if coords is not None else None
         pairs2 = sorted((new_of_old[a], new_of_old[b]) for a, b in pairs)
 
-        p = Poset(names2, pairs2, coords=coords2)
+        p = Poset(names2, pairs2)
         for a, b in p.sorted_covers:
             # redundant iff some third element lies between a and b
             if p._up[a] & p._down[b] & ~(1 << a | 1 << b):
@@ -190,7 +195,7 @@ class Poset:
         return p
 
     @staticmethod
-    def from_order(names, leq, coords=None):
+    def from_order(names, leq):
         """Build from a full order relation; covers = transitive reduction."""
         names = list(names)
         n = len(names)
@@ -209,17 +214,17 @@ class Poset:
         cov = strict & ~two_step
         pairs = [(int(a), int(b)) for a, b in zip(*np.nonzero(cov))]
         return Poset.from_covers(
-            names, [(names[a], names[b]) for a, b in pairs], coords=coords
+            names, [(names[a], names[b]) for a, b in pairs]
         )
 
     @staticmethod
-    def grid(n, r, max_elements=None):
+    def grid(n, r):
         """The product of r chains 0 < 1 < ... < n, one shared instance
-        per (n, r) once the size bound admits it."""
+        per (n, r) once DEFAULT_MAX_ELEMENTS admits it."""
         n, r = operator.index(n), operator.index(r)
         if n < 0 or r < 1:
             raise ValueError("grid needs n >= 0, r >= 1")
-        bound = DEFAULT_MAX_ELEMENTS if max_elements is None else int(max_elements)
+        bound = DEFAULT_MAX_ELEMENTS
         # refused before forming (n + 1) ** r: past the bound's bit length
         # 2 ** r alone exceeds it, and every element has r coordinates
         if r > bound or n and r > bound.bit_length():
@@ -553,12 +558,8 @@ def antichain_poset(p, max_antichains=None):
     covers = []
     for t, ut in enumerate(ups):
         for v in p.max_elements(all_elts - ut):
-            s = p.min_elements(ut | {v})
-            covers.append((names[pos[s]], names[t]))
-    ap = Poset.from_covers(names, covers)
-    # from_covers keeps our order: it is already a linear extension
-    assert ap.names == tuple(names)
+            covers.append((pos[p.min_elements(ut | {v})], t))
+    # a distributive lattice of upsets
+    ap = Poset(names, covers, semilattice=True)
     ap.antichains = tuple(chains)
-    ap.antichain_index = pos
-    ap._semilattice = True  # distributive lattice of upsets
     return ap

@@ -727,7 +727,8 @@ def relative_betti_diagram(coll, m, dmax, force=False):
 
 
 def _relative_cover(coll, m, nm, bases):
-    """Adjoint of the minimal cover of the hom module.
+    """(cover, generators): the adjoint of the minimal cover of the hom
+    module, and the index elements of its summands.
 
     Its generators are minimal_cover's, the complement coordinates of the
     radical, each a unit vector.  One summand per generator, a copy of
@@ -741,12 +742,12 @@ def _relative_cover(coll, m, nm, bases):
     gens = tuple(a for a, qs in picked.items() for _ in qs)
     realized = direct_sum(coll.domain, coll.p, [(coll.obj(a), 1) for a in gens])
     g = NatTransformation(realized, m, _evaluations(coll, m, bases, picked))
-    g.relative_generators = gens
-    return g
+    return g, gens
 
 
 def relative_minimal_cover(coll, m):
-    """Minimal cover of m relative to the collection."""
+    """Minimal cover of m relative to the collection, paired with the
+    index elements of its summands."""
     _require_thin(coll)
     return _relative_cover(coll, m, *_nat_module_data(coll, m))
 
@@ -790,8 +791,7 @@ def relative_minimal_resolution(coll, m, dmax):
             # nothing maps in: the chain so far is already exact through
             # the hom module
             return None
-        g = _relative_cover(coll, cur, nm, bases)
-        return g, g.relative_generators
+        return _relative_cover(coll, cur, nm, bases)
 
     return RelativeResolution.resolve(m, dmax, cover)
 

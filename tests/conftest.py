@@ -40,7 +40,12 @@ columns of a matrix and invert [basis | section]; relbetti.fieldlin
 reads both off the reduced echelon column_basis, and oracle_cokernel
 built on them must equal relbetti.homalg.cokernel.  oracle_free_on
 builds every cover of a free module densely.  hook_hom_dim is the Hom
-out of a lower hook, read off the rank of one map of the target.
+out of a lower hook, read off the rank of one map of the target, and
+hook_pair_hom_dim the closed form of Hom between two lower hooks, read
+off their supports.  oracle_indicator_collection assembles a builder's
+collection from its index names and member dims the checked way;
+relbetti.collections states the index in its own order and reads the
+arrows off support bitsets, and must give the same collection.
 oracle_koszul_table reads betti_koszul at every requested element;
 relbetti.homalg.koszul_table visits only those above the module's
 support and must give the same diagram.
@@ -468,6 +473,52 @@ def hook_hom_dim(m, v, w):
     at w, so Hom(K, m) is the kernel of m(v -> w): dim m(v) less the rank
     of that map, by sympy."""
     return m.dims[v] - sympy_rank(m.map(v, w).a, m.p)
+
+
+def hook_pair_hom_dim(poset, a, b):
+    """dim Hom(K_A, K_B) between lower-hook members, from their supports
+    A and B given as bitsets: 1 when A is nonempty, its minimum v_A lies
+    in B and B & up(v_A) lies inside A, else 0."""
+    if not a:
+        return 0
+    v = (a & -a).bit_length() - 1
+    return int(bool(b >> v & 1) and not b & poset.up_bits()[v] & ~a)
+
+
+def oracle_indicator_collection(coll):
+    """An indicator collection assembled the checked way: the index by
+    Poset.from_covers on its names, with cycle, duplicate and redundancy
+    checks and Kahn's order; each member the 0/1 module on the dims of
+    the member of that name; each arrow 1 at every base element where
+    both members' dims are nonzero, through the checking constructors."""
+    from relbetti.fieldlin import Matrix
+    from relbetti.homalg import NatTransformation
+    from relbetti.pmod import PersistenceModule
+    from relbetti.poset import Poset
+    from relbetti.relative import CollectionFunctor
+
+    base, p, names = coll.domain, coll.p, coll.index.names
+    index = Poset.from_covers(
+        names, [(names[a], names[b]) for a, b in coll.index.covers]
+    )
+    objs = []
+    for nm in index.names:
+        dims = coll.obj(coll.index.index(nm)).dims
+        maps = {
+            (x, y): Matrix([[1]], p)
+            for x, y in base.covers if dims[x] and dims[y]
+        }
+        objs.append(PersistenceModule(base, p, dims, maps))
+    arrows = {}
+    for a, b in index.covers:
+        src, dst = objs[b], objs[a]
+        comps = [
+            Matrix([[1]], p) if src.dims[x] and dst.dims[x]
+            else Matrix.zeros(dst.dims[x], src.dims[x], p)
+            for x in range(base.n)
+        ]
+        arrows[(a, b)] = NatTransformation(src, dst, comps)
+    return CollectionFunctor(base, index, p, objs, arrows)
 
 
 def oracle_koszul_table(m, elements, dmax):

@@ -1040,3 +1040,26 @@ def test_non_functorial_singleton_member_names_the_square(verb):
         "disagree through '1,0'\n"
     )
     assert r.stdout == ""
+
+
+@pytest.mark.parametrize("verb", [
+    ["betti"],
+    ["betti", "--method", "koszul"],
+    ["resolve"],
+    ["rbetti", "--collection", "lower_hooks"],
+    ["rbetti", "--collection", "lower_hooks", "--method", "resolution"],
+    ["rresolve", "--collection", "lower_hooks", "--dmax", "2"],
+    ["koszul", "--at", "0,0"],
+])
+def test_non_functorial_module_is_refused_by_every_verb(verb):
+    # every verb loads the payload's module the way validate does, so a
+    # square that does not commute never reaches a computation
+    module = constant(Poset.grid(1, 2), 2).to_json()
+    module["maps"]["1,0<1,1"] = [[0]]
+    payload = json.dumps({"p": 2, "module": module})
+    want = run_cli("validate", stdin=payload)
+    assert want.returncode == 1 and want.stdout == ""
+    r = run_cli(*verb, stdin=payload)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == want.stderr

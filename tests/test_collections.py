@@ -17,7 +17,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_free_map, random_module, random_semilattice
+from conftest import (
+    oracle_indicator_collection,
+    random_free_map,
+    random_module,
+    random_semilattice,
+)
 from relbetti.collections import (
     all_subfunctors,
     lower_hooks,
@@ -137,7 +142,8 @@ def check_all_arrows(coll):
         coll.arrow(a, b).check()
 
 
-# every builder that assembles its arrows with _overlap_arrows, on a base
+# every builder that assembles its members with _indicator_collection,
+# on a base
 BUILDERS = {
     "lower_hooks": lower_hooks,
     "lower_hooks_inf": lower_hooks_inf,
@@ -164,6 +170,70 @@ def test_trusted_arrows_pass_the_checks(name, shape):
             assert f.source is coll.obj(b) and f.target is coll.obj(a)
             assert NatTransformation(f.source, f.target, f.comps) == f
             f.check()
+
+
+# the claims each builder records on a base
+CLAIMS = {
+    "lower_hooks": lambda base: {"thin": True, "degeneracy": True},
+    "lower_hooks_inf": lambda base: {"thin": True, "degeneracy": True},
+    "rectangles_naive": lambda base: {"thin": True,
+                                      "degeneracy": base.n < 2},
+    "rectangles_grid": lambda base: {"thin": True, "degeneracy": True},
+    "single_source_omega0": lambda base: {"thin": True, "degeneracy": True},
+    "spreads_omega": lambda base: {},
+    "all_subfunctors": lambda base: (
+        {"thin": True, "flat": True, "degeneracy": True}
+        if len(base.max_elements(frozenset(range(base.n)))) == 1 else {}
+    ),
+    "translated": lambda base: {"thin": True, "flat": True,
+                                "degeneracy": True},
+}
+GRID_ONLY = ("rectangles_grid", "translated")
+BOUNDED = ("single_source_omega0", "spreads_omega", "all_subfunctors")
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(21)
+    rand = [random_semilattice(rng, Poset.grid(3, 2), k) for k in (3, 4, 5)]
+    for name in sorted(BUILDERS):
+        for shape in [(1, 2), (2, 2), (3, 2), (1, 3), (5, 2)]:
+            if shape != (5, 2) or name not in BOUNDED:
+                yield pytest.param(name, Poset.grid(*shape),
+                                   id=f"{name}-grid{shape[0]}x{shape[1]}")
+        if name not in GRID_ONLY:
+            for i, base in enumerate(rand):
+                yield pytest.param(name, base, id=f"{name}-rand{i}")
+
+
+@pytest.mark.parametrize("name, base", _oracle_cases())
+def test_builders_match_the_checked_assembly(name, base):
+    # the index a builder states in its own order is the one from_covers
+    # checks and orders, and the arrows read off support bits are the
+    # ones read off member dims
+    coll = BUILDERS[name](base, 2)
+    want = oracle_indicator_collection(coll)
+    assert coll == want
+    assert json.dumps(coll.to_json()) == json.dumps(want.to_json())
+    assert coll.index.names == want.index.names
+    assert coll.index.covers == want.index.covers
+    assert coll.claims == CLAIMS[name](base)
+
+
+def test_slots_out_of_order_are_refused(monkeypatch):
+    # two slots listed against the pair order: the index constructor
+    # refuses the cover between them instead of reordering
+    from relbetti import collections as builders
+
+    def swapped(base):
+        slots = real(base)
+        slots[0], slots[1] = slots[1], slots[0]
+        return slots
+
+    real = builders._pair_slots
+    monkeypatch.setattr(builders, "_pair_slots", swapped)
+    for build in (lower_hooks, lower_hooks_inf, rectangles_naive):
+        with pytest.raises(ValueError, match="does not go up"):
+            build(chain(2), 2)
 
 
 class TestSingleton:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     hook_hom_dim,
+    hook_pair_hom_dim,
     indicator_hom_dim,
     longest_chain,
     oracle_cokernel,
@@ -1054,6 +1055,18 @@ class TestHomDim:
                 assert len(nat_basis(hook, m)) == want
                 pairs += 1
         assert pairs == 1000
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (1, 3)])
+    def test_lower_hook_pairs_against_closed_form(self, shape):
+        # Hom between two hooks read off their supports alone, on every
+        # ordered pair of members
+        coll = lower_hooks(Poset.grid(*shape), 2)
+        members = [coll.obj(a) for a in range(coll.index.n)]
+        for f in members:
+            for g in members:
+                assert hom_dim(f, g) == hook_pair_hom_dim(
+                    coll.domain, f.support_bits, g.support_bits
+                )
 
     @settings(max_examples=60, deadline=None)
     @given(

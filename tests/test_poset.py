@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from relbetti import poset as poset_module
 from relbetti.collections import rectangles_grid, translated
 from relbetti.errors import MeetHypothesisFailed
 from relbetti.pmod import zero_module
@@ -93,6 +94,19 @@ class TestFromCovers:
                 assert set(p.parents(a)) == expect
 
 
+class TestOrderedConstructor:
+    def test_listed_order_is_kept(self):
+        p = Poset(["top", "bot"], [])
+        assert p.names == ("top", "bot")
+        q = Poset(["bot", "top"], [(0, 1)])
+        assert q == Poset.from_covers(["top", "bot"], [("bot", "top")])
+
+    @pytest.mark.parametrize("cover", [(1, 0), (1, 1)])
+    def test_cover_against_the_listed_order_is_refused(self, cover):
+        with pytest.raises(ValueError, match="does not go up"):
+            Poset(["a", "b"], [cover])
+
+
 class TestGrid:
     def test_6x6(self):
         g = Poset.grid(5, 2)
@@ -147,15 +161,18 @@ class TestSharedGrid:
     def test_rectangles_grid_domain_is_shared(self, n, r):
         assert rectangles_grid(n, r, 2).domain is Poset.grid(n, r)
 
-    def test_over_bound_raises_before_lookup(self):
-        Poset.grid(2, 2)
+    def test_over_bound_raises_before_lookup(self, monkeypatch):
+        g = Poset.grid(2, 2)
         before = Poset._grid.cache_info()
+        monkeypatch.setattr(poset_module, "DEFAULT_MAX_ELEMENTS", 8)
         with pytest.raises(SizeBoundExceeded):
-            Poset.grid(2, 2, max_elements=8)
+            Poset.grid(2, 2)
+        monkeypatch.undo()
         with pytest.raises(SizeBoundExceeded):
             Poset.grid(9, 6)
         assert Poset._grid.cache_info() == before
-        assert Poset.grid(2, 2, max_elements=9) is Poset.grid(2, 2)
+        monkeypatch.setattr(poset_module, "DEFAULT_MAX_ELEMENTS", 9)
+        assert Poset.grid(2, 2) is g
 
     def test_equality_stays_literal(self):
         g = Poset.grid(2, 2)
@@ -454,7 +471,7 @@ class TestAntichainPoset:
 
     def test_empty_is_maximum(self):
         ap = antichain_poset(Poset.grid(1, 1))
-        empty = ap.antichain_index[frozenset()]
+        empty = ap.antichains.index(frozenset())
         assert all(ap.leq(i, empty) for i in range(ap.n))
 
     def test_order_matches_upset_containment(self):
@@ -471,8 +488,8 @@ class TestAntichainPoset:
         ap = antichain_poset(p)
         for a in range(p.n):
             for b in range(p.n):
-                ia = ap.antichain_index[frozenset({a})]
-                ib = ap.antichain_index[frozenset({b})]
+                ia = ap.antichains.index(frozenset({a}))
+                ib = ap.antichains.index(frozenset({b}))
                 assert p.leq(a, b) == ap.leq(ia, ib)
 
     def test_covers_add_one_upset_element(self):
