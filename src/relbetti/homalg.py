@@ -22,6 +22,7 @@ from relbetti.fieldlin import (
     hstack,
     homology_dims,
     kernel_basis,
+    matmul_exact,
     pivot_rows,
     quotient,
     rank,
@@ -331,13 +332,16 @@ def hom_basis(f, g):
     """Deterministic basis of Hom(f, g) as flat rows: (canon, offs, frees).
 
     The kernel of _hom_system's relation system (the system hom_dim reads
-    the dimension of) gives one vector in g at every generator of f,
-    pushed out over f's support and brought to the reduced echelon form,
-    in reversed column order, of the naturality system over all
-    row-major components.  canon holds it as rows, component x at
-    offs[x]:offs[x + 1].  frees lists each row's last nonzero as
-    (element, row, column): a 1 there where the other rows are 0, so a
-    transformation in the span has its coordinates at these positions.
+    the dimension of) gives one vector in g at every generator of f.
+    Each generator's vectors are pushed out by one product with
+    g.maps_from at its element, and every element above it reads its
+    image as a row slice of that product.  The push-out over f's support
+    is brought to the reduced echelon form, in reversed column order, of
+    the naturality system over all row-major components.  canon holds it
+    as rows, component x at offs[x]:offs[x + 1].  frees lists each row's
+    last nonzero as (element, row, column): a 1 there where the other
+    rows are 0, so a transformation in the span has its coordinates at
+    these positions.
     """
     built = _hom_system(f, g)
     sizes = [gd * fd for gd, fd in zip(g.dims, f.dims)]
@@ -352,15 +356,22 @@ def hom_basis(f, g):
     if built is None or not sol.cols:
         return np.zeros((0, offs[-1]), dtype=np.int64), offs, []
     k = sol.cols
+    pushed = {}
+    for i, m in enumerate(gens):
+        if goffs[i] < goffs[i + 1]:
+            stack, rows = g.maps_from(m)
+            vecs = sol.a[goffs[i]:goffs[i + 1]]
+            pushed[i] = matmul_exact(stack, vecs, p), rows
     parts = []
     for x, terms in enumerate(pushout):
         if not sizes[x]:
             continue
-        acc = np.zeros((k, g.dims[x], f.dims[x]), dtype=np.int64)
+        gd = g.dims[x]
+        acc = np.zeros((k, gd, f.dims[x]), dtype=np.int64)
         for i, s in terms:
-            if goffs[i] < goffs[i + 1]:
-                img = (g.map(gens[i], x) @ sol.take_rows(
-                    range(goffs[i], goffs[i + 1]))).a
+            if i in pushed:
+                prod, rows = pushed[i]
+                img = prod[rows[x]:rows[x] + gd]
                 acc = (acc + img.T[:, :, None] * s) % p
         parts.append(acc.reshape(k, sizes[x]))
     # reversed both ways, rows are the basis and pivots last nonzeros
@@ -685,23 +696,26 @@ def koszul(f, a, parent_order=None):
     return KoszulComplex(a, dims, diffs, index_sets, meets, p)
 
 
-def betti_koszul(f, a, dmax):
-    """Homology dimensions of the local Koszul complex, padded to dmax.
-
-    A module that is zero at a and at every meet the complex sums over
-    gives zeros without the complex.
-    """
+def _koszul_homology(f, a):
+    """Homology dimensions of the local Koszul complex, one per degree it
+    has.  A module that is zero at a and at every meet the complex sums
+    over gives none, without the complex."""
     if not f.poset.parent_meets(a)[2] & f.support_bits:
-        return [0] * (dmax + 1)
-    h = koszul(f, a).homology()
-    out = list(h[:dmax + 1])
+        return []
+    return koszul(f, a).homology()
+
+
+def betti_koszul(f, a, dmax):
+    """Homology dimensions of the local Koszul complex, padded to dmax."""
+    out = _koszul_homology(f, a)[:dmax + 1]
     out.extend([0] * (dmax + 1 - len(out)))
     return out
 
 
 def koszul_table(m, elements, dmax):
     """Diagram of the local Koszul homology of m at the elements of the
-    bitset elements, up to dmax: the table both Koszul routes read.  Only
+    bitset elements, up to dmax: the table both Koszul routes read.  Each
+    complex is read as far as it goes, never padded to dmax.  Only
     elements above m's support are visited; below any other a, where
     every meet of its complex lies, m vanishes."""
     up = m.poset.up_bits()
@@ -711,7 +725,7 @@ def koszul_table(m, elements, dmax):
     return BettiDiagram({
         (d, a): k
         for a in bit_elements(reach & elements)
-        for d, k in enumerate(betti_koszul(m, a, dmax))
+        for d, k in enumerate(_koszul_homology(m, a)[:dmax + 1])
         if k
     })
 

@@ -75,6 +75,8 @@ class PersistenceModule:
                 maps[(a, b)] = m
         self._cover_maps = maps
         self._composites = {}
+        # maps_from's stacks, by source element
+        self._stacks = {}
         # homalg.nat_basis's presentation of this module, built on first use
         self._presentation = None
 
@@ -99,6 +101,29 @@ class PersistenceModule:
             c = self.poset.step_toward(a, b)
             got = self.map(c, b) @ self.cover_map(a, c)
             self._composites[(a, b)] = got
+        return got
+
+    def maps_from(self, a):
+        """(stack, offsets): map(a, x) for every x above a in the support,
+        in ascending order, stacked by rows into one read-only int64 array;
+        offsets[x] is the first row of x's block, which has dims[x] rows.
+        A zero fiber at a gives a stack with no columns.  Cached on the
+        module, so everything pushed out of a shares one product."""
+        got = self._stacks.get(a)
+        if got is None:
+            offsets = {}
+            blocks = []
+            row = 0
+            for x in bit_elements(self.poset.up_bits()[a] & self.support_bits):
+                offsets[x] = row
+                blocks.append(self.map(a, x).a)
+                row += self.dims[x]
+            stack = (
+                np.concatenate(blocks, axis=0) if blocks
+                else np.zeros((0, self.dims[a]), dtype=np.int64)
+            )
+            stack.flags.writeable = False
+            got = self._stacks[a] = stack, offsets
         return got
 
     def __eq__(self, other):

@@ -164,6 +164,15 @@ class TestBetti:
         out = run_json("betti", "--dmax", "1", stdin=demo)
         assert table_of(out) == want
 
+    def test_huge_dmax_reads_as_far_as_complexes_go(self):
+        demo = run_cli("demo", "m0").stdout
+        huge = run_json(
+            "betti", "--method", "koszul", "--dmax", str(10**20), stdin=demo
+        )
+        assert huge["betti"] == run_json(
+            "betti", "--method", "koszul", stdin=demo
+        )["betti"]
+
     def test_methods_agree_on_random_module(self):
         import numpy as np
 
@@ -241,6 +250,13 @@ class TestRbetti:
             "--method", "resolution", stdin=demo,
         )
         assert table_of(kos) == table_of(res) == M0_HOOKS
+
+    def test_huge_dmax_reads_as_far_as_complexes_go(self):
+        # the default method, Koszul, reads each complex without padding
+        demo = run_cli("demo", "m0").stdout
+        args = ("rbetti", "--collection", "lower_hooks")
+        huge = run_json(*args, "--dmax", str(10**20), stdin=demo)
+        assert huge["betti"] == run_json(*args, stdin=demo)["betti"]
 
     def test_builtin_spec_with_params(self):
         import numpy as np

@@ -626,6 +626,15 @@ class TestKoszul:
         every = (1 << m.poset.n) - 1
         assert koszul_table(m, every, 4) == oracle_koszul_table(m, every, 4)
 
+    def test_koszul_table_reads_no_padding(self):
+        # each complex is read as far as it goes: a dmax far beyond any
+        # complex's length gives the table at the poset's size
+        m = m0_demo(2)
+        every = (1 << m.poset.n) - 1
+        assert koszul_table(m, every, 10**20) == koszul_table(
+            m, every, m.poset.n
+        )
+
 
 def _outcome(fn, *args):
     try:
@@ -805,7 +814,7 @@ KINDS = ["random", "convex", "nonconvex", "rebased", "zero"]
 @given(
     seed=st.integers(0, 2**32 - 1),
     kind=st.sampled_from(["covers", "semilattice"]),
-    p=st.sampled_from([2, 3, 5]),
+    p=st.sampled_from([2, 3, 5, 7]),
     source=st.sampled_from(KINDS),
     target=st.sampled_from(KINDS),
 )
@@ -1067,6 +1076,19 @@ class TestHomDim:
                 assert hom_dim(f, g) == hook_pair_hom_dim(
                     coll.domain, f.support_bits, g.support_bits
                 )
+
+    def test_builds_no_stacked_transitions(self):
+        # hom_dim stops at the relation system: a target it is asked
+        # about gets no maps_from stack, which only hom_basis's push-out
+        # pays for
+        coll = lower_hooks(Poset.grid(3, 2), 2)
+        members = [coll.obj(a) for a in range(coll.index.n)]
+        for f in members:
+            for g in members:
+                hom_dim(f, g)
+        assert all(not g._stacks for g in members)
+        g = next(m for m in members if m.support_bits)
+        assert len(nat_basis(g, g)) == 1 and g._stacks
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -12,7 +12,7 @@ from conftest import (
     sympy_rank,
 )
 from relbetti.fieldlin import Matrix, hstack, rank
-from relbetti.poset import Poset
+from relbetti.poset import Poset, bit_elements
 from relbetti.pmod import (
     BettiDiagram,
     FunctorialityViolation,
@@ -203,6 +203,19 @@ class TestOmittedMaps:
                     arr = full[(cur, nxt)] @ arr % p
                     cur = nxt
                 assert np.array_equal(m.map(a, b).a, arr)
+        # maps_from stacks those composites over up(a) in the support,
+        # ascending, and hands back the same arrays when asked again
+        up = g.up_bits()
+        for a in range(g.n):
+            stack, offsets = m.maps_from(a)
+            assert list(offsets) == bit_elements(up[a] & m.support_bits)
+            assert stack.shape == (sum(dims[x] for x in offsets), dims[a])
+            for x, row in offsets.items():
+                block = stack[row:row + dims[x]]
+                assert np.array_equal(block, m.map(a, x).a)
+            if not dims[a]:
+                assert stack.size == 0
+            assert m.maps_from(a)[0] is stack
 
     def test_support_bits(self):
         m = m0_demo(2)

@@ -994,6 +994,15 @@ class TestOracle:
         assert relative_betti_koszul(coll, s0, index.index("full"), 2) == [1, 0, 0]
         assert relative_betti_koszul(coll, s0, index.index("top"), 2) == [0, 1, 0]
 
+    def test_koszul_route_reads_no_padding(self):
+        # lower_hooks over m0's grid: a dmax far beyond any complex's
+        # length gives the table at the index's size
+        m0 = m0_demo(2)
+        coll = lower_hooks(m0.poset, 2)
+        assert relative_betti_diagram(coll, m0, 10**20) == (
+            relative_betti_diagram(coll, m0, coll.index.n)
+        )
+
     def test_koszul_route_refuses_zero_member(self):
         base, index, coll = upset_collection()
         want = "^member at 'none' is zero; no multiplicities there$"
