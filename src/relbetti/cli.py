@@ -74,10 +74,13 @@ class _Parser(argparse.ArgumentParser):
 @contextlib.contextmanager
 def _input_error(what=None):
     """Turn the KeyError, TypeError or ValueError of malformed input into
-    InputError, its message prefixed by what names that input."""
+    InputError, its message prefixed by what names that input; a
+    KeyError reads as the key the input is missing."""
     try:
         yield
     except (KeyError, TypeError, ValueError) as exc:
+        if isinstance(exc, KeyError):
+            exc = f"missing key {exc.args[0]!r}"
         raise InputError(f"{what}: {exc}" if what else str(exc)) from None
 
 

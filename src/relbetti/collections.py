@@ -22,7 +22,7 @@ import numpy as np
 
 from relbetti.errors import NotSemilattice, SizeBoundExceeded
 from relbetti.homalg import NatTransformation
-from relbetti.pmod import cached_identity, cached_zeros, indicator
+from relbetti.pmod import cached_identity, indicator
 from relbetti.poset import (
     Poset,
     antichain_bound,
@@ -55,12 +55,7 @@ def _indicator_collection(base, index, supports, p, claims=None):
     arrows = {}
     for a, b in index.covers:
         src, dst = objs[b], objs[a]
-        both = src.support_bits & dst.support_bits
-        comps = [
-            one if both >> x & 1
-            else cached_zeros(dst.dims[x], src.dims[x], p)
-            for x in range(base.n)
-        ]
+        comps = dict.fromkeys(bit_elements(src.support_bits & dst.support_bits), one)
         arrows[(a, b)] = NatTransformation._trusted(src, dst, comps)
     return CollectionFunctor(base, index, p, objs, arrows, claims=claims)
 

@@ -155,9 +155,6 @@ class Matrix:
     def take_cols(self, idx):
         return Matrix._trusted(self.a[:, list(idx)], self.p)
 
-    def take_rows(self, idx):
-        return Matrix._trusted(self.a[list(idx), :], self.p)
-
     def col(self, j):
         return Matrix._trusted(self.a[:, j : j + 1], self.p)
 
@@ -178,12 +175,8 @@ def matmul_exact(a, b, p):
     return (prod % p).astype(np.int64)
 
 
-def hstack(mats, rows=None, p=None):
-    mats = list(mats)
-    if not mats:
-        if rows is None or p is None:
-            raise ValueError("empty hstack needs explicit rows and p")
-        return Matrix.zeros(rows, 0, p)
+def hstack(mats):
+    """A nonempty list of matrices of one modulus, side by side."""
     p = mats[0].p
     if any(m.p != p for m in mats):
         raise ValueError("modulus mismatch")

@@ -44,8 +44,12 @@ from relbetti.poset import bit_elements
 class NatTransformation:
     """A family of matrices source(a) -> target(a), one per element.
 
-    The constructor only checks shapes; naturality is a separate validation
-    step (check) because pointwise sections legitimately fail it.
+    Components are given as element -> matrix pairs (a dict, or pairs
+    such as enumerate(list)); an omitted component is zero.  A given one
+    is checked for shape and modulus, and stored only when both of its
+    fibers are nonzero, as PersistenceModule stores its cover maps.
+    Naturality is a separate validation step (check) because pointwise
+    sections legitimately fail it.
     """
 
     def __init__(self, source, target, comps):
@@ -55,35 +59,50 @@ class NatTransformation:
             raise ValueError("source and target have different moduli")
         self.source = source
         self.target = target
-        comps = tuple(comps)
-        if len(comps) != source.poset.n:
-            raise ValueError("need one component per element")
-        for a, c in enumerate(comps):
+        given = dict(comps)
+        both = source.support_bits & target.support_bits
+        self._comps = {}
+        for a, name in enumerate(source.poset.names):
+            c = given.pop(a, None)
+            if c is None:
+                continue
             if c.rows != target.dims[a] or c.cols != source.dims[a]:
                 raise ValueError(
-                    f"component at element {a} has shape {c.rows}x{c.cols}, "
+                    f"component at {name!r} has shape {c.rows}x{c.cols}, "
                     f"expected {target.dims[a]}x{source.dims[a]}"
                 )
             if c.p != source.p:
                 raise ValueError("component modulus mismatch")
-        self.comps = comps
+            if both >> a & 1:
+                self._comps[a] = c
+        if given:
+            raise ValueError(f"component key {next(iter(given))!r} is not an element")
 
     @classmethod
     def _trusted(cls, source, target, comps):
-        """A transformation from components the caller built with the
-        shapes and modulus the constructor checks; nothing is checked."""
+        """A transformation from a dict of components the caller built as
+        the constructor stores them (shape, modulus, nonzero fibers, in
+        element order); nothing is checked."""
         f = object.__new__(cls)
-        f.source, f.target, f.comps = source, target, tuple(comps)
+        f.source, f.target, f._comps = source, target, comps
         return f
 
     def component(self, a):
-        return self.comps[a]
+        """The stored component at a, else the zero matrix of its shape."""
+        if a in self._comps:
+            return self._comps[a]
+        return cached_zeros(self.target.dims[a], self.source.dims[a], self.source.p)
+
+    @property
+    def comps(self):
+        """Every component as a tuple, in element order."""
+        return tuple(map(self.component, range(self.source.poset.n)))
 
     def check(self):
         """Validate naturality against every cover square."""
         for a, b in self.source.poset.sorted_covers:
-            left = self.target.cover_map(a, b) @ self.comps[a]
-            right = self.comps[b] @ self.source.cover_map(a, b)
+            left = self.target.cover_map(a, b) @ self.component(a)
+            right = self.component(b) @ self.source.cover_map(a, b)
             if left != right:
                 names = self.source.poset.names
                 raise ValueError(
@@ -96,25 +115,27 @@ class NatTransformation:
             return NotImplemented
         if self.source is not other.target and self.source != other.target:
             raise ValueError("composition needs matching middle module")
-        comps = [
-            self.comps[a] @ other.comps[a]
-            for a in range(self.source.poset.n)
-        ]
-        return NatTransformation(other.source, self.target, comps)
+        # stored on both sides: all three fibers are nonzero there
+        inner = other._comps
+        comps = {a: c @ inner[a] for a, c in self._comps.items() if a in inner}
+        return NatTransformation._trusted(other.source, self.target, comps)
 
     def __eq__(self, other):
         if not isinstance(other, NatTransformation):
             return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.comps == other.comps
-        )
+        if self.source != other.source or self.target != other.target:
+            return False
+        # same stored keys: one dict comparison; else a component stored
+        # on one side only must be zero
+        if self._comps.keys() == other._comps.keys():
+            return self._comps == other._comps
+        keys = self._comps.keys() | other._comps.keys()
+        return all(self.component(a) == other.component(a) for a in keys)
 
     __hash__ = None
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.comps)
+        return all(c.is_zero() for c in self._comps.values())
 
     def is_epi(self):
         return all(
@@ -131,20 +152,13 @@ class NatTransformation:
 
 
 def identity_nat(m):
-    return NatTransformation(
-        m, m, [cached_identity(d, m.p) for d in m.dims]
-    )
+    return NatTransformation._trusted(m, m, {
+        a: cached_identity(m.dims[a], m.p) for a in bit_elements(m.support_bits)
+    })
 
 
 def zero_nat(source, target):
-    return NatTransformation(
-        source,
-        target,
-        [
-            cached_zeros(target.dims[a], source.dims[a], source.p)
-            for a in range(source.poset.n)
-        ],
-    )
+    return NatTransformation(source, target, {})
 
 
 def free_nat(src, dst, coeffs):
@@ -162,13 +176,14 @@ def free_nat(src, dst, coeffs):
                 f"no map from generator at {poset.names[gens_s[j]]!r} "
                 f"into summand at {poset.names[gens_d[i]]!r}"
             )
-    comps = []
-    for alive_s, alive_d in zip(src.generators_at, dst.generators_at):
+    comps = {}
+    for x in bit_elements(src.support_bits & dst.support_bits):
+        alive_s, alive_d = src.generators_at[x], dst.generators_at[x]
         arr = np.zeros((len(alive_d), len(alive_s)), dtype=np.int64)
         for r, i in enumerate(alive_d):
             for c_, j in enumerate(alive_s):
                 arr[r, c_] = coeffs.get((i, j), 0)
-        comps.append(Matrix(arr, src.p))
+        comps[x] = Matrix(arr, src.p)
     return NatTransformation(src, dst, comps)
 
 
@@ -395,11 +410,10 @@ def nat_basis(f, g):
     for vec in canon:
         # a copy of its own, so a kept component pins no other vector
         vec = vec.copy()
-        comps = [
-            Matrix._trusted(vec[offs[a]:offs[a + 1]].reshape(shape), f.p)
-            if offs[a] < offs[a + 1] else cached_zeros(*shape, f.p)
-            for a, shape in enumerate(shapes)
-        ]
+        comps = {
+            a: Matrix._trusted(vec[offs[a]:offs[a + 1]].reshape(shape), f.p)
+            for a, shape in enumerate(shapes) if offs[a] < offs[a + 1]
+        }
         out.append(NatTransformation(f, g, comps))
     return out
 
@@ -420,7 +434,7 @@ def _submodule(ambient, bases, rows):
                     cover = Matrix._trusted(ambient.cover_map(a, b).a[at], p)
                     maps[(a, b)] = cover @ bases[a]
     mod = PersistenceModule(poset, p, [k.cols for k in bases], maps)
-    return mod, NatTransformation(mod, ambient, bases)
+    return mod, NatTransformation(mod, ambient, enumerate(bases))
 
 
 def kernel(f):
@@ -458,17 +472,18 @@ def cokernel(f):
     ]
     return (
         mod,
-        NatTransformation(tgt, mod, [proj for proj, _ in quots]),
-        NatTransformation(mod, tgt, sections),
+        NatTransformation(tgt, mod, enumerate(proj for proj, _ in quots)),
+        NatTransformation(mod, tgt, enumerate(sections)),
     )
 
 
 def section_of(f):
-    """A pointwise right inverse of an epimorphism (not natural in general)."""
-    comps = [
-        solve(f.component(a), cached_identity(f.target.dims[a], f.target.p))
-        for a in range(f.source.poset.n)
-    ]
+    """A pointwise right inverse of an epimorphism (not natural in general),
+    solved where the target is nonzero."""
+    comps = {
+        a: solve(f.component(a), cached_identity(f.target.dims[a], f.target.p))
+        for a in bit_elements(f.target.support_bits)
+    }
     return NatTransformation(f.target, f.source, comps)
 
 
@@ -479,13 +494,13 @@ def minimal_cover(m):
         (a, q) for a, b in enumerate(radical(m)) for q in complement_coords(b)
     ]
     c0 = free_on(m.poset, [a for a, _ in lifts], m.p)
-    comps = [
-        hstack(
-            [m.map(lifts[k][0], x).col(lifts[k][1]) for k in at],
-            rows=m.dims[x], p=m.p,
-        )
-        for x, at in enumerate(c0.generators_at)
-    ]
+    comps = {
+        x: hstack([
+            m.map(lifts[k][0], x).col(lifts[k][1])
+            for k in c0.generators_at[x]
+        ])
+        for x in bit_elements(c0.support_bits & m.support_bits)
+    }
     return NatTransformation(c0, m, comps)
 
 
@@ -589,10 +604,7 @@ class Resolution:
                     img = self.diffs[d + 1].component(a)
                 else:
                     img = kernel_basis(self.diffs[d].component(a))
-                joint = hstack(
-                    [rad[a], img], rows=self.terms[d].dims[a],
-                    p=self.target.p,
-                )
+                joint = hstack([rad[a], img])
                 if rank(joint) != rad[a].cols:
                     raise ValueError(
                         f"differential into term {d} misses the radical"

@@ -23,7 +23,7 @@ from relbetti.fieldlin import (
     hstack,
     rank,
 )
-from relbetti.poset import Poset, bit_elements, parse_nonnegative
+from relbetti.poset import Poset, bit_elements, json_object, parse_nonnegative
 
 
 @lru_cache(maxsize=None)
@@ -166,6 +166,7 @@ class PersistenceModule:
         Dimensions follow poset.parse_nonnegative; map entries follow
         matrix_from_json.
         """
+        obj = json_object(obj, "module")
         poset = Poset.from_json(obj["poset"])
         dims_obj = json_object(obj.get("dims", {}), '"dims"')
         unknown = sorted(set(dims_obj) - set(poset.names))
@@ -190,13 +191,6 @@ class PersistenceModule:
                 raise ValueError(f"map key {key!r} is not a cover relation")
             maps[(a, b)] = matrix_from_json(rows, p, f"map {key!r}")
         return PersistenceModule(poset, p, dims, maps)
-
-
-def json_object(value, what):
-    """value when it is a JSON object (a dict), else ValueError."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be an object, got {type(value).__name__}")
-    return value
 
 
 def matrix_from_json(rows, p, what):
@@ -275,10 +269,12 @@ def indicator(poset, support, p):
     inside, identity transitions on the covers with both ends inside."""
     inside = frozenset(support)
     dims = [1 if x in inside else 0 for x in range(poset.n)]
+    one = cached_identity(1, p)
     maps = {
-        (a, b): cached_identity(1, p)
-        for a, b in poset.covers
-        if a in inside and b in inside
+        (a, b): one
+        for a in compress(range(poset.n), dims)
+        for b in poset.children(a)
+        if dims[b]
     }
     return PersistenceModule(poset, p, dims, maps)
 
@@ -324,7 +320,8 @@ def spread(poset, sources, sinks, p):
 
 
 def direct_sum(poset, p, parts):
-    """Blockwise sum of (module, multiplicity) pairs over a shared poset."""
+    """Blockwise sum of (module, multiplicity) pairs over a shared poset;
+    only the covers between two nonzero summed fibers get a map."""
     expanded = []
     for m, mult in parts:
         if m.poset != poset:
@@ -335,6 +332,8 @@ def direct_sum(poset, p, parts):
     dims = [sum(m.dims[i] for m in expanded) for i in range(poset.n)]
     maps = {}
     for a, b in poset.covers:
+        if not (dims[a] and dims[b]):
+            continue
         arr = np.zeros((dims[b], dims[a]), dtype=np.int64)
         r = c = 0
         for m in expanded:

@@ -56,6 +56,13 @@ def parse_nonnegative(value):
     return n
 
 
+def json_object(value, what):
+    """value when it is a JSON object (a dict), else ValueError."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, got {type(value).__name__}")
+    return value
+
+
 def antichain_bound(override=None):
     """The antichain bound: override, else RELBETTI_MAX_ANTICHAINS, else
     the default; a malformed value raises ValueError naming its source."""
@@ -262,8 +269,9 @@ class Poset:
 
     @staticmethod
     def from_json(obj):
+        obj = json_object(obj, "poset")
         if "grid" in obj:
-            shape = obj["grid"]
+            shape = json_object(obj["grid"], '"grid"')
             return Poset.grid(
                 parse_nonnegative(shape["n"]), parse_nonnegative(shape["r"])
             )

@@ -53,16 +53,14 @@ from relbetti.homalg import (
 from relbetti.pmod import (
     PersistenceModule,
     cached_identity,
-    cached_zeros,
     direct_sum,
     free,
-    json_object,
     matrix_from_json,
     radical,
     zero_module,
 )
 from relbetti.pmod import validate as validate_module
-from relbetti.poset import Poset, bit_elements
+from relbetti.poset import Poset, bit_elements, json_object
 
 
 class CollectionFunctor:
@@ -191,7 +189,7 @@ class CollectionFunctor:
                     if c not in images:
                         continue
                     image = matmul_exact(
-                        self._arrows[(a, c)].comps[x].a, images[c], p
+                        self._arrows[(a, c)].component(x).a, images[c], p
                     )
                     if np.count_nonzero(image):
                         images[a] = image
@@ -256,12 +254,10 @@ class CollectionFunctor:
             if f.is_zero():
                 continue
             key = f"{self.index.names[a]}<{self.index.names[b]}"
-            comps = {}
-            for x in range(self.domain.n):
-                c = f.component(x)
-                if not c.is_zero():
-                    comps[self.domain.names[x]] = c.tolist()
-            arrows[key] = comps
+            arrows[key] = {
+                self.domain.names[x]: c.tolist()
+                for x, c in f._comps.items() if not c.is_zero()
+            }
         return {
             "p": self.p,
             "I": self.domain.to_json(),
@@ -314,20 +310,22 @@ class CollectionFunctor:
                 raise ValueError(
                     f"arrow {key!r} names no index element {exc.args[0]!r}"
                 ) from None
+            if (a, b) not in index.covers:
+                raise ValueError(f"arrow key {key!r} is not a cover relation")
             comps = json_object(comps, f"arrow {key!r}")
             unknown = sorted(set(comps) - set(domain.names))
             if unknown:
                 raise ValueError(
                     f"arrow {key!r} names no element {unknown[0]!r}"
                 )
-            mats = []
-            for x in range(domain.n):
-                rows = comps.get(domain.names[x])
-                if rows is None:
-                    mats.append(cached_zeros(objs[a].dims[x], objs[b].dims[x], p))
-                else:
-                    mats.append(matrix_from_json(rows, p, f"arrow {key!r}"))
-            arrow = NatTransformation(objs[b], objs[a], mats)
+            mats = {
+                domain.index(name): matrix_from_json(rows, p, f"arrow {key!r}")
+                for name, rows in comps.items()
+            }
+            try:
+                arrow = NatTransformation(objs[b], objs[a], mats)
+            except ValueError as exc:
+                raise ValueError(f"arrow {key!r}: {exc}") from None
             try:
                 arrow.check()
             except ValueError as exc:
@@ -390,12 +388,12 @@ def _nat_module_data(coll, m):
                 continue
             canon, offs, _ = bases[a]
             width = coll.obj(a).dims
-            arrow = coll.arrow(a, b).comps
+            arrow = coll.arrow(a, b).component
             arr = np.empty((dims[b], dims[a]), dtype=np.int64)
             for i, (x, r, c) in enumerate(bases[b][2]):
                 start = offs[x] + r * width[x]
                 arr[i] = matmul_exact(
-                    canon[:, start:start + width[x]], arrow[x].a[:, c:c + 1], p
+                    canon[:, start:start + width[x]], arrow(x).a[:, c:c + 1], p
                 )[:, 0]
             maps[(a, b)] = Matrix._trusted(arr, p)
     return PersistenceModule(index, p, dims, maps), bases
@@ -416,18 +414,15 @@ def nat_module_map(coll, f):
     (x, r, c) of the target basis."""
     src, sbases = _nat_module_data(coll, f.source)
     dst, dbases = _nat_module_data(coll, f.target)
-    comps = []
-    for a in range(coll.index.n):
-        if src.dims[a] == 0 or dst.dims[a] == 0:
-            comps.append(cached_zeros(dst.dims[a], src.dims[a], coll.p))
-            continue
+    comps = {}
+    for a in bit_elements(src.support_bits & dst.support_bits):
         canon, offs, _ = sbases[a]
         width = coll.obj(a).dims
         arr = np.empty((dst.dims[a], src.dims[a]), dtype=np.int64)
         for i, (x, r, c) in enumerate(dbases[a][2]):
             column = canon[:, offs[x] + c:offs[x + 1]:width[x]]
-            arr[i] = matmul_exact(column, f.comps[x].a[r:r + 1].T, coll.p)[:, 0]
-        comps.append(Matrix._trusted(arr, coll.p))
+            arr[i] = matmul_exact(column, f.component(x).a[r:r + 1].T, coll.p)[:, 0]
+        comps[a] = Matrix._trusted(arr, coll.p)
     return NatTransformation(src, dst, comps)
 
 
@@ -470,7 +465,7 @@ def _realized(coll, f):
             c0 += w
         offsets.append(offs)
         comps.append(Matrix(arr, p))
-    return (*cokernel(NatTransformation(rels, sums, comps)), offsets)
+    return (*cokernel(NatTransformation(rels, sums, enumerate(comps))), offsets)
 
 
 def realization(coll, f):
@@ -484,6 +479,7 @@ def realization_map(coll, f):
     lsrc, _, section, soffs = _realized(coll, f.source)
     ldst, proj, _, doffs = _realized(coll, f.target)
     p = coll.p
+    projs, sections = proj.comps, section.comps
     comps = []
     for x in range(coll.domain.n):
         pre = np.zeros((doffs[x][-1], soffs[x][-1]), dtype=np.int64)
@@ -492,8 +488,8 @@ def realization_map(coll, f):
                 f.component(a), cached_identity(coll.obj(a).dims[x], p)
             )
             pre[doffs[x][a]:doffs[x][a + 1], soffs[x][a]:soffs[x][a + 1]] = block.a
-        comps.append(proj.comps[x] @ Matrix._trusted(pre, p) @ section.comps[x])
-    return NatTransformation(lsrc, ldst, comps)
+        comps.append(projs[x] @ Matrix._trusted(pre, p) @ sections[x])
+    return NatTransformation(lsrc, ldst, enumerate(comps))
 
 
 def unit(coll, a):
@@ -507,36 +503,29 @@ def unit(coll, a):
     p = coll.p
     src = free(index, a, p)
     target, bases = _nat_module_data(coll, coll.obj(a))
-    comps = []
-    for b in range(index.n):
-        if not index.leq(a, b) or target.dims[b] == 0:
-            comps.append(cached_zeros(target.dims[b], src.dims[b], p))
-            continue
+    comps = {}
+    for b in bit_elements(index.up_bits()[a] & target.support_bits):
         coords = _gather(bases[b][2], coll.arrow_to(a, b).component)
-        comps.append(Matrix._trusted(coords, p))
+        comps[b] = Matrix._trusted(coords, p)
     return NatTransformation(src, target, comps)
 
 
 def unit_map(coll, f):
     """Unit of the adjunction at an arbitrary index module: basis vector v
     of f(a) goes to the v-th copy of obj(a) in the realization."""
-    index = coll.index
     p = coll.p
     lmod, proj, _, offsets = _realized(coll, f)
     target, bases = _nat_module_data(coll, lmod)
-    comps = []
-    for a in range(index.n):
-        if f.dims[a] == 0 or target.dims[a] == 0:
-            comps.append(Matrix.zeros(target.dims[a], f.dims[a], p))
-            continue
+    comps = {}
+    for a in bit_elements(f.support_bits & target.support_bits):
         cols = []
         for v in range(f.dims[a]):
             def inserted(x, v=v):
                 k = coll.obj(a).dims[x]
                 start = offsets[x][a] + v * k
-                return proj.comps[x].take_cols(range(start, start + k))
+                return proj.component(x).take_cols(range(start, start + k))
             cols.append(_gather(bases[a][2], inserted))
-        comps.append(Matrix._trusted(np.hstack(cols), p))
+        comps[a] = Matrix._trusted(np.hstack(cols), p)
     return NatTransformation(f, target, comps)
 
 
@@ -546,8 +535,8 @@ def counit_map(coll, m):
     nm, bases = _nat_module_data(coll, m)
     lmod, _, section, _ = _realized(coll, nm)
     picked = dict.fromkeys(bit_elements(nm.support_bits), slice(None))
-    comps = _evaluations(coll, m, bases, picked)
-    return NatTransformation(lmod, m, [c @ s for c, s in zip(comps, section.comps)])
+    evals = zip(_evaluations(coll, m, bases, picked), section.comps)
+    return NatTransformation(lmod, m, enumerate(c @ s for c, s in evals))
 
 
 def is_thin(coll):
@@ -741,7 +730,7 @@ def _relative_cover(coll, m, nm, bases):
             picked[a] = qs
     gens = tuple(a for a, qs in picked.items() for _ in qs)
     realized = direct_sum(coll.domain, coll.p, [(coll.obj(a), 1) for a in gens])
-    g = NatTransformation(realized, m, _evaluations(coll, m, bases, picked))
+    g = NatTransformation(realized, m, enumerate(_evaluations(coll, m, bases, picked)))
     return g, gens
 
 

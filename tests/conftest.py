@@ -38,8 +38,10 @@ rows of their bases (oracle_kernel, oracle_image).
 oracle_complement_coords and oracle_quotient eliminate on the pivot
 columns of a matrix and invert [basis | section]; relbetti.fieldlin
 reads both off the reduced echelon column_basis, and oracle_cokernel
-built on them must equal relbetti.homalg.cokernel.  oracle_free_on
-builds every cover of a free module densely.  hook_hom_dim is the Hom
+built on them must equal relbetti.homalg.cokernel.  oracle_free_on,
+oracle_indicator and oracle_direct_sum build every cover of their
+modules densely; relbetti.pmod builds only the covers between two
+nonzero fibers and must give the same modules.  hook_hom_dim is the Hom
 out of a lower hook, read off the rank of one map of the target, and
 hook_pair_hom_dim the closed form of Hom between two lower hooks, read
 off their supports.  oracle_indicator_collection assembles a builder's
@@ -355,13 +357,14 @@ def longest_chain(poset):
 def oracle_radical(m):
     """Per element, column_basis of every cover map into it side by side,
     stacked and eliminated at every element."""
-    from relbetti.fieldlin import column_basis, hstack
+    from relbetti.fieldlin import Matrix, column_basis
 
     return tuple(
-        column_basis(hstack(
-            [m.cover_map(s, a) for s in m.poset.parents(a)],
-            rows=m.dims[a], p=m.p,
-        ))
+        column_basis(Matrix(np.concatenate(
+            [np.zeros((m.dims[a], 0), dtype=np.int64)]
+            + [m.cover_map(s, a).a for s in m.poset.parents(a)],
+            axis=1,
+        ), m.p))
         for a in range(m.poset.n)
     )
 
@@ -423,7 +426,7 @@ def oracle_quotient(m):
     coords = oracle_complement_coords(m)
     eye = Matrix.identity(m.rows, m.p)
     inv = solve(hstack([basis, eye.take_cols(coords)]), eye)
-    return inv.take_rows(range(basis.cols, m.rows)), coords
+    return Matrix(inv.a[basis.cols:], m.p), coords
 
 
 def oracle_cokernel(f):
@@ -444,7 +447,7 @@ def oracle_cokernel(f):
     }
     dims = [len(q) for _, q in quots]
     mod = PersistenceModule(tgt.poset, tgt.p, dims, maps)
-    return mod, NatTransformation(tgt, mod, [pr for pr, _ in quots])
+    return mod, NatTransformation(tgt, mod, enumerate(pr for pr, _ in quots))
 
 
 def oracle_free_on(poset, generators, p):
@@ -465,6 +468,39 @@ def oracle_free_on(poset, generators, p):
             arr[alive[b].index(k), c] = 1
         maps[(a, b)] = Matrix(arr, p)
     return PersistenceModule(poset, p, [len(a) for a in alive], maps), alive
+
+
+def oracle_indicator(poset, support, p):
+    """Indicator module of a support, with a 1x1 identity or a zero
+    matrix of the right shape built and checked on every cover."""
+    from relbetti.fieldlin import Matrix
+    from relbetti.pmod import PersistenceModule
+
+    dims = [int(x in set(support)) for x in range(poset.n)]
+    maps = {
+        (a, b): Matrix(np.ones((dims[b], dims[a]), dtype=np.int64), p)
+        for a, b in poset.covers
+    }
+    return PersistenceModule(poset, p, dims, maps)
+
+
+def oracle_direct_sum(poset, p, parts):
+    """Blockwise sum of (module, multiplicity) pairs, a dense block
+    diagonal matrix built and checked on every cover."""
+    from relbetti.fieldlin import Matrix
+    from relbetti.pmod import PersistenceModule
+
+    expanded = [m for m, mult in parts for _ in range(mult)]
+    dims = [sum(m.dims[x] for m in expanded) for x in range(poset.n)]
+    maps = {}
+    for a, b in poset.covers:
+        arr = np.zeros((dims[b], dims[a]), dtype=np.int64)
+        r = c = 0
+        for m in expanded:
+            arr[r:r + m.dims[b], c:c + m.dims[a]] = m.cover_map(a, b).a
+            r, c = r + m.dims[b], c + m.dims[a]
+        maps[(a, b)] = Matrix(arr, p)
+    return PersistenceModule(poset, p, dims, maps)
 
 
 def hook_hom_dim(m, v, w):
@@ -517,7 +553,7 @@ def oracle_indicator_collection(coll):
             else Matrix.zeros(dst.dims[x], src.dims[x], p)
             for x in range(base.n)
         ]
-        arrows[(a, b)] = NatTransformation(src, dst, comps)
+        arrows[(a, b)] = NatTransformation(src, dst, enumerate(comps))
     return CollectionFunctor(base, index, p, objs, arrows)
 
 
@@ -582,7 +618,7 @@ def oracle_nat_basis(f, g):
             Matrix(vec[offs[a]:offs[a + 1]].reshape(g.dims[a], f.dims[a]), p)
             for a in range(poset.n)
         ]
-        out.append(NatTransformation(f, g, comps))
+        out.append(NatTransformation(f, g, enumerate(comps)))
     return out
 
 

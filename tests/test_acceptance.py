@@ -672,7 +672,7 @@ def _split_sequence(rng, base, p):
     a = random_module(rng, base, p)
     c = random_module(rng, base, p)
     b = direct_sum(base, p, [(a, 1), (c, 1)])
-    incl = NatTransformation(a, b, [
+    incl = NatTransformation(a, b, enumerate([
         Matrix(
             np.concatenate(
                 [np.eye(a.dims[x], dtype=np.int64),
@@ -682,8 +682,8 @@ def _split_sequence(rng, base, p):
             p,
         )
         for x in range(base.n)
-    ])
-    proj = NatTransformation(b, c, [
+    ]))
+    proj = NatTransformation(b, c, enumerate([
         Matrix(
             np.concatenate(
                 [np.zeros((c.dims[x], a.dims[x]), dtype=np.int64),
@@ -693,7 +693,7 @@ def _split_sequence(rng, base, p):
             p,
         )
         for x in range(base.n)
-    ])
+    ]))
     return a, b, c, [incl, proj]
 
 

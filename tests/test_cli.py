@@ -80,7 +80,7 @@ def yoneda_collection(poset, p):
                 comps.append(Matrix([[1]], p))
             else:
                 comps.append(Matrix.zeros(objs[a].dims[x], objs[b].dims[x], p))
-        arrows[(a, b)] = NatTransformation(objs[b], objs[a], comps)
+        arrows[(a, b)] = NatTransformation(objs[b], objs[a], enumerate(comps))
     return CollectionFunctor(poset, poset, p, objs, arrows)
 
 
@@ -596,6 +596,11 @@ class TestUsageErrors:
         assert r.returncode == 4
 
 
+# the module with one element and one dimension there
+POINT_MODULE = {"poset": {"elements": ["0,0"], "covers": []},
+                "dims": {"0,0": 1}}
+
+
 def assert_input_error(r):
     """Exit 4, nothing on stdout, one error line and no traceback."""
     assert r.returncode == 4, r.stderr
@@ -694,6 +699,54 @@ class TestInputErrors:
         )
         assert_input_error(r)
         assert "translat" in r.stderr
+
+    @pytest.mark.parametrize(
+        "objs, arrows, message",
+        [({"a": POINT_MODULE}, {"b<a": {}},
+          "arrow key 'b<a' is not a cover relation"),
+         ({"a": POINT_MODULE}, {"a<b": {"0,0": [[1]]}},
+          "arrow 'a<b': component at '0,0' has shape 1x1, expected 1x0")],
+        ids=["not-a-cover", "wrong-shape"],
+    )
+    def test_explicit_collection_errors_name_elements(
+        self, objs, arrows, message
+    ):
+        spec = {"I": POINT_MODULE["poset"],
+                "J": {"elements": ["a", "b"], "covers": [["a", "b"]]},
+                "objs": objs, "arrows": arrows}
+        r = run_cli(
+            "rbetti", "--collection", json.dumps(spec),
+            stdin=json.dumps({"p": 2, "module": POINT_MODULE}),
+        )
+        assert_input_error(r)
+        assert r.stderr == f"error: bad collection payload: {message}\n"
+
+    @pytest.mark.parametrize(
+        "module, spec, message",
+        [(5, "lower_hooks", "module must be an object, got int"),
+         ({"poset": 5}, "lower_hooks", "poset must be an object, got int"),
+         ({"poset": {"grid": 5}}, "lower_hooks",
+          '"grid" must be an object, got int'),
+         ({"poset": {"elements": []}}, "lower_hooks", "missing key 'covers'"),
+         ({"poset": {"grid": {"n": 1}}}, "lower_hooks", "missing key 'r'"),
+         ({}, "lower_hooks", "missing key 'poset'"),
+         ("point", {"J": {"elements": ["a"], "covers": []}},
+          "missing key 'I'"),
+         ("point", {"builtin": "singleton", "params": {"member": 5}},
+          "module must be an object, got int")],
+        ids=["module", "poset", "grid", "covers", "r", "poset-key", "I",
+             "member"],
+    )
+    def test_malformed_payloads_name_what_is_wrong(self, module, spec, message):
+        module = POINT_MODULE if module == "point" else module
+        r = run_cli(
+            "rbetti", "--collection", json.dumps(spec),
+            stdin=json.dumps({"p": 2, "module": module}),
+        )
+        assert_input_error(r)
+        assert message in r.stderr
+        assert "object is not subscriptable" not in r.stderr
+        assert "not iterable" not in r.stderr
 
     @pytest.mark.parametrize("name", [[1], {"a": 1}, 5, None])
     def test_builtin_name_must_be_a_string(self, name):

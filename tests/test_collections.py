@@ -57,6 +57,7 @@ from relbetti.pmod import (
 from relbetti.poset import (
     Poset,
     antichain_name,
+    bit_elements,
     antichain_poset,
 )
 from relbetti.relative import (
@@ -101,7 +102,7 @@ def overlap_nat(src, dst):
             comps.append(Matrix([[1]], src.p))
         else:
             comps.append(Matrix.zeros(dst.dims[x], src.dims[x], src.p))
-    return NatTransformation(src, dst, comps)
+    return NatTransformation(src, dst, enumerate(comps))
 
 
 def by_name(diagram, poset):
@@ -168,8 +169,21 @@ def test_trusted_arrows_pass_the_checks(name, shape):
         for a, b in coll.index.covers:
             f = coll.arrow(a, b)
             assert f.source is coll.obj(b) and f.target is coll.obj(a)
-            assert NatTransformation(f.source, f.target, f.comps) == f
+            assert NatTransformation(f.source, f.target, enumerate(f.comps)) == f
             f.check()
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("shape", [(1, 1), (2, 1), (1, 2)])
+def test_builder_arrows_store_exactly_the_overlap(name, shape):
+    base = Poset.grid(*shape)
+    coll = BUILDERS[name](base, 3)
+    for a, b in coll.index.covers:
+        f = coll.arrow(a, b)
+        overlap = f.source.support_bits & f.target.support_bits
+        assert f._comps == dict.fromkeys(
+            bit_elements(overlap), Matrix.identity(1, 3)
+        )
 
 
 # the claims each builder records on a base
@@ -432,7 +446,7 @@ class TestLowerHooksInf:
             a = random_module(rng, base, 2)
             c = random_module(rng, base, 2)
             b = direct_sum(base, 2, [(a, 1), (c, 1)])
-            incl = NatTransformation(a, b, [
+            incl = NatTransformation(a, b, enumerate([
                 Matrix(
                     np.concatenate(
                         [np.eye(a.dims[x], dtype=np.int64),
@@ -442,8 +456,8 @@ class TestLowerHooksInf:
                     2,
                 )
                 for x in range(base.n)
-            ])
-            proj = NatTransformation(b, c, [
+            ]))
+            proj = NatTransformation(b, c, enumerate([
                 Matrix(
                     np.concatenate(
                         [np.zeros((c.dims[x], a.dims[x]), dtype=np.int64),
@@ -453,7 +467,7 @@ class TestLowerHooksInf:
                     2,
                 )
                 for x in range(base.n)
-            ])
+            ]))
             assert is_relative_exact(coll, padded([incl, proj], 2))
             assert module_rank(b) == module_rank(a) + module_rank(c)
 

@@ -456,9 +456,7 @@ def test_structural_results_well_formed(data):
     ]
     assert_same(m @ mb, np.array(product, dtype=np.int64).reshape(
         a.shape[0], b.shape[1]), p)
-    rows = list(range(a.shape[0]))[::-1]
     cols = list(range(a.shape[1]))[::-1]
-    assert_same(m.take_rows(rows), a[rows, :], p)
     assert_same(m.take_cols(cols), a[:, cols], p)
     for j in range(a.shape[1]):
         assert_same(m.col(j), a[:, j:j + 1], p)

@@ -82,7 +82,7 @@ from relbetti.homalg import (
     zero_nat,
 )
 from relbetti.homalg import _indicator_support
-from relbetti.poset import Poset
+from relbetti.poset import Poset, bit_elements
 from relbetti.relative import _gather
 import relbetti.homalg as homalg
 
@@ -116,7 +116,41 @@ class TestNatTransformation:
         p = chain(2)
         f = free(p, 0, 2)
         with pytest.raises(ValueError):
-            NatTransformation(f, f, [Matrix.zeros(2, 1, 2), Matrix.zeros(1, 1, 2)])
+            NatTransformation(
+                f, f, enumerate([Matrix.zeros(2, 1, 2), Matrix.zeros(1, 1, 2)])
+            )
+
+    def test_stored_zero_equals_omitted_one(self):
+        m = constant(chain(2), 3)
+        one, zero = Matrix([[1]], 3), Matrix.zeros(1, 1, 3)
+        stored = NatTransformation(m, m, {0: one, 1: zero})
+        omitted = NatTransformation(m, m, {0: one})
+        assert list(stored._comps) == [0, 1] and list(omitted._comps) == [0]
+        assert stored == omitted and omitted == stored
+        assert stored.comps == omitted.comps == (one, zero)
+        zeros = NatTransformation(m, m, {0: zero, 1: zero})
+        assert zeros == zero_nat(m, m) and zeros.is_zero()
+        assert zeros != omitted and not omitted.is_zero()
+
+    @pytest.mark.parametrize("key", [2, -1, "0", 0.5, None])
+    def test_key_outside_the_poset_refused(self, key):
+        m = constant(chain(2), 3)
+        with pytest.raises(ValueError, match="is not an element"):
+            NatTransformation(m, m, {key: Matrix([[1]], 3)})
+
+    def test_shape_checked_at_zero_fibers(self):
+        # checked although a component there would not be stored
+        p = chain(2)
+        m = free(p, 1, 2)
+        with pytest.raises(ValueError, match="component at '0' has shape 1x1"):
+            NatTransformation(m, m, {0: Matrix([[1]], 2)})
+        with pytest.raises(ValueError, match="modulus"):
+            NatTransformation(m, m, {1: Matrix([[1]], 3)})
+
+    def test_positional_list_refused(self):
+        m = constant(chain(2), 3)
+        with pytest.raises(TypeError):
+            NatTransformation(m, m, [Matrix([[1]], 3), Matrix([[1]], 3)])
 
     def test_naturality_checked(self):
         p = chain(2)
@@ -125,7 +159,7 @@ class TestNatTransformation:
         # scaling by different constants at the two elements is not natural
         with pytest.raises(ValueError):
             NatTransformation(
-                src, dst, [Matrix([[1]], 3), Matrix([[2]], 3)]
+                src, dst, enumerate([Matrix([[1]], 3), Matrix([[2]], 3)])
             ).check()
 
     def test_compose_and_identity(self):
@@ -205,7 +239,9 @@ class TestKernelCokernel:
         m = constant(p, 2)
         h = PersistenceModule(p, 2, [1, 0, 0], {})
         proj = NatTransformation(
-            m, h, [Matrix([[1]], 2), Matrix.zeros(0, 1, 2), Matrix.zeros(0, 1, 2)]
+            m, h, enumerate(
+                [Matrix([[1]], 2), Matrix.zeros(0, 1, 2), Matrix.zeros(0, 1, 2)]
+            )
         )
         k, incl = kernel(proj)
         assert k.dims == (0, 1, 1)
@@ -302,10 +338,10 @@ class TestMinimalCover:
                 for c, fb in zip(coef, fs):
                     acc = acc + fb.component(a).scale(int(c))
                 comps.append(acc)
-            f = NatTransformation(fs[0].source, tgt, comps)
+            f = NatTransformation(fs[0].source, tgt, enumerate(comps))
             rad = radical(tgt)
             h0_epi = all(
-                rank(hstack([f.component(a), rad[a]], rows=tgt.dims[a], p=3))
+                rank(hstack([f.component(a), rad[a]]))
                 == tgt.dims[a]
                 for a in range(g.n)
             )
@@ -344,7 +380,7 @@ class TestMinimalCover:
                 for cc, e in zip(coef, basis):
                     acc = acc + e.component(a).scale(int(cc))
                 comps.append(acc)
-            endo = NatTransformation(c0, c0, comps)
+            endo = NatTransformation(c0, c0, enumerate(comps))
             assert (f @ endo) == f
             assert endo.is_epi() and endo.is_mono()
             count += 1
@@ -801,7 +837,7 @@ def _assert_gather_matches(rng, basis, f, g, p):
         for c, phi in zip(coeffs, basis):
             acc = (acc + int(c) * phi.comps[x].a) % p
         comps.append(Matrix(acc, p))
-    psi = NatTransformation(f, g, comps)
+    psi = NatTransformation(f, g, enumerate(comps))
     got = _gather(frees, psi.component)[:, 0]
     assert np.array_equal(got, coeffs)
     assert np.array_equal(got, oracle_coords(basis, psi))
@@ -909,13 +945,18 @@ def _random_nat(rng, poset, p, source, target, nat):
         return zero_nat(src, tgt)
     if nat == "identity":
         return identity_nat(src)
+    return _combination(rng, src, tgt, p)
+
+
+def _combination(rng, src, tgt, p):
+    """A random combination of nat_basis(src, tgt)."""
     comps = [
-        Matrix.zeros(tgt.dims[a], src.dims[a], p) for a in range(poset.n)
+        Matrix.zeros(tgt.dims[a], src.dims[a], p) for a in range(src.poset.n)
     ]
     for phi in nat_basis(src, tgt):
         c = int(rng.integers(0, p))
         comps = [acc + x.scale(c) for acc, x in zip(comps, phi.comps)]
-    return NatTransformation(src, tgt, comps)
+    return NatTransformation(src, tgt, enumerate(comps))
 
 
 def _random_poset(rng, kind):
@@ -972,6 +1013,48 @@ def test_image_and_cokernel_match_solve_oracles(
         assert sum(im.dims) == 0
     if nat == "identity":
         assert im.dims == f.target.dims
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["covers", "semilattice"]),
+    p=st.sampled_from([2, 3, 5, 7]),
+    source=st.sampled_from(KINDS),
+    target=st.sampled_from(KINDS),
+    nat=st.sampled_from(NAT_KINDS),
+)
+def test_components_stored_only_between_nonzero_fibers(
+    seed, kind, p, source, target, nat
+):
+    # rebuilt from its nonzero-fiber components alone, or from every
+    # component, a transformation is the same in every reading
+    rng = np.random.default_rng(seed)
+    poset = _random_poset(rng, kind)
+    f = _random_nat(rng, poset, p, source, target, nat)
+    both = bit_elements(f.source.support_bits & f.target.support_bits)
+    # zero_nat stores nothing, the other kinds every nonzero-fiber element
+    assert list(f._comps) == ([] if nat == "zero" else both)
+    sparse = NatTransformation(
+        f.source, f.target, {x: f.component(x) for x in both}
+    )
+    dense = NatTransformation(f.source, f.target, enumerate(f.comps))
+    assert list(sparse._comps) == list(dense._comps) == both
+    after = _combination(rng, f.target, _hom_source(rng, poset, p, target), p)
+    before = _combination(rng, _hom_source(rng, poset, p, source), f.source, p)
+    assert (after @ f).comps == tuple(
+        a @ c for a, c in zip(after.comps, f.comps)
+    )
+    for g in (sparse, dense):
+        assert g == f and f == g
+        assert g.comps == f.comps
+        assert len(g.comps) == poset.n
+        _assert_same_outcome(_outcome(g.check), _outcome(f.check))
+        assert g.is_zero() == f.is_zero()
+        assert g.is_epi() == f.is_epi()
+        assert g.is_mono() == f.is_mono()
+        assert after @ g == after @ f
+        assert g @ before == f @ before
 
 
 # sha256 of the canonical JSON of cokernel's module and projection on

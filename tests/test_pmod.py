@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    oracle_direct_sum,
     oracle_free_on,
+    oracle_indicator,
     oracle_radical,
     random_module,
     random_poset_covers,
@@ -26,6 +28,7 @@ from relbetti.pmod import (
     from_antichain,
     from_upset,
     h0,
+    indicator,
     is_filtration,
     is_spread,
     m0_demo,
@@ -45,7 +48,7 @@ def assert_radical_bases(m, bases):
         assert sympy_rank(b.a, m.p) == b.cols
     for a, b in m.poset.sorted_covers:
         img = m.cover_map(a, b) @ bases[a]
-        joint = hstack([bases[b], img], rows=m.dims[b], p=m.p)
+        joint = hstack([bases[b], img])
         assert rank(joint) == bases[b].cols
 
 
@@ -313,12 +316,36 @@ class TestFree:
         assert json.dumps(m.to_json()) == json.dumps(want.to_json())
         assert m.generators_at == tuple(map(tuple, alive))
         assert m.free_generators == tuple(gens)
-        for (a, b), c in m._cover_maps.items():
-            assert m.dims[a] and m.dims[b]
+        _assert_stores_nonzero_ends(m)
+        for c in m._cover_maps.values():
             assert c.a.dtype == np.int64 and not c.a.flags.writeable
 
 
+def _random_poset(rng):
+    names, covers, _ = random_poset_covers(rng, int(rng.integers(0, 9)))
+    return Poset.from_covers(names, [(names[i], names[j]) for i, j in covers])
+
+
+def _assert_stores_nonzero_ends(m):
+    for a, b in m._cover_maps:
+        assert m.dims[a] and m.dims[b]
+
+
 class TestIndicatorConstructors:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([2, 3, 5]))
+    def test_indicator_matches_dense_oracle(self, seed, p):
+        # the identity on every cover inside the support, nothing else
+        rng = np.random.default_rng(seed)
+        poset = _random_poset(rng)
+        support = [x for x in range(poset.n) if rng.integers(0, 2)]
+        m = indicator(poset, support, p)
+        assert m == oracle_indicator(poset, support, p)
+        assert m._cover_maps == {
+            (a, b): Matrix.identity(1, p)
+            for a, b in poset.covers if a in support and b in support
+        }
+
     def test_empty_upset_is_zero(self):
         p = chain(3)
         m = from_upset(p, frozenset(), 2)
@@ -374,6 +401,19 @@ class TestDirectSum:
         for i in range(p.n):
             assert m.dims[i] == 2 * a.dims[i] + 3 * b.dims[i]
         validate(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([2, 3, 5]))
+    def test_direct_sum_matches_dense_oracle(self, seed, p):
+        rng = np.random.default_rng(seed)
+        poset = _random_poset(rng)
+        parts = [
+            (random_module(rng, poset, p), int(rng.integers(0, 3)))
+            for _ in range(int(rng.integers(0, 4)))
+        ] if poset.n else []
+        m = direct_sum(poset, p, parts)
+        _assert_stores_nonzero_ends(m)
+        assert m == oracle_direct_sum(poset, p, parts)
 
     def test_poset_mismatch(self):
         with pytest.raises(PosetMismatch):

@@ -115,7 +115,7 @@ def overlap_nat(src, dst):
             comps.append(Matrix([[1]], src.p))
         else:
             comps.append(Matrix.zeros(dst.dims[x], src.dims[x], src.p))
-    return NatTransformation(src, dst, comps)
+    return NatTransformation(src, dst, enumerate(comps))
 
 
 def interval_support(base, v, w):
@@ -229,9 +229,9 @@ def nilpotent_collection(rng, k, p):
         n = random_module(rng, base, p)
     m = direct_sum(base, p, [(n, k)])
     t = np.tril(rng.integers(0, p, (k, k)), -1)
-    phi = NatTransformation(m, m, [
+    phi = NatTransformation(m, m, enumerate(
         Matrix(np.kron(t, np.eye(d, dtype=np.int64)), p) for d in n.dims
-    ]).check()
+    )).check()
     index = Poset.grid(2, 2)
     coll = CollectionFunctor(base, index, p, [m] * index.n,
                              dict.fromkeys(index.covers, phi))
@@ -324,7 +324,7 @@ class TestCollectionFunctor:
             m = identity_nat(c)
             if index.names[b] == "top" and index.names[a] == "y":
                 m = NatTransformation(
-                    c, c, [Matrix([[2]], 5), Matrix([[2]], 5)]
+                    c, c, enumerate([Matrix([[2]], 5), Matrix([[2]], 5)])
                 )
             arrows[(a, b)] = m
         coll = CollectionFunctor(base, index, 5, objs, arrows)
@@ -567,9 +567,9 @@ class TestRealization:
             out = zero_nat(src, dst)
             for phi in nat_basis(src, dst):
                 c = int(rng.integers(0, p))
-                out = NatTransformation(src, dst, [
+                out = NatTransformation(src, dst, enumerate(
                     a + b.scale(c) for a, b in zip(out.comps, phi.comps)
-                ])
+                ))
             return out
 
         f, g = random_nat(l, m), random_nat(m, n)
