@@ -79,6 +79,9 @@ class PersistenceModule:
         self._stacks = {}
         # homalg.nat_basis's presentation of this module, built on first use
         self._presentation = None
+        # relative._nat_module_data's hom modules of this module, by
+        # collection
+        self._hom_modules = {}
 
     def cover_map(self, a, b):
         """The map on the cover a < b; KeyError on a non-cover."""

@@ -16,6 +16,7 @@ the direct construction the shortcut is measured against.
 """
 
 import functools
+import weakref
 
 import numpy as np
 
@@ -80,7 +81,8 @@ class CollectionFunctor:
     them, though a thinness claim is trusted as the degeneracy scan's
     precondition.  The results of the pairwise scan (thinness and
     flatness together) and of the degeneracy scan are cached on the
-    collection; no Hom basis or dimension is, and nothing per pair.
+    collection; no Hom basis or dimension is, and nothing per pair.  A
+    module's hom module over the collection is cached on the module.
     """
 
     def __init__(self, domain, index, p, objs, arrows, claims=None):
@@ -369,17 +371,27 @@ def _nat_module_data(coll, m):
     precomposes with the arrow, at each free position (x, r, c) of the
     upper basis one product of row r of the lower basis's components at
     x by column c of the arrow there.
+
+    The result is cached on m for m's lifetime, in m._hom_modules, keyed
+    by id(coll) beside a weak reference to coll; an entry counts only
+    while that reference is coll, so the cache keeps no collection alive.
+    Every caller reads the one solve, so the bases' canon arrays are
+    read-only.
     """
-    index = coll.index
-    p = coll.p
     if m.poset != coll.domain:
         raise ValueError("modules live on different posets")
+    got = m._hom_modules.get(id(coll))
+    if got is not None and got[0]() is coll:
+        return got[1]
+    index = coll.index
+    p = coll.p
     solved = 0
     for x in bit_elements(m.support_bits):
         solved |= coll._generated_at[x]
     bases = [None] * index.n
     for a in bit_elements(solved):
         bases[a] = hom_basis(coll.obj(a), m)
+        bases[a][0].flags.writeable = False
     dims = [0 if bas is None else len(bas[0]) for bas in bases]
     maps = {}
     for a in bit_elements(solved):
@@ -396,7 +408,9 @@ def _nat_module_data(coll, m):
                     canon[:, start:start + width[x]], arrow(x).a[:, c:c + 1], p
                 )[:, 0]
             maps[(a, b)] = Matrix._trusted(arr, p)
-    return PersistenceModule(index, p, dims, maps), bases
+    data = PersistenceModule(index, p, dims, maps), bases
+    m._hom_modules[id(coll)] = weakref.ref(coll), data
+    return data
 
 
 def nat_module(coll, m):
@@ -404,6 +418,9 @@ def nat_module(coll, m):
 
     The fiber at a has one coordinate per chosen basis transformation
     obj(a) -> m; transitions precompose with the collection's arrows.
+    Solved once per module and collection and kept on m, keyed by the
+    collection (_nat_module_data), so a second call returns the same
+    module.
     """
     return _nat_module_data(coll, m)[0]
 
@@ -707,8 +724,10 @@ def relative_betti_koszul(coll, m, a, dmax, force=False):
 def relative_betti_diagram(coll, m, dmax, force=False):
     """Full table of relative multiplicities up to dmax.
 
-    Computes the hom module once and reads homalg's Koszul table at every
-    index element with a nonzero member.  Same verification gate as
+    Reads homalg's Koszul table of the hom module at every index element
+    with a nonzero member.  The hom module is the one cached on m for this
+    collection (_nat_module_data): after relative_minimal_resolution of m
+    nothing is solved again.  Same verification gate as
     relative_betti_koszul.
     """
     _require_degeneracy(coll, force)
@@ -752,7 +771,9 @@ class RelativeResolution(Resolution):
 
     def check(self, coll):
         """Validate the chain through hom modules (Resolution._check_chain)
-        and that no generator sits at a vanishing member."""
+        and that no generator sits at a vanishing member.  Each term's hom
+        module is solved once, though the term is the source of one
+        differential and the target of the next (_nat_module_data)."""
         for gens in self.generators:
             if any(coll.member_is_zero(a) for a in gens):
                 raise ValueError("generator at a vanishing member")

@@ -17,7 +17,6 @@ where they break additivity.
 """
 
 import itertools
-import json
 import os
 import subprocess
 import sys

@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     oracle_indicator_collection,
-    random_free_map,
     random_module,
     random_semilattice,
 )
@@ -51,7 +50,6 @@ from relbetti.pmod import (
     from_upset,
     is_spread,
     m0_demo,
-    spread,
     zero_module,
 )
 from relbetti.poset import (

@@ -50,11 +50,9 @@ from relbetti.pmod import (
     free,
     free_on,
     from_upset,
-    h0,
     indicator,
     m0_demo,
     radical,
-    spread,
     validate,
     zero_module,
 )

@@ -6,12 +6,17 @@ collections the transformation-space dimensions are additionally checked
 against an independent description: maps out of the interval at (v, w)
 correspond to kernel vectors of the target's transition v <= w.
 """
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import relbetti.relative
 from conftest import (
+    hook_hom_dim,
+    hook_pair_hom_dim,
     indicator_hom_dim,
     oracle_degeneracy,
     oracle_coords,
@@ -67,7 +72,7 @@ from relbetti.pmod import (
     validate,
     zero_module,
 )
-from relbetti.poset import Poset
+from relbetti.poset import Poset, bit_elements
 from relbetti.relative import (
     CollectionFunctor,
     RelativeResolution,
@@ -862,6 +867,129 @@ class TestThinnessCache:
         assert calls == dict.fromkeys(calls, 0)
 
 
+def _count_hom_bases(monkeypatch):
+    """Record every (source, target) pair relative.hom_basis solves; the
+    list holds the modules, so their ids stay theirs."""
+    pairs = []
+    real = relbetti.relative.hom_basis
+
+    def counted(f, g):
+        pairs.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(relbetti.relative, "hom_basis", counted)
+    return pairs
+
+
+class TestHomModuleCache:
+    """The hom module of m over a collection is solved once and kept on m,
+    keyed by the collection."""
+
+    def test_koszul_route_reads_the_resolutions_hom_module(self, monkeypatch):
+        pairs = _count_hom_bases(monkeypatch)
+        m = m0_demo(2)
+        coll = lower_hooks(m.poset, 2)
+        res = relative_minimal_resolution(coll, m, 4)
+        assert pairs
+        del pairs[:]
+        assert relative_betti_diagram(coll, m, 4) == res.multiplicities()
+        assert pairs == []
+        assert nat_module(coll, m) is nat_module(coll, m)
+
+    def test_check_solves_each_module_of_the_chain_once(self, monkeypatch):
+        pairs = _count_hom_bases(monkeypatch)
+        m = m0_demo(2)
+        coll = lower_hooks(m.poset, 2)
+        res = relative_minimal_resolution(coll, m, 4)
+        assert res.length == 1
+        del pairs[:]
+        res.check(coll)
+        # the target was solved by the resolution; each term once, as the
+        # source of one differential and the target of the next
+        keys = [(id(f), id(g)) for f, g in pairs]
+        assert len(set(keys)) == len(keys)
+        assert {id(g) for _, g in pairs} == {id(t) for t in res.terms}
+        del pairs[:]
+        res.check(coll)
+        assert pairs == []
+
+    def test_rebuilt_module_solves_afresh(self, monkeypatch):
+        pairs = _count_hom_bases(monkeypatch)
+        m = m0_demo(2)
+        coll = lower_hooks(m.poset, 2)
+        nm = nat_module(coll, m)
+        first = len(pairs)
+        assert first > 0
+        rebuilt = PersistenceModule.from_json(m.to_json(), m.p)
+        assert rebuilt == m
+        again = nat_module(coll, rebuilt)
+        assert len(pairs) == 2 * first
+        assert again is not nm and again == nm
+
+    def test_collections_over_one_base_keep_their_own_tables(
+            self, monkeypatch):
+        pairs = _count_hom_bases(monkeypatch)
+        g = Poset.grid(3, 2)
+        hooks = lower_hooks(g, 5)
+        rects = rectangles_grid(3, 2, 5)
+        assert rects.domain is hooks.domain
+        m = random_module(np.random.default_rng(7), g, 5)
+        fresh = PersistenceModule.from_json(m.to_json(), m.p)
+        by_hooks = nat_module(hooks, m)
+        by_rects = nat_module(rects, m)
+        assert by_hooks.poset == hooks.index
+        assert by_rects.poset == rects.index
+        assert len(m._hom_modules) == 2
+        del pairs[:]
+        for _ in range(2):
+            assert nat_module(hooks, m) is by_hooks
+            assert nat_module(rects, m) is by_rects
+        assert pairs == []
+        # each entry is the table a fresh module solves
+        assert nat_module(rects, fresh) == by_rects
+        assert nat_module(hooks, fresh) == by_hooks
+
+    def test_cache_keeps_no_collection_alive(self):
+        # unit caches on the collection's own member; a strong reference
+        # there would keep the collection in a cycle
+        g = Poset.grid(3, 2)
+        coll = lower_hooks(g, 2)
+        a = coll.index.index("0,0|0,1")
+        member = coll.obj(a)
+        unit(coll, a)
+        assert len(member._hom_modules) == 1
+        alive = weakref.ref(coll)
+        gc.disable()
+        try:
+            del coll
+            assert alive() is None
+        finally:
+            gc.enable()
+        # a dead entry counts for no collection
+        other = lower_hooks(g, 2)
+        assert nat_module(other, member).poset == other.index
+
+    def test_cached_bases_are_read_only(self):
+        m = m0_demo(2)
+        coll = lower_hooks(m.poset, 2)
+        _, bases = relbetti.relative._nat_module_data(coll, m)
+        solved = [bas for bas in bases if bas is not None]
+        assert solved
+        assert not any(canon.flags.writeable for canon, _, _ in solved)
+        canon = next(canon for canon, _, _ in solved if len(canon))
+        with pytest.raises(ValueError):
+            canon[0, 0] = 1
+
+    def test_module_over_another_poset_refused(self):
+        base, _ = chain3_module()
+        coll = interval_collection(base)
+        other = one_dim(chain(2), {0, 1})
+        for _ in range(2):
+            with pytest.raises(ValueError, match="different posets"):
+                nat_module(coll, other)
+        assert other._hom_modules == {}
+
+
 def _assert_cover_matches_oracle(coll, m):
     """The relative cover of m and of its kernel have the generators and
     components that minimal_cover of the hom module gives, and the
@@ -1249,6 +1377,36 @@ class TestMainEquality:
             kos = relative_betti_koszul(coll, m, a, 4, force=True)
             if kos != [mults.get(d, a) for d in range(5)]:
                 assert a in bad
+
+
+class TestHookCertificate:
+    def test_hom_euler_identity_on_criterion3_modules(self):
+        # a complete relative resolution stays exact under Hom(Y, -) for
+        # every member Y, so at each nonzero lower hook Y = K(v, w):
+        # sum_d (-1)^d sum_X beta_d(X) dim Hom(Y, obj(X)) = dim Hom(Y, M).
+        # Both sides come from the conftest oracles: the closed form
+        # between hooks and the kernel of M(v -> w), never from Hom solving
+        g = Poset.grid(3, 2)
+        rng = np.random.default_rng(33)
+        colls = {p: lower_hooks(g, p) for p in (2, 5)}
+        checked = 0
+        for i in range(50):
+            p = 2 if i % 2 == 0 else 5
+            coll = colls[p]
+            m = random_module(rng, g, p)
+            res = relative_minimal_resolution(coll, m, 8)
+            assert res.complete
+            table = relative_betti_diagram(coll, m, 8)
+            assert table == res.multiplicities()
+            terms = [((-1) ** d * k, coll.obj(x).support_bits)
+                     for (d, x), k in table.items()]
+            for y in bit_elements(coll._nonzero):
+                bits = coll.obj(y).support_bits
+                v, w = map(g.index, coll.index.names[y].split("|"))
+                got = sum(c * hook_pair_hom_dim(g, bits, b) for c, b in terms)
+                assert got == hook_hom_dim(m, v, w), (i, coll.index.names[y])
+                checked += 1
+        assert checked == 50 * bin(colls[2]._nonzero).count("1")
 
 
 class TestAdjunction:
