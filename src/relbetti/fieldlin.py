@@ -7,7 +7,9 @@ function of the input entries alone. Matrices are dense, immutable and carry
 their modulus.
 
 All arithmetic stays in int64 and is exact: entries are residues below
-p < 2^31, so one product of two entries stays below 2^62.
+p < 2^31, so one product of two entries stays below 2^62.  Two unreduced
+products still fit in int64 and three do not, so a sum holds at most one
+unreduced product: every other term is reduced before it is added.
 """
 from functools import lru_cache
 

@@ -305,6 +305,12 @@ def _hom_system(f, g):
     i), one block of equations per relation.  Returns (generators,
     push-out, offs, system), with system None when no relation lands in
     a nonzero space of g.
+
+    A relation with one term of coefficient 1 whose generator holds every
+    unknown (a one-generator source) appends g's map itself as its block.
+    Any other relation fills one zero block, each scaled map reduced
+    before it is added; the system is reduced once, and only when some
+    block holds more than one term.
     """
     poset = f.poset
     if poset is not g.poset and poset != g.poset:
@@ -317,20 +323,29 @@ def _hom_system(f, g):
     offs = [0, *itertools.accumulate(gdims[m] for m in gens)]
     width = offs[-1]
     blocks = []
+    summed = False
     for e, terms in relations:
         if not gdims[e]:
             continue
+        if len(terms) == 1:
+            i, c = terms[0]
+            if c == 1 and offs[i] == 0 and offs[i + 1] == width:
+                # the map itself is the block, reduced as g checked it
+                blocks.append(g.map(gens[i], e).a)
+                continue
         block = np.zeros((gdims[e], width), dtype=np.int64)
         for i, c in terms:
             if offs[i] < offs[i + 1]:
-                cols = slice(offs[i], offs[i + 1])
-                block[:, cols] = (block[:, cols] + c * g.map(gens[i], e).a) % p
+                a = g.map(gens[i], e).a
+                block[:, offs[i]:offs[i + 1]] += a if c == 1 else c * a % p
+        summed |= len(terms) > 1
         blocks.append(block)
-    # reduced mod p, under the modulus g's maps have checked
-    system = (
-        Matrix._trusted(np.concatenate(blocks, axis=0), p) if blocks else None
-    )
-    return gens, pushout, offs, system
+    if not blocks:
+        return gens, pushout, offs, None
+    system = np.concatenate(blocks, axis=0)
+    if summed:
+        system %= p
+    return gens, pushout, offs, Matrix._trusted(system, p)
 
 
 def hom_dim(f, g):
@@ -348,11 +363,14 @@ def hom_basis(f, g):
 
     The kernel of _hom_system's relation system (the system hom_dim reads
     the dimension of) gives one vector in g at every generator of f.
-    Each generator's vectors are pushed out by one product with
-    g.maps_from at its element, and every element above it reads its
-    image as a row slice of that product.  The push-out over f's support
-    is brought to the reduced echelon form, in reversed column order, of
-    the naturality system over all row-major components.  canon holds it
+    Each generator's vectors are pushed out by one reduced product with
+    g.maps_from at its element, transposed once, and every element above
+    it reads its image as a column slice of that product.  A term whose
+    section is the unit scalar is that slice as it is; any other is the
+    slice times the section, reduced.  Terms at one element are added,
+    and the concatenated push-out is reduced once.  It is brought to the
+    reduced echelon form, in reversed column order, of the naturality
+    system over all row-major components.  canon holds it
     as rows, component x at offs[x]:offs[x + 1].  frees lists each row's
     last nonzero as (element, row, column): a 1 there where the other
     rows are 0, so a transformation in the span has its coordinates at
@@ -376,22 +394,27 @@ def hom_basis(f, g):
         if goffs[i] < goffs[i + 1]:
             stack, rows = g.maps_from(m)
             vecs = sol.a[goffs[i]:goffs[i + 1]]
-            pushed[i] = matmul_exact(stack, vecs, p), rows
+            pushed[i] = matmul_exact(stack, vecs, p).T, rows
     parts = []
     for x, terms in enumerate(pushout):
         if not sizes[x]:
             continue
         gd = g.dims[x]
-        acc = np.zeros((k, gd, f.dims[x]), dtype=np.int64)
+        block = None
         for i, s in terms:
             if i in pushed:
                 prod, rows = pushed[i]
-                img = prod[rows[x]:rows[x] + gd]
-                acc = (acc + img.T[:, :, None] * s) % p
-        parts.append(acc.reshape(k, sizes[x]))
+                img = prod[:, rows[x]:rows[x] + gd]
+                if f.dims[x] != 1 or s[0] != 1:
+                    img = (img[:, :, None] * s % p).reshape(k, sizes[x])
+                block = img if block is None else block + img
+        if block is None:
+            block = np.zeros((k, sizes[x]), dtype=np.int64)
+        parts.append(block)
+    flat = np.concatenate(parts, axis=1)
+    flat %= p
     # reversed both ways, rows are the basis and pivots last nonzeros
-    flat = np.concatenate(parts, axis=1)[:, ::-1]
-    red, pivots = rref(Matrix._trusted(flat, p))
+    red, pivots = rref(Matrix._trusted(flat[:, ::-1], p))
     canon = red.a[::-1, ::-1].copy()
     frees = []
     for c in reversed(pivots):

@@ -42,12 +42,17 @@ built on them must equal relbetti.homalg.cokernel.  oracle_free_on,
 oracle_indicator and oracle_direct_sum build every cover of their
 modules densely; relbetti.pmod builds only the covers between two
 nonzero fibers and must give the same modules.  hook_hom_dim is the Hom
-out of a lower hook, read off the rank of one map of the target, and
-hook_pair_hom_dim the closed form of Hom between two lower hooks, read
-off their supports.  oracle_indicator_collection assembles a builder's
+out of an indicator with one minimum (a lower hook, a box), read off the
+rank of the target's maps out of that minimum, and hook_pair_hom_dim the
+closed form of Hom between two such indicators, read off their supports.
+oracle_indicator_collection assembles a builder's
 collection from its index names and member dims the checked way;
 relbetti.collections states the index in its own order and reads the
 arrows off support bitsets, and must give the same collection.
+oracle_index_resolution resolves the hom module by the index modules
+P_a, covering and taking kernels over the index alone;
+relbetti.relative resolves at the base and solves Hom at every degree,
+and must give the same multiplicities, completeness and length.
 oracle_koszul_table reads betti_koszul at every requested element;
 relbetti.homalg.koszul_table visits only those above the module's
 support and must give the same diagram.
@@ -503,18 +508,36 @@ def oracle_direct_sum(poset, p, parts):
     return PersistenceModule(poset, p, dims, maps)
 
 
-def hook_hom_dim(m, v, w):
-    """dim Hom(K, m) for the lower-hook member K, the indicator of
-    up(v) - up(w) with v <= w.  K has one generator at v and one relation
-    at w, so Hom(K, m) is the kernel of m(v -> w): dim m(v) less the rank
-    of that map, by sympy."""
-    return m.dims[v] - sympy_rank(m.map(v, w).a, m.p)
+def hook_hom_dim(m, support):
+    """dim Hom(K, m) for the indicator K of a convex support S, given as
+    a bitset, with one minimum v (unless S is empty), such as a lower
+    hook up(v) - up(w) or a box [v, w).  K has one generator at v and
+    one relation at each minimal element e of up(v) - S, so Hom(K, m) is
+    the kernel of the maps m(v -> e) stacked: dim m(v) less their rank,
+    by sympy."""
+    if not support:
+        return 0
+    poset = m.poset
+    v = (support & -support).bit_length() - 1
+    up, down = poset.up_bits(), poset.down_bits()
+    assert not support & ~up[v], "the support has no single minimum"
+    rest = up[v] & ~support
+    ends = [
+        e for e in range(poset.n) if rest >> e & 1 and down[e] & rest == 1 << e
+    ]
+    if not ends:
+        return m.dims[v]
+    stacked = np.concatenate([m.map(v, e).a for e in ends], axis=0)
+    return m.dims[v] - sympy_rank(stacked, m.p)
 
 
 def hook_pair_hom_dim(poset, a, b):
-    """dim Hom(K_A, K_B) between lower-hook members, from their supports
-    A and B given as bitsets: 1 when A is nonempty, its minimum v_A lies
-    in B and B & up(v_A) lies inside A, else 0."""
+    """dim Hom(K_A, K_B) between indicators of convex supports with one
+    minimum, such as lower hooks or boxes, from the supports A and B
+    given as bitsets: 1 when A is nonempty, its minimum v_A lies in B and
+    B & up(v_A) lies inside A, else 0.  (A map is its value at v_A, which
+    must vanish at each minimal e of up(v_A) - A; by convexity of B, such
+    an e lies in B exactly when B & up(v_A) leaves A.)"""
     if not a:
         return 0
     v = (a & -a).bit_length() - 1
@@ -555,6 +578,59 @@ def oracle_indicator_collection(coll):
         ]
         arrows[(a, b)] = NatTransformation(src, dst, enumerate(comps))
     return CollectionFunctor(base, index, p, objs, arrows)
+
+
+def oracle_index_resolution(coll, m, dmax):
+    """The relative minimal resolution of m computed at the index level,
+    a Resolution over coll.index that solves Hom once.
+
+    Over a thin collection Hom(coll, obj(a)) is the index module P_a:
+    one-dimensional at the b >= a whose arrow obj(b) -> obj(a) is
+    nonzero (a is not in zero_below(b)), with identity transitions.
+    Hom(coll, -) is left exact, so the hom module of each kernel of the
+    relative resolution is the index-level kernel of the cover before it.
+    Starting from nat_module(coll, m), each step covers by a sum of P_a,
+    one generator per complement coordinate of the radical as
+    minimal_cover takes them, each sent to its coordinate vector, and
+    takes homalg.kernel of that cover."""
+    from relbetti.fieldlin import complement_coords, hstack
+    from relbetti.homalg import NatTransformation, Resolution
+    from relbetti.pmod import direct_sum, indicator, radical
+    from relbetti.poset import bit_elements
+    from relbetti.relative import nat_module
+
+    index, p = coll.index, coll.p
+    up = index.up_bits()
+    projectives = {}
+
+    def projective(a):
+        if a not in projectives:
+            support = [
+                b for b in bit_elements(up[a])
+                if not coll.zero_below(b) >> a & 1
+            ]
+            projectives[a] = indicator(index, support, p)
+        return projectives[a]
+
+    def cover(cur):
+        if not sum(cur.dims):
+            return None
+        lifts = [
+            (a, q) for a, b in enumerate(radical(cur))
+            for q in complement_coords(b)
+        ]
+        gens = [a for a, _ in lifts]
+        source = direct_sum(index, p, [(projective(a), 1) for a in gens])
+        comps = {}
+        for x in bit_elements(cur.support_bits):
+            cols = [
+                cur.map(a, x).col(q) for a, q in lifts if projective(a).dims[x]
+            ]
+            if cols:
+                comps[x] = hstack(cols)
+        return NatTransformation(source, cur, comps).check(), gens
+
+    return Resolution.resolve(nat_module(coll, m), dmax, cover)
 
 
 def oracle_koszul_table(m, elements, dmax):

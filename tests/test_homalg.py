@@ -41,7 +41,7 @@ from relbetti.errors import (
     NotSemilattice,
     NotSubfunctor,
 )
-from relbetti.fieldlin import Matrix, hstack, rank
+from relbetti.fieldlin import Matrix, hstack, rank, solve
 from relbetti.pmod import (
     BettiDiagram,
     PersistenceModule,
@@ -79,7 +79,7 @@ from relbetti.homalg import (
     section_of,
     zero_nat,
 )
-from relbetti.homalg import _indicator_support
+from relbetti.homalg import _indicator_support, _presentation
 from relbetti.poset import Poset, bit_elements
 from relbetti.relative import _gather
 import relbetti.homalg as homalg
@@ -843,12 +843,15 @@ def _assert_gather_matches(rng, basis, f, g, p):
 
 KINDS = ["random", "convex", "nonconvex", "rebased", "zero"]
 
+# the largest modulus fieldlin admits
+P_MAX = (1 << 31) - 1
+
 
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     kind=st.sampled_from(["covers", "semilattice"]),
-    p=st.sampled_from([2, 3, 5, 7]),
+    p=st.sampled_from([2, 3, 5, 7, P_MAX]),
     source=st.sampled_from(KINDS),
     target=st.sampled_from(KINDS),
 )
@@ -871,6 +874,45 @@ def test_nat_basis_matches_oracle(seed, kind, p, source, target):
         for phi in basis:
             phi.check()
         _assert_gather_matches(rng, want, a, b, p)
+
+
+def _star(rng, low, tops):
+    """A module at p = P_MAX on four elements below one top t, of
+    dimension low below and 3 at t, whose maps into t are the given
+    matrices, random where None."""
+    poset = Poset.from_covers(list("abcdt"), [(x, "t") for x in "abcd"])
+    t = poset.index("t")
+    maps = {
+        (i, t): Matrix(rng.integers(0, P_MAX, (3, low)) if c is None else c,
+                       P_MAX)
+        for i, c in enumerate(tops)
+    }
+    return PersistenceModule(poset, P_MAX, (low,) * 4 + (3,), maps)
+
+
+def test_hom_basis_exact_at_largest_modulus():
+    # the cover of f at t is [s^-1 | z], so its section there is s, with
+    # every entry p - 1 or p - 2: three push-out terms at t, each a
+    # product near p times an image, whose unreduced sum leaves int64
+    # when the three images add up to more than about 2p
+    near = [[P_MAX - 1, P_MAX - 1, P_MAX - 2],
+            [P_MAX - 1, P_MAX - 2, P_MAX - 1],
+            [P_MAX - 2, P_MAX - 1, P_MAX - 1]]
+    inv = solve(Matrix(near, P_MAX), Matrix.identity(3, P_MAX)).a
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        f = _star(rng, 1, [inv[:, :1], inv[:, 1:2], inv[:, 2:], None])
+        g = _star(rng, 2, [None] * 4)
+        t = f.poset.index("t")
+        _, _, pushout, _ = _presentation(f)
+        assert [i for i, _ in pushout[t]] == [0, 1, 2]
+        assert np.array_equal(np.stack([s for _, s in pushout[t]]), near)
+        assert len(oracle_nat_basis(f, g)) == 5
+        for a, b in ((f, g), (g, f), (f, f)):
+            want = oracle_nat_basis(a, b)
+            _assert_same_basis(nat_basis(a, b), want, a, b)
+            _assert_hom_basis_matches(want, a, b)
+            assert hom_dim(a, b) == len(want)
 
 
 def test_nat_basis_matches_oracle_on_grid_collections():
@@ -1111,7 +1153,7 @@ class TestHomDim:
             lower_hooks, lower_hooks_inf, rectangles_naive,
             single_source_omega0, spreads_omega, all_subfunctors,
         ]),
-        p=st.sampled_from([2, 3, 5]),
+        p=st.sampled_from([2, 3, 5, P_MAX]),
     )
     def test_member_pairs_of_indicator_builders(self, seed, k, build, p):
         rng = np.random.default_rng(seed)
@@ -1140,7 +1182,7 @@ class TestHomDim:
                 v, w = (g.index(x) for x in name.split("|"))
                 hook = coll.obj(a)
                 assert hook.support_bits == up[v] & ~up[w]
-                want = hook_hom_dim(m, v, w)
+                want = hook_hom_dim(m, hook.support_bits)
                 assert hom_dim(hook, m) == want
                 assert len(nat_basis(hook, m)) == want
                 pairs += 1
@@ -1151,6 +1193,42 @@ class TestHomDim:
         # Hom between two hooks read off their supports alone, on every
         # ordered pair of members
         coll = lower_hooks(Poset.grid(*shape), 2)
+        members = [coll.obj(a) for a in range(coll.index.n)]
+        for f in members:
+            for g in members:
+                assert hom_dim(f, g) == hook_pair_hom_dim(
+                    coll.domain, f.support_bits, g.support_bits
+                )
+
+    def test_rectangles_against_hook_oracle(self):
+        # Hom out of the box [v, w) is the kernel of m's maps from v to
+        # the minimal elements above v outside the box; criterion 3's
+        # modules
+        g = Poset.grid(3, 2)
+        rng = np.random.default_rng(33)
+        colls = {p: rectangles_grid(3, 2, p) for p in (2, 5)}
+        nonzero = bit_elements(colls[2]._nonzero)
+        for i in range(50):
+            p = 2 if i % 2 == 0 else 5
+            m = random_module(rng, g, p)
+            for a in nonzero:
+                box = colls[p].obj(a)
+                assert hom_dim(box, m) == hook_hom_dim(m, box.support_bits)
+        assert len(nonzero) == 36
+        # and every box of the demo module's grid against it
+        m0 = m0_demo(2)
+        coll = rectangles_grid(5, 2, 2)
+        dims = [hom_dim(coll.obj(a), m0) for a in range(coll.index.n)]
+        assert dims == [
+            hook_hom_dim(m0, coll.obj(a).support_bits)
+            for a in range(coll.index.n)
+        ]
+        assert sum(dims) > 0
+
+    def test_rectangle_pairs_against_closed_form(self):
+        # the closed form between lower hooks holds between boxes, which
+        # are convex with one minimum too
+        coll = rectangles_grid(3, 2, 2)
         members = [coll.obj(a) for a in range(coll.index.n)]
         for f in members:
             for g in members:
@@ -1175,7 +1253,7 @@ class TestHomDim:
     @given(
         seed=st.integers(0, 2**32 - 1),
         kind=st.sampled_from(["covers", "semilattice"]),
-        p=st.sampled_from([2, 3, 5]),
+        p=st.sampled_from([2, 3, 5, P_MAX]),
         target=st.sampled_from(KINDS),
     )
     def test_cover_presentations(self, seed, kind, p, target):

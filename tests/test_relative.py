@@ -21,6 +21,7 @@ from conftest import (
     oracle_degeneracy,
     oracle_coords,
     oracle_flat,
+    oracle_index_resolution,
     oracle_koszul_table,
     oracle_radical,
     oracle_relative_cover,
@@ -1379,34 +1380,93 @@ class TestMainEquality:
                 assert a in bad
 
 
-class TestHookCertificate:
-    def test_hom_euler_identity_on_criterion3_modules(self):
-        # a complete relative resolution stays exact under Hom(Y, -) for
-        # every member Y, so at each nonzero lower hook Y = K(v, w):
-        # sum_d (-1)^d sum_X beta_d(X) dim Hom(Y, obj(X)) = dim Hom(Y, M).
-        # Both sides come from the conftest oracles: the closed form
-        # between hooks and the kernel of M(v -> w), never from Hom solving
+class TestIndexResolution:
+    @pytest.mark.parametrize("build", [
+        lower_hooks, lambda g, p: rectangles_grid(3, 2, p), lower_hooks_inf,
+        rectangles_naive, single_source_omega0,
+    ], ids=[
+        "lower_hooks", "rectangles_grid", "lower_hooks_inf",
+        "rectangles_naive", "single_source_omega0",
+    ])
+    def test_matches_relative_resolution_on_criterion3_modules(self, build):
+        # resolving the hom module by the index modules
+        # P_a gives the base route's multiplicities, solving Hom once
         g = Poset.grid(3, 2)
         rng = np.random.default_rng(33)
-        colls = {p: lower_hooks(g, p) for p in (2, 5)}
+        colls = {p: build(g, p) for p in (2, 5)}
+        for i in range(50):
+            p = 2 if i % 2 == 0 else 5
+            m = random_module(rng, g, p)
+            for dmax in (8, 1):
+                want = relative_minimal_resolution(colls[p], m, dmax)
+                got = oracle_index_resolution(colls[p], m, dmax)
+                assert got.multiplicities() == want.multiplicities(), (i, dmax)
+                assert got.complete == want.complete, (i, dmax)
+                assert got.length == want.length, (i, dmax)
+
+    @pytest.mark.parametrize("build", [
+        lower_hooks, lambda g, p: rectangles_grid(5, 2, p),
+    ], ids=["lower_hooks", "rectangles_grid"])
+    def test_matches_relative_resolution_on_m0(self, build):
+        m0 = m0_demo(2)
+        coll = build(m0.poset, 2)
+        want = relative_minimal_resolution(coll, m0, 4)
+        got = oracle_index_resolution(coll, m0, 4)
+        assert got.multiplicities() == want.multiplicities()
+        assert got.complete and want.complete
+        assert got.length == want.length > 0
+
+
+class TestHookCertificate:
+    """A complete relative resolution stays exact under Hom(Y, -) for every
+    member Y, so at each nonzero member Y:
+    sum_d (-1)^d sum_X beta_d(X) dim Hom(Y, obj(X)) = dim Hom(Y, M).
+    Both sides come from the conftest oracles for indicators with one
+    minimum: the closed form between members and the kernel of M's maps
+    out of Y's minimum, never from Hom solving."""
+
+    def _assert_hom_euler_identity(self, coll, m):
+        """The identity at every nonzero member; returns their number."""
+        base = coll.domain
+        res = relative_minimal_resolution(coll, m, 8)
+        assert res.complete
+        table = relative_betti_diagram(coll, m, 8)
+        assert table == res.multiplicities()
+        terms = [((-1) ** d * k, coll.obj(x).support_bits)
+                 for (d, x), k in table.items()]
+        nonzero = bit_elements(coll._nonzero)
+        for y in nonzero:
+            bits = coll.obj(y).support_bits
+            got = sum(c * hook_pair_hom_dim(base, bits, b) for c, b in terms)
+            assert got == hook_hom_dim(m, bits), coll.index.names[y]
+        return len(nonzero)
+
+    def _assert_on_criterion3_modules(self, build):
+        # criterion 3's fifty random modules over grid(3,2)
+        g = Poset.grid(3, 2)
+        rng = np.random.default_rng(33)
+        colls = {p: build(g, p) for p in (2, 5)}
         checked = 0
         for i in range(50):
             p = 2 if i % 2 == 0 else 5
-            coll = colls[p]
-            m = random_module(rng, g, p)
-            res = relative_minimal_resolution(coll, m, 8)
-            assert res.complete
-            table = relative_betti_diagram(coll, m, 8)
-            assert table == res.multiplicities()
-            terms = [((-1) ** d * k, coll.obj(x).support_bits)
-                     for (d, x), k in table.items()]
-            for y in bit_elements(coll._nonzero):
-                bits = coll.obj(y).support_bits
-                v, w = map(g.index, coll.index.names[y].split("|"))
-                got = sum(c * hook_pair_hom_dim(g, bits, b) for c, b in terms)
-                assert got == hook_hom_dim(m, v, w), (i, coll.index.names[y])
-                checked += 1
-        assert checked == 50 * bin(colls[2]._nonzero).count("1")
+            checked += self._assert_hom_euler_identity(
+                colls[p], random_module(rng, g, p)
+            )
+        return checked
+
+    def test_hom_euler_identity_on_criterion3_modules(self):
+        assert self._assert_on_criterion3_modules(lower_hooks) == 4200
+
+    def test_hom_euler_identity_on_rectangles(self):
+        # criterion 3's modules have almost no Hom out of a box (4 of
+        # the 1,800 checks read a nonzero side), so m0 is checked too
+        assert self._assert_on_criterion3_modules(
+            lambda g, p: rectangles_grid(3, 2, p)
+        ) == 1800
+        m0 = m0_demo(2)
+        assert self._assert_hom_euler_identity(
+            rectangles_grid(5, 2, 2), m0
+        ) == 225
 
 
 class TestAdjunction:
