@@ -31,6 +31,7 @@ from relbetti.collections import (
 from relbetti.errors import (
     FunctorialityViolation,
     HypothesisNotVerified,
+    InputError,
     NotSemilattice,
     NotThin,
     PosetMismatch,
@@ -47,7 +48,7 @@ from relbetti.homalg import (
 )
 from relbetti.pmod import PersistenceModule, m0_demo
 from relbetti.pmod import validate as validate_module
-from relbetti.poset import Poset, antichain_bound, parse_nonnegative
+from relbetti.poset import Poset, parse_nonnegative
 from relbetti.relative import (
     CollectionFunctor,
     degeneracy_hypothesis,
@@ -56,10 +57,6 @@ from relbetti.relative import (
     relative_betti_diagram,
     relative_minimal_resolution,
 )
-
-
-class InputError(Exception):
-    """Malformed payload, unknown name, or bad invocation: exit code 4."""
 
 
 # -- plumbing ----------------------------------------------------------
@@ -178,9 +175,22 @@ BUILTIN_NAMES = sorted(
     [*_PLAIN_BUILTINS, *_BOUNDED_BUILTINS,
      "singleton", "translated", "rectangles_grid"]
 )
+# the params each builtin reads; the others read none
+_BUILTIN_PARAMS = {
+    "singleton": {"member"},
+    "translated": {"T"},
+    "rectangles_grid": {"n", "r"},
+}
 
 
 def _build_builtin(name, params, base, p, bound):
+    if name not in BUILTIN_NAMES:
+        raise InputError(
+            f"unknown builtin {name!r}; known: {', '.join(BUILTIN_NAMES)}"
+        )
+    unknown = sorted(set(params) - _BUILTIN_PARAMS.get(name, set()))
+    if unknown:
+        raise InputError(f"builtin {name!r} reads no param {unknown[0]!r}")
     if name == "singleton":
         mj = params.get("member")
         if mj is None:
@@ -191,8 +201,6 @@ def _build_builtin(name, params, base, p, bound):
     if name in _PLAIN_BUILTINS:
         return _PLAIN_BUILTINS[name](base, p)
     if name in _BOUNDED_BUILTINS:
-        with _input_error():
-            bound = antichain_bound(bound)
         return _BOUNDED_BUILTINS[name](base, p, max_antichains=bound)
     if name == "translated":
         T = params.get("T")
@@ -227,9 +235,6 @@ def _build_builtin(name, params, base, p, bound):
                 "rectangles_grid needs grid params or a grid-shaped poset"
             )
         return rectangles_grid(n, r, p)
-    raise InputError(
-        f"unknown builtin {name!r}; known: {', '.join(BUILTIN_NAMES)}"
-    )
 
 
 def _collection_from_flag(text, base, p, bound):
@@ -257,9 +262,6 @@ def _collection_from_flag(text, base, p, bound):
         params = obj.get("params", {})
         if not isinstance(params, dict):
             raise InputError('"params" must be an object')
-        if bound is None and params.get("max_antichains") is not None:
-            with _input_error('"max_antichains"'):
-                bound = parse_nonnegative(params["max_antichains"])
         name = obj["builtin"]
         if not isinstance(name, str):
             raise InputError(f'"builtin" must be a name, got {name!r}')
@@ -416,7 +418,7 @@ def _cmd_validate(args):
         _load_module(obj["module"], p)
         _emit({"ok": True, "kind": "module", "p": p})
     else:
-        _load_collection_json(obj["collection"], p).validate()
+        _load_collection_json(obj["collection"], p)
         _emit({"ok": True, "kind": "collection", "p": p})
 
 

@@ -173,8 +173,7 @@ def _upset_slots(base, bound):
             slots.append((v, base.upset_of(s)))
             if len(slots) > bound:
                 raise SizeBoundExceeded(
-                    f"more than {bound} upset slots; raise the bound via "
-                    "RELBETTI_MAX_ANTICHAINS or max_antichains"
+                    f"more than {bound} upset slots; raise max_antichains"
                 )
     slots.sort(key=lambda s: (s[0], -len(s[1]), tuple(sorted(s[1]))))
     return slots

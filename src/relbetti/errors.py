@@ -10,6 +10,11 @@ class RelbettiError(Exception):
     pass
 
 
+# input
+class InputError(RelbettiError):
+    """Malformed payload, unknown name, or bad invocation: exit code 4."""
+
+
 # linear algebra
 class NoSolution(RelbettiError):
     pass

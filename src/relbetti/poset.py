@@ -10,7 +10,6 @@ import functools
 import heapq
 import itertools
 import operator
-import os
 
 import numpy as np
 
@@ -63,20 +62,16 @@ def json_object(value, what):
     return value
 
 
-def antichain_bound(override=None):
-    """The antichain bound: override, else RELBETTI_MAX_ANTICHAINS, else
-    the default; a malformed value raises ValueError naming its source."""
-    if override is not None:
-        source, value = "max_antichains", override
-    else:
-        value = os.environ.get("RELBETTI_MAX_ANTICHAINS")
-        if not value:
-            return DEFAULT_MAX_ANTICHAINS
-        source = "RELBETTI_MAX_ANTICHAINS"
+def antichain_bound(max_antichains=None):
+    """The antichain bound: max_antichains when given, else
+    DEFAULT_MAX_ANTICHAINS; a malformed value raises ValueError naming
+    max_antichains."""
+    if max_antichains is None:
+        return DEFAULT_MAX_ANTICHAINS
     try:
-        return parse_nonnegative(value)
+        return parse_nonnegative(max_antichains)
     except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
+        raise ValueError(f"max_antichains: {exc}") from None
 
 
 def bit_elements(mask):
@@ -151,6 +146,10 @@ class Poset:
         names = list(names)
         if len(set(names)) != len(names):
             raise ValueError("duplicate element names")
+        for nm in names:
+            if "<" in nm:
+                raise ValueError(f"element name {nm!r} contains '<', which "
+                                 "separates the names of a cover key")
         idx = {nm: i for i, nm in enumerate(names)}
         n = len(names)
         pairs = []
@@ -504,8 +503,7 @@ class Poset:
         out = [frozenset(), *itertools.islice(walk, bound)]
         if len(out) > bound:
             raise SizeBoundExceeded(
-                f"more than {bound} antichains; raise the bound "
-                "via RELBETTI_MAX_ANTICHAINS or max_antichains"
+                f"more than {bound} antichains; raise max_antichains"
             )
         return out
 

@@ -74,7 +74,7 @@ class CollectionFunctor:
     keeps nothing.  The property scans ask only which composites are
     zero, and read it from zero_below: one bitset per index element,
     computed on first use.  validate() confirms the composites are path
-    independent.  `claims` may record externally
+    independent, and from_json runs it.  `claims` may record externally
     justified thin/flat/degeneracy statuses for builders whose index
     posets are too large to check directly; the property checks
     themselves (is_thin, is_flat, the degeneracy scan) never consult
@@ -90,16 +90,19 @@ class CollectionFunctor:
         objs = list(objs)
         if len(objs) != index.n:
             raise ValueError("need one member per index element")
-        for m in objs:
+        for name, m in zip(index.names, objs):
             if m.poset != domain:
-                raise ValueError("members must live over the base poset")
+                raise ValueError(f"member {name!r} lives over a different poset")
             if m.p != p:
                 raise ValueError("members must share the collection's modulus")
         arrows = dict(arrows)
-        cover_set = set(index.covers)
         for key in arrows:
-            if key not in cover_set:
-                raise ValueError(f"arrow key {key!r} is not an index cover")
+            if key not in index.covers:
+                if not (isinstance(key, tuple) and len(key) == 2 and all(
+                        isinstance(i, int) and 0 <= i < index.n for i in key)):
+                    raise ValueError(f"arrow key {key!r} is not an index pair")
+                na, nb = (index.names[i] for i in key)
+                raise ValueError(f"arrow key '{na}<{nb}' is not a cover relation")
         self.domain = domain
         self.index = index
         self.p = p
@@ -274,9 +277,10 @@ class CollectionFunctor:
 
         Malformed input raises ValueError (members and arrow entries
         follow PersistenceModule.from_json's rules).  A member that is
-        not a functor or an arrow that is not natural raises
-        FunctorialityViolation: hom_basis solves at a presentation and the
-        hom modules read coordinates without solving, so both trust them.
+        not a functor, an arrow that is not natural or composite arrows
+        that depend on the path (validate) raise FunctorialityViolation:
+        hom_basis solves at a presentation and the hom modules read
+        coordinates without solving, so both trust them.
         """
         p = check_modulus(obj["p"])
         domain = Poset.from_json(obj["I"])
@@ -294,8 +298,6 @@ class CollectionFunctor:
                 m = PersistenceModule.from_json(
                     json_object(mj, f"member {name!r}"), p
                 )
-                if m.poset != domain:
-                    raise ValueError(f"member {name!r} lives over a different poset")
                 try:
                     validate_module(m)
                 except FunctorialityViolation as exc:
@@ -312,8 +314,6 @@ class CollectionFunctor:
                 raise ValueError(
                     f"arrow {key!r} names no index element {exc.args[0]!r}"
                 ) from None
-            if (a, b) not in index.covers:
-                raise ValueError(f"arrow key {key!r} is not a cover relation")
             comps = json_object(comps, f"arrow {key!r}")
             unknown = sorted(set(comps) - set(domain.names))
             if unknown:
@@ -325,15 +325,19 @@ class CollectionFunctor:
                 for name, rows in comps.items()
             }
             try:
-                arrow = NatTransformation(objs[b], objs[a], mats)
+                arrows[(a, b)] = NatTransformation(objs[b], objs[a], mats)
             except ValueError as exc:
                 raise ValueError(f"arrow {key!r}: {exc}") from None
+        # the constructor refuses malformed keys and members before any
+        # naturality is checked
+        coll = CollectionFunctor(domain, index, p, objs, arrows)
+        for (a, b), arrow in arrows.items():
             try:
                 arrow.check()
             except ValueError as exc:
+                key = f"{index.names[a]}<{index.names[b]}"
                 raise FunctorialityViolation(f"arrow {key!r}: {exc}") from None
-            arrows[(a, b)] = arrow
-        return CollectionFunctor(domain, index, p, objs, arrows)
+        return coll.validate()
 
 
 def _gather(frees, component):

@@ -351,6 +351,66 @@ def random_semilattice(rng, ambient, n_seeds=4):
     return Poset.from_order(names, leq)
 
 
+def random_interval_sum(rng, poset, p):
+    """Direct sum of 1-4 interval indicators, each the up-set of 1-2
+    random points meet the down-set of 1-2 random points: modules whose
+    maps die inside a box or a hook, unlike random_module's cokernels."""
+    from relbetti.pmod import direct_sum, indicator
+    from relbetti.poset import bit_elements
+
+    up, down = poset.up_bits(), poset.down_bits()
+    parts = []
+    for _ in range(int(rng.integers(1, 5))):
+        lo = hi = 0
+        for x in rng.choice(poset.n, int(rng.integers(1, 3))):
+            lo |= up[int(x)]
+        # the down-set's points lie in the up-set, so the interval is
+        # never empty
+        above = bit_elements(lo)
+        for x in rng.choice(len(above), int(rng.integers(1, 3))):
+            hi |= down[above[int(x)]]
+        parts.append((indicator(poset, bit_elements(lo & hi), p), 1))
+    return direct_sum(poset, p, parts)
+
+
+def random_invertible(rng, d, p):
+    """(g, g^-1) for a random invertible d x d matrix over GF(p), built
+    by elementary row operations on g and the inverse column operations
+    on g^-1, as object arrays of Python ints."""
+    g = np.eye(d, dtype=object)
+    inv = np.eye(d, dtype=object)
+    for i in range(d):
+        c = int(rng.integers(1, p))
+        g[i] = g[i] * c % p
+        inv[:, i] = inv[:, i] * pow(c, p - 2, p) % p
+        for j in range(d):
+            if j != i:
+                c = int(rng.integers(0, p))
+                g[i] = (g[i] + c * g[j]) % p
+                inv[:, j] = (inv[:, j] - c * inv[:, i]) % p
+    assert not ((g @ inv) % p - np.eye(d, dtype=object)).any()
+    return g, inv
+
+
+def base_change(rng, m):
+    """m in random fiber bases: each cover map A from a to b becomes
+    g_b A g_a^-1 for a random invertible g_x at every element x.  The
+    module is isomorphic to m, so every dimension and Betti number is
+    m's, while its maps and presentations carry scalars other than 0
+    and 1."""
+    from relbetti.fieldlin import Matrix
+    from relbetti.pmod import PersistenceModule
+
+    p = m.p
+    bases = [random_invertible(rng, d, p) for d in m.dims]
+    maps = {}
+    for a, b in m.poset.sorted_covers:
+        if m.dims[a] and m.dims[b]:
+            arr = bases[b][0] @ m.cover_map(a, b).a.astype(object) @ bases[a][1]
+            maps[(a, b)] = Matrix((arr % p).astype(np.int64), p)
+    return PersistenceModule(m.poset, p, m.dims, maps)
+
+
 def longest_chain(poset):
     depth = [0] * poset.n
     for b in range(poset.n):

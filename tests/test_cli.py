@@ -16,7 +16,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_module
-from relbetti.collections import lower_hooks, rectangles_naive, translated
+from relbetti.collections import (
+    lower_hooks,
+    rectangles_grid,
+    rectangles_naive,
+    singleton,
+    translated,
+)
 from relbetti.fieldlin import Matrix
 from relbetti.homalg import NatTransformation, betti, koszul
 from relbetti.pmod import PersistenceModule, constant, free, m0_demo
@@ -460,13 +466,17 @@ class TestCheck:
         )
         assert r.returncode == 3
 
-    def test_size_bound_env(self):
+    @pytest.mark.parametrize("value", ["2", "-1"])
+    def test_environment_sets_no_bound(self, value):
+        # the bound is --max-antichains alone: a variable that once set
+        # it changes no exit code and no byte
         payload = json.dumps({"p": 2, "poset": Poset.grid(1, 2).to_json()})
-        r = run_cli(
-            "check", "--collection", "spreads_omega", "--thin",
-            stdin=payload, env={"RELBETTI_MAX_ANTICHAINS": "2"},
-        )
-        assert r.returncode == 3
+        args = ("check", "--collection", "spreads_omega", "--thin")
+        want = run_cli(*args, stdin=payload)
+        got = run_cli(*args, stdin=payload,
+                      env={"RELBETTI_MAX_ANTICHAINS": value})
+        assert want.returncode == got.returncode == 0
+        assert (got.stdout, got.stderr) == (want.stdout, want.stderr)
 
     def test_nonsemilattice_builtin_exits_one(self):
         payload = json.dumps({"p": 2, "poset": wedge().to_json()})
@@ -634,18 +644,23 @@ class TestInputErrors:
         assert "--max-antichains" in r.stderr
 
     @pytest.mark.parametrize(
-        "bound", ["x", -1, [1], 2.5, True],
-        ids=["string", "negative", "list", "float", "bool"],
+        "name, params, key",
+        [("all_subfunctors", {"max_antichains": 5}, "max_antichains"),
+         ("lower_hooks", {"x": 1, "max_antichains": 5}, "max_antichains"),
+         ("translated", {"t": [[0, 1], [1, 0]]}, "t"),
+         ("rectangles_grid", {"n": 5, "r": 2, "shift": 1}, "shift")],
+        ids=["leftover-bound", "first-sorted", "typo", "extra"],
     )
-    def test_bad_max_antichains_param(self, bound):
-        demo = run_cli("demo", "m0").stdout
-        spec = {"builtin": "all_subfunctors",
-                "params": {"max_antichains": bound}}
-        r = run_cli(
-            "rbetti", "--collection", json.dumps(spec), stdin=demo
-        )
+    def test_unread_builtin_params_refused(self, name, params, key):
+        # a builtin reads only its own params; the antichain bound is
+        # --max-antichains, not a param
+        spec = {"builtin": name, "params": params}
+        r = run_cli("rbetti", "--collection", json.dumps(spec),
+                    stdin=M0_PAYLOAD)
         assert_input_error(r)
-        assert "max_antichains" in r.stderr
+        assert r.stderr == (
+            f"error: builtin {name!r} reads no param {key!r}\n"
+        )
 
     @pytest.mark.parametrize(
         "params",
@@ -757,17 +772,6 @@ class TestInputErrors:
         )
         assert_input_error(r)
         assert '"builtin"' in r.stderr
-
-    @pytest.mark.parametrize("bound", ["-1", "x"])
-    def test_bad_max_antichains_env(self, bound, monkeypatch):
-        monkeypatch.setenv("RELBETTI_MAX_ANTICHAINS", bound)
-        demo = run_cli("demo", "m0").stdout
-        r = run_cli(
-            "rbetti", "--collection", "all_subfunctors", "--dmax", "1",
-            stdin=demo,
-        )
-        assert_input_error(r)
-        assert "RELBETTI_MAX_ANTICHAINS" in r.stderr
 
     @pytest.mark.parametrize("verb", ["betti", "rbetti", "resolve", "rresolve"])
     def test_negative_dmax(self, verb):
@@ -1132,3 +1136,85 @@ def test_non_functorial_module_is_refused_by_every_verb(verb):
     assert r.returncode == 1
     assert r.stdout == ""
     assert r.stderr == want.stderr
+
+
+@pytest.mark.parametrize("name, params, build", [
+    ("singleton", {"member": constant(_SPEC_BASE, 2).to_json()},
+     lambda: singleton(constant(_SPEC_BASE, 2))),
+    ("translated", {"T": [[0, 1], [1, 0]]},
+     lambda: translated(_SPEC_BASE, [(0, 1), (1, 0)], 2)),
+    ("rectangles_grid", {"n": 1, "r": 2}, lambda: rectangles_grid(1, 2, 2)),
+    ("lower_hooks", {}, lambda: lower_hooks(_SPEC_BASE, 2)),
+])
+def test_builtin_spec_with_the_params_it_reads(name, params, build):
+    # a spec stating only what its builtin reads checks as the library's
+    # collection given in full
+    spec = {"builtin": name, "params": params}
+    got = run_json("check", "--collection", json.dumps(spec),
+                   stdin=_SPEC_PAYLOAD)
+    want = run_json("check", "--collection", json.dumps(build().to_json()),
+                    stdin=_SPEC_PAYLOAD)
+    assert got == dict(want, collection=name)
+
+
+def _diamond(scale):
+    """Free members at 0,0 < 1,0, 0,1 < 1,1 of grid(1,2) over the index
+    diamond a < b, c < d, at p = 5: every arrow 1 except a < c, which is
+    scale, so the composites from d to a agree only at scale 1."""
+    base = Poset.grid(1, 2)
+    index = Poset.from_covers(
+        list("abcd"), [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
+    )
+    objs = [free(base, base.index(x), 5) for x in ["0,0", "1,0", "0,1", "1,1"]]
+    arrows = {}
+    for a, b in index.covers:
+        c = scale if index.names[a] + index.names[b] == "ac" else 1
+        comps = {x: Matrix([[c]], 5) for x in range(base.n)
+                 if objs[a].dims[x] and objs[b].dims[x]}
+        arrows[(a, b)] = NatTransformation(objs[b], objs[a], comps)
+    return CollectionFunctor(base, index, 5, objs, arrows).to_json()
+
+
+@pytest.mark.parametrize("verb", [
+    ["validate"],
+    ["check"],
+    ["check", "--collection"],
+    ["rbetti", "--collection"],
+    ["rbetti", "--method", "resolution", "--collection"],
+    ["rresolve", "--dmax", "3", "--collection"],
+])
+def test_path_dependent_collection_refused_by_every_verb(verb):
+    # the composites from d to a differ through b and through c, so the
+    # collection is no functor and has no relative diagram
+    coll = _diamond(2)
+    module = constant(Poset.grid(1, 2), 5).to_json()
+    if verb[-1] == "--collection":
+        verb = [*verb, json.dumps(coll)]
+        payload = {"p": 5, "module": module}
+    else:
+        payload = {"p": 5, "collection": coll}
+    r = run_cli(*verb, stdin=json.dumps(payload))
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == (
+        "error: composite arrows from 'd' to 'a' disagree through 'c'\n"
+    )
+
+
+def test_functorial_diamond_is_read():
+    payload = json.dumps({"p": 5, "collection": _diamond(1)})
+    assert run_json("validate", stdin=payload) == {
+        "kind": "collection", "ok": True, "p": 5
+    }
+
+
+def test_cover_key_separator_in_a_name_refused():
+    # "a<b<c" could not say which '<' splits the cover key of a map
+    poset = {"elements": ["a<b", "c"], "covers": [["a<b", "c"]]}
+    payload = {"p": 2, "module": {"poset": poset, "dims": {"c": 1}}}
+    r = run_cli("validate", stdin=json.dumps(payload))
+    assert_input_error(r)
+    assert r.stderr == (
+        "error: bad module payload: element name 'a<b' contains '<', "
+        "which separates the names of a cover key\n"
+    )

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    base_change,
     hook_hom_dim,
     hook_pair_hom_dim,
     indicator_hom_dim,
@@ -21,6 +22,7 @@ from conftest import (
     oracle_nat_basis,
     oracle_quotient,
     random_free_map,
+    random_interval_sum,
     random_module,
     random_poset_covers,
     random_semilattice,
@@ -790,6 +792,9 @@ def _hom_source(rng, poset, p, kind):
         return zero_module(poset, p)
     if kind == "random":
         return random_module(rng, poset, p)
+    if kind == "changed":
+        # maps that die, in bases whose push-out scalars are not 0 or 1
+        return base_change(rng, random_interval_sum(rng, poset, p))
     return _zero_one_source(rng, poset, p, kind)
 
 
@@ -841,7 +846,7 @@ def _assert_gather_matches(rng, basis, f, g, p):
     assert np.array_equal(got, oracle_coords(basis, psi))
 
 
-KINDS = ["random", "convex", "nonconvex", "rebased", "zero"]
+KINDS = ["random", "changed", "convex", "nonconvex", "rebased", "zero"]
 
 # the largest modulus fieldlin admits
 P_MAX = (1 << 31) - 1
@@ -1254,9 +1259,10 @@ class TestHomDim:
         seed=st.integers(0, 2**32 - 1),
         kind=st.sampled_from(["covers", "semilattice"]),
         p=st.sampled_from([2, 3, 5, P_MAX]),
+        source=st.sampled_from(["random", "changed"]),
         target=st.sampled_from(KINDS),
     )
-    def test_cover_presentations(self, seed, kind, p, target):
+    def test_cover_presentations(self, seed, kind, p, source, target):
         rng = np.random.default_rng(seed)
         if kind == "covers":
             names, covers, _ = random_poset_covers(
@@ -1269,14 +1275,36 @@ class TestHomDim:
             poset = random_semilattice(
                 rng, Poset.grid(3, 2), int(rng.integers(2, 6))
             )
-        f = random_module(rng, poset, p)
+        f = _hom_source(rng, poset, p, source)
         while _indicator_support(f) is not None:
-            f = random_module(rng, poset, p)
+            f = _hom_source(rng, poset, p, source)
         g = _hom_source(rng, poset, p, target)
         for a, b in ((f, g), (g, f), (f, f)):
             dim = hom_dim(a, b)
             assert dim == len(nat_basis(a, b))
             assert dim == len(oracle_nat_basis(a, b))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["covers", "semilattice"]),
+    )
+    def test_base_changed_sums_at_largest_modulus(self, seed, kind):
+        # every interval twice, in random fiber bases: a fiber of
+        # dimension d pushes out through up to d section terms with
+        # entries up to p - 1, whose products at p = P_MAX come near p**2,
+        # so a sum of five or more of them left unreduced leaves int64
+        rng = np.random.default_rng(seed)
+        poset = _random_poset(rng, kind)
+        twice = direct_sum(
+            poset, P_MAX, [(random_interval_sum(rng, poset, P_MAX), 2)]
+        )
+        f = base_change(rng, twice)
+        g = _hom_source(rng, poset, P_MAX, "changed")
+        for a, b in ((f, g), (g, f), (f, f)):
+            want = oracle_nat_basis(a, b)
+            _assert_same_basis(nat_basis(a, b), want, a, b)
+            assert hom_dim(a, b) == len(want)
 
     def test_zero_when_target_vanishes_at_generators(self):
         p = diamond()

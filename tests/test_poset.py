@@ -9,6 +9,7 @@ from relbetti.collections import rectangles_grid, translated
 from relbetti.errors import MeetHypothesisFailed
 from relbetti.pmod import zero_module
 from relbetti.poset import (
+    DEFAULT_MAX_ANTICHAINS,
     CyclicCovers,
     NotSemilattice,
     Poset,
@@ -63,6 +64,16 @@ class TestFromCovers:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             Poset.from_covers(["a", "a"], [])
+
+    def test_cover_key_separator_in_a_name_rejected(self):
+        # module and collection payloads key a cover as "lower<upper"
+        message = "^element name 'a<b' contains '<'"
+        with pytest.raises(ValueError, match=message):
+            Poset.from_covers(["a<b", "c"], [("a<b", "c")])
+        with pytest.raises(ValueError, match=message):
+            Poset.from_order(["c", "a<b"], np.eye(2, dtype=bool))
+        with pytest.raises(ValueError, match=message):
+            Poset.from_json({"elements": ["a<b"], "covers": []})
 
     def test_indices_are_linear_extension(self):
         names, covers, _ = random_poset_covers(np.random.default_rng(3), 7)
@@ -531,12 +542,13 @@ class TestAntichainPoset:
                                match=f"^more than {count - 1} antichains; "):
                 poset.antichain_list(count - 1)
 
-    @pytest.mark.parametrize("value", ["-1", "x", "2.5"])
-    def test_bad_env_bound_names_variable(self, value, monkeypatch):
+    @pytest.mark.parametrize("value", ["2", "-1", "x"])
+    def test_bound_is_an_argument_only(self, value, monkeypatch):
+        # the process environment sets no bound
         monkeypatch.setenv("RELBETTI_MAX_ANTICHAINS", value)
-        with pytest.raises(ValueError, match="^RELBETTI_MAX_ANTICHAINS: "):
-            antichain_bound()
+        assert antichain_bound() == DEFAULT_MAX_ANTICHAINS
         assert antichain_bound(7) == 7
+        assert len(antichain_poset(Poset.grid(1, 2)).antichains) == 6
 
     @pytest.mark.parametrize("value", [2.5, True, [1], -3, "x"])
     def test_bad_override_bound_refused(self, value):

@@ -7,6 +7,7 @@ against an independent description: maps out of the interval at (v, w)
 correspond to kernel vectors of the target's transition v <= w.
 """
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import relbetti.relative
 from conftest import (
+    base_change,
     hook_hom_dim,
     hook_pair_hom_dim,
     indicator_hom_dim,
@@ -26,7 +28,9 @@ from conftest import (
     oracle_radical,
     oracle_relative_cover,
     random_free_map,
+    random_interval_sum,
     random_module,
+    random_poset_covers,
     random_semilattice,
     tampered_chain,
 )
@@ -336,6 +340,32 @@ class TestCollectionFunctor:
         coll = CollectionFunctor(base, index, 5, objs, arrows)
         with pytest.raises(FunctorialityViolation):
             coll.validate()
+        # a payload is checked whole where it is read
+        with pytest.raises(FunctorialityViolation, match=(
+            "^composite arrows from 'top' to 'bot' disagree through 'y'$"
+        )):
+            CollectionFunctor.from_json(coll.to_json())
+
+    def test_constructor_names_member_and_arrow_key(self):
+        base, index, coll = upset_collection()
+        objs = [coll.obj(a) for a in range(index.n)]
+        arrows = {key: coll.arrow(*key) for key in index.covers}
+        other = [*objs[:-1], one_dim(chain(3), {0})]
+        with pytest.raises(ValueError, match=(
+            f"^member {index.names[-1]!r} lives over a different poset$"
+        )):
+            CollectionFunctor(base, index, 2, other, arrows)
+        a, b = next(iter(index.covers))
+        for key, message in [
+            ((b, a), f"arrow key '{index.names[b]}<{index.names[a]}' is "
+                     "not a cover relation"),
+            ((a, index.n), f"arrow key {(a, index.n)!r} is not an index "
+                           "pair"),
+            ("a<b", "arrow key 'a<b' is not an index pair"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                CollectionFunctor(base, index, 2, objs,
+                                  {**arrows, key: arrows[(a, b)]})
 
     def test_composite_arrows(self):
         _, index, coll = pruned_interval_collection()
@@ -408,6 +438,34 @@ class TestCollectionFunctor:
         again = CollectionFunctor.from_json(coll.to_json())
         assert again == coll
         assert again.to_json() == coll.to_json()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        names=st.lists(
+            st.text(st.one_of(st.sampled_from("|,;{}"),
+                              st.characters(blacklist_characters="<")),
+                    min_size=1, max_size=4),
+            min_size=1, max_size=6, unique=True,
+        ),
+        seed=st.integers(0, 10**6),
+        p=st.sampled_from([2, 5]),
+    )
+    def test_json_roundtrip_over_generated_names(self, names, seed, p):
+        # a name may hold any character but '<', which separates the two
+        # names of a cover key: a module and an explicit collection over
+        # such names read back from their own JSON
+        rng = np.random.default_rng(seed)
+        _, covers, _ = random_poset_covers(rng, len(names))
+        poset = Poset.from_covers(
+            names, [(names[i], names[j]) for i, j in covers]
+        )
+        m = random_module(rng, poset, p)
+        assert PersistenceModule.from_json(m.to_json(), p) == m
+        objs = [free(poset, a, p) for a in range(poset.n)]
+        arrows = {(a, b): overlap_nat(objs[b], objs[a])
+                  for a, b in poset.covers}
+        coll = CollectionFunctor(poset, poset, p, objs, arrows)
+        assert CollectionFunctor.from_json(coll.to_json()) == coll
 
 
 class TestNatModule:
@@ -1426,7 +1484,9 @@ class TestHookCertificate:
     out of Y's minimum, never from Hom solving."""
 
     def _assert_hom_euler_identity(self, coll, m):
-        """The identity at every nonzero member; returns their number."""
+        """The identity at every nonzero member, after both routes agree
+        on a complete table; returns the members checked, those with a
+        nonzero Hom into m, and whether the table has an entry."""
         base = coll.domain
         res = relative_minimal_resolution(coll, m, 8)
         assert res.complete
@@ -1435,38 +1495,64 @@ class TestHookCertificate:
         terms = [((-1) ** d * k, coll.obj(x).support_bits)
                  for (d, x), k in table.items()]
         nonzero = bit_elements(coll._nonzero)
+        homs = 0
         for y in nonzero:
             bits = coll.obj(y).support_bits
             got = sum(c * hook_pair_hom_dim(base, bits, b) for c, b in terms)
-            assert got == hook_hom_dim(m, bits), coll.index.names[y]
-        return len(nonzero)
+            want = hook_hom_dim(m, bits)
+            assert got == want, coll.index.names[y]
+            homs += want > 0
+        return np.array([len(nonzero), homs, bool(terms)])
 
-    def _assert_on_criterion3_modules(self, build):
-        # criterion 3's fifty random modules over grid(3,2)
+    def _assert_on_modules(self, build, draw):
+        """The identity on fifty modules over grid(3,2), draw(rng, g, p)
+        with p alternating 2 and 5 from seed 33; returns the sums of the
+        counts above."""
         g = Poset.grid(3, 2)
         rng = np.random.default_rng(33)
         colls = {p: build(g, p) for p in (2, 5)}
-        checked = 0
+        counts = np.zeros(3, dtype=int)
         for i in range(50):
             p = 2 if i % 2 == 0 else 5
-            checked += self._assert_hom_euler_identity(
-                colls[p], random_module(rng, g, p)
+            counts += self._assert_hom_euler_identity(
+                colls[p], draw(rng, g, p)
             )
-        return checked
+        return counts.tolist()
 
     def test_hom_euler_identity_on_criterion3_modules(self):
-        assert self._assert_on_criterion3_modules(lower_hooks) == 4200
+        # criterion 3's fifty random modules
+        checked = self._assert_on_modules(lower_hooks, random_module)[0]
+        assert checked == 4200
 
     def test_hom_euler_identity_on_rectangles(self):
         # criterion 3's modules have almost no Hom out of a box (4 of
         # the 1,800 checks read a nonzero side), so m0 is checked too
-        assert self._assert_on_criterion3_modules(
-            lambda g, p: rectangles_grid(3, 2, p)
-        ) == 1800
+        assert self._assert_on_modules(
+            lambda g, p: rectangles_grid(3, 2, p), random_module
+        ) == [1800, 4, 1]
         m0 = m0_demo(2)
         assert self._assert_hom_euler_identity(
             rectangles_grid(5, 2, 2), m0
-        ) == 225
+        )[0] == 225
+
+    @pytest.mark.parametrize("build, changed, counts", [
+        (lower_hooks, False, [4200, 1271, 46]),
+        (lower_hooks, True, [4200, 969, 44]),
+        (lambda g, p: rectangles_grid(3, 2, p), False, [1800, 177, 25]),
+        (lambda g, p: rectangles_grid(3, 2, p), True, [1800, 177, 25]),
+    ], ids=["lower_hooks", "lower_hooks-base-changed", "rectangles_grid",
+            "rectangles_grid-base-changed"])
+    def test_hom_euler_identity_on_interval_sums(self, build, changed,
+                                                 counts):
+        # interval modules die inside hooks and boxes, which criterion
+        # 3's cokernels rarely do (their counts are [4200, 140, 10] and
+        # [1800, 4, 1]), and in random fiber bases their presentations
+        # carry scalars other than 0 and 1
+        def draw(rng, g, p):
+            m = random_interval_sum(rng, g, p)
+            return base_change(rng, m) if changed else m
+
+        assert self._assert_on_modules(build, draw) == counts
 
 
 class TestAdjunction:
