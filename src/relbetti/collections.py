@@ -7,11 +7,11 @@ constructor, which refuses a cover that goes down that order, and one
 support per slot.  _indicator_collection then builds the members as
 indicator modules and the arrows as the canonical maps induced by
 inclusions of upsets: scalar 1 wherever source and target supports
-overlap.  For each
-family the overlap supports satisfy the containment property that makes
-these arrows compose path-independently, so the outputs satisfy
-CollectionFunctor.validate (checked in the test suite on small bases
-rather than eagerly, since validation is quadratic in the index size).
+overlap.  For each family the overlap supports satisfy the containment
+property that makes these arrows compose path-independently, so the
+outputs satisfy CollectionFunctor.validate.  Builders do not run it,
+since it checks every member and arrow and costs far more than a
+build; the test suite runs it on small bases.
 
 Known thin/flat/degeneracy statuses are preseeded into `claims` so that
 the computation gates do not have to re-derive them on large index

@@ -38,7 +38,7 @@ from relbetti.pmod import (
     radical,
     zero_module,
 )
-from relbetti.poset import bit_elements
+from relbetti.poset import bit_elements, mask_of, union_bits
 
 
 class NatTransformation:
@@ -99,8 +99,10 @@ class NatTransformation:
         return tuple(map(self.component, range(self.source.poset.n)))
 
     def check(self):
-        """Validate naturality against every cover square."""
+        """Validate naturality on each cover square with both sides nonempty."""
         for a, b in self.source.poset.sorted_covers:
+            if not (self.source.dims[a] and self.target.dims[b]):
+                continue
             left = self.target.cover_map(a, b) @ self.component(a)
             right = self.component(b) @ self.source.cover_map(a, b)
             if left != right:
@@ -197,9 +199,7 @@ def _indicator_support(f):
         if inside >> a & inside >> b & 1 and f.cover_map(a, b).a[0, 0] != 1:
             return None
     down = f.poset.down_bits()
-    below = 0
-    for x in bit_elements(inside):
-        below |= down[x]
+    below = union_bits(down, bit_elements(inside))
     # convex: nothing outside A sits between two elements of A
     if any(down[x] & inside for x in bit_elements(below & ~inside)):
         return None
@@ -282,10 +282,7 @@ def _presentation(f):
             gens, relations, pushout = _indicator_presentation(f, inside)
         else:
             gens, relations, pushout = _cover_presentation(f)
-        bits = 0
-        for m in gens:
-            bits |= 1 << m
-        f._presentation = gens, relations, pushout, bits
+        f._presentation = gens, relations, pushout, mask_of(gens)
     return f._presentation
 
 

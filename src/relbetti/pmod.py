@@ -24,6 +24,7 @@ from relbetti.fieldlin import (
     rank,
 )
 from relbetti.poset import Poset, bit_elements, json_object, parse_nonnegative
+from relbetti.poset import union_bits
 
 
 @lru_cache(maxsize=None)
@@ -158,8 +159,7 @@ class PersistenceModule:
         maps = {}
         for (a, b), m in sorted(self._cover_maps.items()):
             if not m.is_zero():
-                key = f"{self.poset.names[a]}<{self.poset.names[b]}"
-                maps[key] = m.tolist()
+                maps[self.poset.key(a, b)] = m.tolist()
         return {"poset": self.poset.to_json(), "dims": dims, "maps": maps}
 
     @staticmethod
@@ -183,9 +183,8 @@ class PersistenceModule:
                 raise ValueError(f"dimension at {nm!r}: {exc}") from None
         maps = {}
         for key, rows in json_object(obj.get("maps", {}), '"maps"').items():
-            na, _, nb = key.partition("<")
             try:
-                a, b = poset.index(na), poset.index(nb)
+                a, b = poset.parse_key(key)
             except KeyError as exc:
                 raise ValueError(
                     f"map key {key!r} names no element {exc.args[0]!r}"
@@ -212,12 +211,11 @@ def matrix_from_json(rows, p, what):
 
 
 def validate(m):
-    """Check path independence; raises FunctorialityViolation with a witness."""
+    """Check path independence out of every nonzero fiber (a map out of a
+    zero one is empty); raises FunctorialityViolation with a witness."""
     poset = m.poset
-    for a in range(poset.n):
-        for b in range(poset.n):
-            if b == a or not poset.leq(a, b):
-                continue
+    for a in bit_elements(m.support_bits):
+        for b in bit_elements(poset.up_bits()[a] & ~(1 << a)):
             ab = m.map(a, b)
             for c in poset.children(b):
                 if m.map(a, c) != m.cover_map(b, c) @ ab:
@@ -308,11 +306,7 @@ def spread(poset, sources, sinks, p):
     if not poset.is_antichain(s) or not poset.is_antichain(t):
         raise InvalidSpread("sources and sinks must be antichains")
     up, down = poset.up_bits(), poset.down_bits()
-    above = below = 0
-    for x in s:
-        above |= up[x]
-    for y in t:
-        below |= down[y]
+    above, below = union_bits(up, s), union_bits(down, t)
     for x in s:
         if not up[x] & below:
             raise InvalidSpread(f"source {poset.names[x]!r} is below no sink")
@@ -377,14 +371,11 @@ def is_spread(m):
     """Pointwise dimension at most one and full-rank composites."""
     if any(d > 1 for d in m.dims):
         return False
-    poset = m.poset
-    for a in range(poset.n):
-        for b in range(poset.n):
-            if a == b or not poset.leq(a, b):
-                continue
-            if rank(m.map(a, b)) != min(m.dims[a], m.dims[b]):
-                return False
-    return True
+    up = m.poset.up_bits()
+    return all(
+        rank(m.map(a, b)) == m.dims[b]
+        for a in bit_elements(m.support_bits) for b in bit_elements(up[a])
+    )
 
 
 def m0_demo(p=2):

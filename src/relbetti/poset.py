@@ -84,7 +84,15 @@ def bit_elements(mask):
     return out
 
 
-def _mask(elements):
+def union_bits(bitsets, elements):
+    """The OR of bitsets[x] over the elements x."""
+    mask = 0
+    for x in elements:
+        mask |= bitsets[x]
+    return mask
+
+
+def mask_of(elements):
     """The bitset of some element indices."""
     mask = 0
     for x in elements:
@@ -122,7 +130,7 @@ class Poset:
             chi[a].append(b)
         self._parents = tuple(tuple(sorted(x)) for x in par)
         self._children = tuple(tuple(sorted(x)) for x in chi)
-        self._child_bits = tuple(_mask(x) for x in chi)
+        self._child_bits = tuple(mask_of(x) for x in chi)
         # every cover goes up in index order, so one pass down the indices
         # closes the up-sets and one pass up closes the down-sets
         up = [1 << a for a in range(self.n)]
@@ -303,6 +311,15 @@ class Poset:
     def index(self, name):
         return self._name_to_index[name]
 
+    def key(self, a, b):
+        """The JSON key of a pair a < b, which parse_key reads back."""
+        return f"{self.names[a]}<{self.names[b]}"
+
+    def parse_key(self, key):
+        """(a, b) from key(a, b); KeyError carries a name of no element."""
+        na, _, nb = key.partition("<")
+        return self.index(na), self.index(nb)
+
     def leq(self, a, b):
         return bool(self._up[a] >> b & 1)
 
@@ -470,29 +487,26 @@ class Poset:
         return frozenset(closed)
 
     def min_elements(self, subset):
-        mask = _mask(subset)
+        mask = mask_of(subset)
         return frozenset(
             a for a in bit_elements(mask) if self._down[a] & mask == 1 << a
         )
 
     def max_elements(self, subset):
-        mask = _mask(subset)
+        mask = mask_of(subset)
         return frozenset(
             a for a in bit_elements(mask) if self._up[a] & mask == 1 << a
         )
 
     def upset_of(self, subset):
-        mask = 0
-        for a in subset:
-            mask |= self._up[a]
-        return frozenset(bit_elements(mask))
+        return frozenset(bit_elements(union_bits(self._up, subset)))
 
     def is_antichain(self, subset):
-        mask = _mask(subset)
+        mask = mask_of(subset)
         return all(self._up[a] & mask == 1 << a for a in bit_elements(mask))
 
     def is_upset(self, subset):
-        mask = _mask(subset)
+        mask = mask_of(subset)
         return all(not self._up[a] & ~mask for a in bit_elements(mask))
 
     def antichain_list(self, max_antichains=None):

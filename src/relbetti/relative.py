@@ -61,7 +61,7 @@ from relbetti.pmod import (
     zero_module,
 )
 from relbetti.pmod import validate as validate_module
-from relbetti.poset import Poset, bit_elements, json_object
+from relbetti.poset import Poset, bit_elements, json_object, union_bits
 
 
 class CollectionFunctor:
@@ -71,38 +71,29 @@ class CollectionFunctor:
     a < b of the index poset, is a NatTransformation objs[b] -> objs[a];
     omitted arrows default to zero.  Composite arrows run along canonical
     cover chains (Poset.step_toward); arrow_to composes them whole and
-    keeps nothing.  The property scans ask only which composites are
-    zero, and read it from zero_below: one bitset per index element,
-    computed on first use.  validate() confirms the composites are path
-    independent, and from_json runs it.  `claims` may record externally
-    justified thin/flat/degeneracy statuses for builders whose index
-    posets are too large to check directly; the property checks
-    themselves (is_thin, is_flat, the degeneracy scan) never consult
-    them, though a thinness claim is trusted as the degeneracy scan's
-    precondition.  The results of the pairwise scan (thinness and
-    flatness together) and of the degeneracy scan are cached on the
-    collection; no Hom basis or dimension is, and nothing per pair.  A
-    module's hom module over the collection is cached on the module.
+    keeps nothing, and zero_below records which are zero for the property
+    scans, one bitset per index element, computed on first use.
+    validate() is the one functoriality check, and from_json runs it.
+    `claims` may record externally justified thin/flat/degeneracy
+    statuses for builders whose index posets are too large to check; the
+    property checks never consult them, though the degeneracy scan trusts
+    a thinness claim as its precondition.  The pairwise and degeneracy
+    scans cache their results on the collection, but no Hom basis or
+    dimension, and nothing per pair; a module's hom module over the
+    collection is cached on the module.
     """
 
     def __init__(self, domain, index, p, objs, arrows, claims=None):
         p = check_modulus(p)
-        objs = list(objs)
-        if len(objs) != index.n:
-            raise ValueError("need one member per index element")
-        for name, m in zip(index.names, objs):
-            if m.poset != domain:
-                raise ValueError(f"member {name!r} lives over a different poset")
-            if m.p != p:
-                raise ValueError("members must share the collection's modulus")
+        objs = _members(domain, index, p, objs)
         arrows = dict(arrows)
         for key in arrows:
             if key not in index.covers:
                 if not (isinstance(key, tuple) and len(key) == 2 and all(
                         isinstance(i, int) and 0 <= i < index.n for i in key)):
                     raise ValueError(f"arrow key {key!r} is not an index pair")
-                na, nb = (index.names[i] for i in key)
-                raise ValueError(f"arrow key '{na}<{nb}' is not a cover relation")
+                raise ValueError(f"arrow key '{index.key(*key)}' is not a "
+                                 "cover relation")
         self.domain = domain
         self.index = index
         self.p = p
@@ -171,35 +162,36 @@ class CollectionFunctor:
                 out[x] |= 1 << a
         return out
 
-    def zero_below(self, b):
-        """Bitset of the a <= b whose composite arrow obj(b) -> obj(a) is
-        zero, computed on first use; only the int is kept.
-
-        A transformation is zero exactly when it is zero at its source's
-        generators.  For each generator element x of obj(b), one pass
-        pushes obj(b)'s component at x down the index in decreasing order,
-        through the members nonzero at x: each takes its image from the
-        next element of its canonical chain to b.  Zero images are
-        dropped, and the rest go when the pass ends."""
-        got = self._zero_below[b]
-        if got is None:
-            index, ob, p = self.index, self._objs[b], self.p
-            down = index.down_bits()[b]
-            nonzero = 1 << b if ob.support_bits else 0
-            for x in generator_elements(ob):
-                images = {b: cached_identity(ob.dims[x], p).a}
-                below = down & self._members_at[x] & ~(1 << b)
-                for a in reversed(bit_elements(below)):
-                    c = index.step_toward(a, b)
-                    if c not in images:
-                        continue
-                    image = matmul_exact(
-                        self._arrows[(a, c)].component(x).a, images[c], p
-                    )
+    def _images(self, b):
+        """(reached, pushed).  pushed holds (x, images) for each generator
+        element x of obj(b), ascending: images maps each a <= b whose
+        canonical composite obj(b) -> obj(a) is nonzero at x to that
+        component, pushed down the index through the members nonzero at
+        x, each from the next element of its chain to b.  reached is the
+        bitset of every images' keys."""
+        index, p, ob, arrows = self.index, self.p, self._objs[b], self._arrows
+        down = index.down_bits()[b] & ~(1 << b)
+        reached = 1 << b if ob.support_bits else 0
+        pushed = []
+        for x in generator_elements(ob):
+            images = {b: cached_identity(ob.dims[x], p).a}
+            for a in reversed(bit_elements(down & self._members_at[x])):
+                c = index.step_toward(a, b)
+                if c in images:
+                    image = matmul_exact(arrows[(a, c)].component(x).a, images[c], p)
                     if np.count_nonzero(image):
                         images[a] = image
-                        nonzero |= 1 << a
-            got = self._zero_below[b] = down & ~nonzero
+                        reached |= 1 << a
+            pushed.append((x, images))
+        return reached, pushed
+
+    def zero_below(self, b):
+        """Bitset of the a <= b whose composite arrow obj(b) -> obj(a) is
+        zero: those _images(b) does not reach.  Only the int is kept."""
+        got = self._zero_below[b]
+        if got is None:
+            reached = self._images(b)[0] if self._objs[b].support_bits else 0
+            got = self._zero_below[b] = self.index.down_bits()[b] & ~reached
         return got
 
     def pair_basis(self, a, b):
@@ -208,25 +200,42 @@ class CollectionFunctor:
         return nat_basis(self._objs[b], self._objs[a])
 
     def validate(self):
-        """Check path independence: for each b the composites into b are
-        built down the index along their canonical chains (the first
-        child below b), and every other child below b must agree."""
-        index = self.index
+        """Return self, or raise FunctorialityViolation at the first member
+        that is not a functor (pmod.validate), else arrow that is not
+        natural (NatTransformation.check), else composite arrows that
+        depend on the path.  Transformations out of obj(b) agree when they
+        agree at its generators: for a < b, descending, each child c <= b
+        of a off the canonical chain is checked there against _images(b)."""
+        index, p = self.index, self.p
+        for name, m in zip(index.names, self._objs):
+            try:
+                validate_module(m)
+            except FunctorialityViolation as exc:
+                raise FunctorialityViolation(f"member {name!r}: {exc}") from None
+        for a, b in index.sorted_covers:
+            try:
+                self._arrows[(a, b)].check()
+            except ValueError as exc:
+                raise FunctorialityViolation(
+                    f"arrow {index.key(a, b)!r}: {exc}"
+                ) from None
         for b in range(index.n):
-            into = {b: identity_nat(self._objs[b])}
-            for a in reversed(bit_elements(index.down_bits()[b] & ~(1 << b))):
-                for c in index.children(a):
-                    if not index.leq(c, b):
-                        continue
-                    f = self.arrow(a, c) @ into[c]
-                    if a not in into:
-                        into[a] = f
-                    elif f != into[a]:
-                        raise FunctorialityViolation(
-                            f"composite arrows from {index.names[b]!r} to "
-                            f"{index.names[a]!r} disagree through "
-                            f"{index.names[c]!r}"
+            _, pushed = self._images(b)
+            below = union_bits(self._members_at, [x for x, _ in pushed])
+            for a in reversed(bit_elements(below & index.down_bits()[b] & ~(1 << b))):
+                # the first child below b is step_toward(a, b), the canonical one
+                for c in [c for c in index.children(a) if index.leq(c, b)][1:]:
+                    for x, images in pushed:
+                        via = images.get(c)
+                        image = 0 if via is None else matmul_exact(
+                            self._arrows[(a, c)].component(x).a, via, p
                         )
+                        if np.any(image != images.get(a, 0)):
+                            raise FunctorialityViolation(
+                                f"composite arrows from {index.names[b]!r} to "
+                                f"{index.names[a]!r} disagree through "
+                                f"{index.names[c]!r}"
+                            )
         return self
 
     def __eq__(self, other):
@@ -243,10 +252,9 @@ class CollectionFunctor:
     __hash__ = None
 
     def __repr__(self):
-        nonzero = sum(1 for a in range(self.index.n) if not self.member_is_zero(a))
         return (
-            f"CollectionFunctor(index={self.index.n}, members={nonzero}, "
-            f"p={self.p})"
+            f"CollectionFunctor(index={self.index.n}, "
+            f"members={self._nonzero.bit_count()}, p={self.p})"
         )
 
     def to_json(self):
@@ -258,8 +266,7 @@ class CollectionFunctor:
         for (a, b), f in sorted(self._arrows.items()):
             if f.is_zero():
                 continue
-            key = f"{self.index.names[a]}<{self.index.names[b]}"
-            arrows[key] = {
+            arrows[self.index.key(a, b)] = {
                 self.domain.names[x]: c.tolist()
                 for x, c in f._comps.items() if not c.is_zero()
             }
@@ -273,14 +280,13 @@ class CollectionFunctor:
 
     @staticmethod
     def from_json(obj):
-        """Collection from its JSON form.
+        """Collection from its JSON form, returned through validate().
 
         Malformed input raises ValueError (members and arrow entries
-        follow PersistenceModule.from_json's rules).  A member that is
-        not a functor, an arrow that is not natural or composite arrows
-        that depend on the path (validate) raise FunctorialityViolation:
-        hom_basis solves at a presentation and the hom modules read
-        coordinates without solving, so both trust them.
+        follow PersistenceModule.from_json's rules).  validate() refuses
+        a collection that is not a functor: hom_basis solves at a
+        presentation and the hom modules read coordinates without
+        solving, so both trust it.
         """
         p = check_modulus(obj["p"])
         domain = Poset.from_json(obj["I"])
@@ -289,27 +295,17 @@ class CollectionFunctor:
         unknown = sorted(set(members) - set(index.names))
         if unknown:
             raise ValueError(f'"objs" names no index element {unknown[0]!r}')
-        objs = []
-        for name in index.names:
-            mj = members.get(name)
-            if mj is None:
-                objs.append(zero_module(domain, p))
-            else:
-                m = PersistenceModule.from_json(
-                    json_object(mj, f"member {name!r}"), p
-                )
-                try:
-                    validate_module(m)
-                except FunctorialityViolation as exc:
-                    raise FunctorialityViolation(
-                        f"member {name!r}: {exc}"
-                    ) from None
-                objs.append(m)
+        objs = _members(domain, index, p, [
+            zero_module(domain, p) if name not in members
+            else PersistenceModule.from_json(
+                json_object(members[name], f"member {name!r}"), p
+            )
+            for name in index.names
+        ])
         arrows = {}
         for key, comps in json_object(obj.get("arrows", {}), '"arrows"').items():
-            na, _, nb = key.partition("<")
             try:
-                a, b = index.index(na), index.index(nb)
+                a, b = index.parse_key(key)
             except KeyError as exc:
                 raise ValueError(
                     f"arrow {key!r} names no index element {exc.args[0]!r}"
@@ -328,16 +324,20 @@ class CollectionFunctor:
                 arrows[(a, b)] = NatTransformation(objs[b], objs[a], mats)
             except ValueError as exc:
                 raise ValueError(f"arrow {key!r}: {exc}") from None
-        # the constructor refuses malformed keys and members before any
-        # naturality is checked
-        coll = CollectionFunctor(domain, index, p, objs, arrows)
-        for (a, b), arrow in arrows.items():
-            try:
-                arrow.check()
-            except ValueError as exc:
-                key = f"{index.names[a]}<{index.names[b]}"
-                raise FunctorialityViolation(f"arrow {key!r}: {exc}") from None
-        return coll.validate()
+        return CollectionFunctor(domain, index, p, objs, arrows).validate()
+
+
+def _members(domain, index, p, objs):
+    """objs as a list: one member per index element, over domain at p."""
+    objs = list(objs)
+    if len(objs) != index.n:
+        raise ValueError("need one member per index element")
+    for name, m in zip(index.names, objs):
+        if m.poset != domain:
+            raise ValueError(f"member {name!r} lives over a different poset")
+        if m.p != p:
+            raise ValueError("members must share the collection's modulus")
+    return objs
 
 
 def _gather(frees, component):
@@ -389,9 +389,7 @@ def _nat_module_data(coll, m):
         return got[1]
     index = coll.index
     p = coll.p
-    solved = 0
-    for x in bit_elements(m.support_bits):
-        solved |= coll._generated_at[x]
+    solved = union_bits(coll._generated_at, bit_elements(m.support_bits))
     bases = [None] * index.n
     for a in bit_elements(solved):
         bases[a] = hom_basis(coll.obj(a), m)

@@ -26,7 +26,10 @@ relbetti.relative reads the same generators off zero composite arrows
 and must give the same flag, witness and exception.  oracle_flat runs
 the thinness and flatness loops apart, solving each pair with nat_basis;
 relbetti.relative decides both in one pass and must give the same flag
-and witness.  oracle_relative_cover builds the relative cover through
+and witness.  oracle_path_independence composes whole transformations
+down every element's down-set; CollectionFunctor.validate compares
+components at generators only and must name the same first witness.
+oracle_relative_cover builds the relative cover through
 homalg.minimal_cover of the hom module and nat_basis's transformations;
 relbetti.relative reads the generators off the radical and the
 components off flat bases, and must give the same ones.  oracle_radical
@@ -855,6 +858,36 @@ def oracle_flat(coll):
             if index.leq(a, b) and not nat_basis(coll.obj(b), coll.obj(a)):
                 return False, (a, b)
     return True, None
+
+
+def oracle_path_independence(coll):
+    """Path independence with whole transformations: for each b the
+    composites into b are composed down the index along their canonical
+    chains (the first child below b), and every other child below b must
+    give an equal transformation.  Raises FunctorialityViolation on the
+    first disagreement, scanning b ascending, a descending and c
+    ascending; returns coll otherwise."""
+    from relbetti.errors import FunctorialityViolation
+    from relbetti.homalg import identity_nat
+    from relbetti.poset import bit_elements
+
+    index = coll.index
+    for b in range(index.n):
+        into = {b: identity_nat(coll.obj(b))}
+        for a in reversed(bit_elements(index.down_bits()[b] & ~(1 << b))):
+            for c in index.children(a):
+                if not index.leq(c, b):
+                    continue
+                f = coll.arrow(a, c) @ into[c]
+                if a not in into:
+                    into[a] = f
+                elif f != into[a]:
+                    raise FunctorialityViolation(
+                        f"composite arrows from {index.names[b]!r} to "
+                        f"{index.names[a]!r} disagree through "
+                        f"{index.names[c]!r}"
+                    )
+    return coll
 
 
 def tampered_chain(res, how):

@@ -934,6 +934,33 @@ class TestInputErrors:
         assert r.stderr.startswith(f"error: {part} {key!r}")
         assert len(r.stderr.splitlines()) == 1
 
+    def test_member_over_another_poset_is_named(self):
+        # members are checked before the arrows that touch them are built
+        coll = self._explicit()
+        name = "0,0|0,1"
+        assert any(name in key.split("<") for key in coll["arrows"])
+        coll["objs"][name] = constant(Poset.grid(2, 1), 2).to_json()
+        r = run_cli("rbetti", "--collection", json.dumps(coll), "--dmax", "2",
+                    stdin=envelope(constant(Poset.grid(1, 2), 2), 2))
+        assert_input_error(r)
+        assert r.stderr == ("error: bad collection payload: member "
+                            f"{name!r} lives over a different poset\n")
+
+    def test_payload_is_parsed_before_members_are_checked(self):
+        # a member that is not a functor alone exits 1; validate runs once
+        # the whole payload is read, so a later arrow naming no index
+        # element makes the payload malformed first: exit 4
+        g = Poset.grid(1, 2)
+        coll = rectangles_naive(g, 2).to_json()
+        member = next(c for c in coll["objs"].values() if len(c["maps"]) == 4)
+        member["maps"]["0,0<0,1"] = [[0]]
+        coll["arrows"]["9,9|9,9<0,0|0,0"] = {}
+        r = run_cli("rbetti", "--collection", json.dumps(coll), "--dmax", "2",
+                    "--force", stdin=envelope(constant(g, 2), 2))
+        assert_input_error(r)
+        assert r.stderr == ("error: bad collection payload: arrow "
+                            "'9,9|9,9<0,0|0,0' names no index element "
+                            "'9,9|9,9'\n")
 
 _JUNK = st.one_of(
     st.integers(-(10**40), 10**40),

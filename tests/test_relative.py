@@ -25,6 +25,7 @@ from conftest import (
     oracle_flat,
     oracle_index_resolution,
     oracle_koszul_table,
+    oracle_path_independence,
     oracle_radical,
     oracle_relative_cover,
     random_free_map,
@@ -366,6 +367,75 @@ class TestCollectionFunctor:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 CollectionFunctor(base, index, 2, objs,
                                   {**arrows, key: arrows[(a, b)]})
+
+    @pytest.mark.parametrize("build", [
+        lambda: lower_hooks(Poset.grid(2, 2), 5),
+        lambda: lower_hooks_inf(Poset.grid(1, 2), 5),
+        lambda: rectangles_naive(Poset.grid(1, 2), 5),
+        lambda: rectangles_grid(2, 2, 5),
+        lambda: single_source_omega0(Poset.grid(1, 2), 5),
+        lambda: spreads_omega(Poset.grid(1, 2), 5),
+        lambda: all_subfunctors(Poset.grid(2, 2), 5),
+    ], ids=["lower_hooks", "lower_hooks_inf", "rectangles_naive",
+            "rectangles_grid", "single_source_omega0", "spreads_omega",
+            "all_subfunctors"])
+    def test_validate_names_the_oracle_witness(self, build):
+        # one arrow scaled by 2, or zeroed, stays natural, so only paths
+        # can disagree; validate reads components at generators, the
+        # oracle composes whole transformations, and both name the same
+        # first witness
+        coll = build()
+        objs = [coll.obj(a) for a in range(coll.index.n)]
+        arrows = {key: coll.arrow(*key) for key in coll.index.covers}
+
+        def witness(check, variant):
+            try:
+                check(variant)
+            except FunctorialityViolation as exc:
+                return str(exc)
+
+        refused = {"scaled": 0, "zeroed": 0}
+        for key, f in arrows.items():
+            scaled = NatTransformation(f.source, f.target, {
+                x: c.scale(2) for x, c in enumerate(f.comps)
+            })
+            zeroed = zero_nat(f.source, f.target)
+            for how, g in [("scaled", scaled), ("zeroed", zeroed)]:
+                variant = CollectionFunctor(
+                    coll.domain, coll.index, 5, objs, {**arrows, key: g}
+                )
+                got = witness(CollectionFunctor.validate, variant)
+                assert got == witness(oracle_path_independence, variant)
+                refused[how] += got is not None
+        assert all(refused.values())
+
+    def test_validate_names_member_and_arrow(self):
+        # an in-memory collection is refused by validate alone, which
+        # names the member that is not a functor or the arrow that is not
+        # natural
+        g = Poset.grid(1, 2)
+        square = {(a, b): Matrix([[1]], 5) for a, b in g.covers}
+        good = PersistenceModule(g, 5, [1] * 4, square)
+        bad = PersistenceModule(g, 5, [1] * 4, {
+            **square, (g.index("0,0"), g.index("0,1")): Matrix([[2]], 5)
+        })
+        index = Poset.from_covers(["lo", "hi"], [("lo", "hi")])
+        coll = CollectionFunctor(g, index, 5, [bad, bad],
+                                 {(0, 1): identity_nat(bad)})
+        with pytest.raises(FunctorialityViolation, match=(
+            "^member 'lo': composites to '1,1' from '0,0' disagree "
+            "through '1,0'$"
+        )):
+            coll.validate()
+        off = NatTransformation(good, good, {
+            x: Matrix([[2 if g.names[x] == "1,1" else 1]], 5)
+            for x in range(g.n)
+        })
+        coll = CollectionFunctor(g, index, 5, [good, good], {(0, 1): off})
+        with pytest.raises(FunctorialityViolation, match=(
+            "^arrow 'lo<hi': naturality fails on cover '0,1' < '1,1'$"
+        )):
+            coll.validate()
 
     def test_composite_arrows(self):
         _, index, coll = pruned_interval_collection()
