@@ -347,7 +347,7 @@ def _render_chain(args, res, poset, dmax, fields):
     ]
     if args.format == "table":
         lines = [_term_label(d, term) for d, term in enumerate(terms)]
-        sys.stdout.write("\n".join(lines) + "\n")
+        sys.stdout.write("\n".join(lines or ["(empty chain)"]) + "\n")
     elif args.format == "dot":
         total = sum(res.target.dims)
         lines = [f'  M [shape=box, label="target (total dim {total})"];']
@@ -660,7 +660,7 @@ def main(argv=None):
             file=sys.stderr,
         )
         return 2
-    except (RelbettiError, ValueError) as exc:
+    except RelbettiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

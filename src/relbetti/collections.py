@@ -20,7 +20,7 @@ two agree wherever the honest check is affordable.
 """
 import numpy as np
 
-from relbetti.errors import NotSemilattice, SizeBoundExceeded
+from relbetti.errors import NameClash, NotSemilattice, SizeBoundExceeded
 from relbetti.homalg import NatTransformation
 from relbetti.pmod import cached_identity, indicator
 from relbetti.poset import (
@@ -82,8 +82,8 @@ def _pair_index(base, slots):
     both coordinates; slots must list a linear extension of that order."""
     for nm in base.names:
         if "|" in nm:
-            raise ValueError(f"base element {nm!r} contains '|', which "
-                             "separates the pair names of the index")
+            raise NameClash(f"base element {nm!r} contains '|', which "
+                            "separates the pair names of the index")
     pos = {s: i for i, s in enumerate(slots)}
     covers = []
     for i, (v, w) in enumerate(slots):
@@ -118,8 +118,8 @@ def lower_hooks_inf(base, p):
     zero member at the top slot (inf, inf)."""
     _require_semilattice(base)
     if "inf" in base.names:
-        raise ValueError("base element 'inf' would clash with the added "
-                         "top slot of the index")
+        raise NameClash("base element 'inf' would clash with the added "
+                        "top slot of the index")
     inf = base.n
     maxima = base.max_elements(frozenset(range(base.n)))
     topped = Poset(base.names + ("inf",),

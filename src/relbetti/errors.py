@@ -63,6 +63,11 @@ class NotSubfunctor(RelbettiError):
     pass
 
 
+# collections
+class NameClash(RelbettiError):
+    """A base element's name clashes with an index name made from it."""
+
+
 # relative machinery
 class NotThin(RelbettiError):
     pass

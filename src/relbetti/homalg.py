@@ -674,65 +674,57 @@ class KoszulComplex:
     the corresponding meet elements. diffs[i] maps degree i+1 to degree i.
     """
 
-    def __init__(self, base, dims, diffs, index_sets, meets, p):
-        self.base = base
+    def __init__(self, dims, diffs, index_sets, meets, p):
         self.dims = tuple(dims)
         self.diffs = list(diffs)
-        self.index_sets = tuple(tuple(s) for s in index_sets)
-        self.meets = tuple(tuple(ms) for ms in meets)
+        self.index_sets = index_sets
+        self.meets = meets
         self.p = p
 
     def homology(self):
         return homology_dims(self.dims, self.diffs, self.p)
 
 
-def koszul(f, a, parent_order=None):
+def koszul(f, a):
     """Local Koszul complex of a module at an element.
 
     Degree d sums the module's values at the meets of the size-d bounded
-    below subsets of the parents of a (Poset.parent_meets, in
-    parent_order), with alternating-sign differentials induced by
-    dropping one parent at a time.  Only blocks between two nonzero
-    values are placed.
+    below subsets of the parents of a (Poset.parent_meets), with
+    alternating-sign differentials induced by dropping one parent at a
+    time, at the positions the walk's faces give.  Only blocks between
+    two nonzero values are placed.
     """
-    index_sets, meets, _ = f.poset.parent_meets(a, parent_order)
+    index_sets, meets, faces, _ = f.poset.parent_meets(a)
     fdims = f.dims
-    dims = [sum(fdims[mt] for mt in ms) for ms in meets]
+    # offsets[d][k] is the first row of the k-th block of degree d
+    offsets = [(0, *itertools.accumulate(fdims[mt] for mt in ms))
+               for ms in meets]
+    dims = [off[-1] for off in offsets]
     p = f.p
     diffs = []
-    for d in range(1, len(index_sets)):
+    for d in range(1, len(meets)):
         arr = np.zeros((dims[d - 1], dims[d]), dtype=np.int64)
         if arr.size:
-            lower_pos = {s: i for i, s in enumerate(index_sets[d - 1])}
-            lower_meets = meets[d - 1]
-            lower_off = [0]
-            for mt in lower_meets:
-                lower_off.append(lower_off[-1] + fdims[mt])
-            col = 0
-            for s, mt_s in zip(index_sets[d], meets[d]):
-                width = fdims[mt_s]
-                if not width:
+            rows, cols, lower = offsets[d - 1], offsets[d], meets[d - 1]
+            for k, (mt_s, face) in enumerate(zip(meets[d], faces[d])):
+                if not fdims[mt_s]:
                     continue
-                for i in range(len(s)):
-                    pos = lower_pos[s[:i] + s[i + 1:]]
-                    mt_t = lower_meets[pos]
-                    if not fdims[mt_t]:
+                for i, pos in enumerate(face):
+                    if rows[pos] == rows[pos + 1]:
                         continue
-                    block = f.map(mt_s, mt_t).a
-                    arr[
-                        lower_off[pos]:lower_off[pos + 1],
-                        col:col + width,
-                    ] = (-block) % p if i % 2 else block
-                col += width
+                    block = f.map(mt_s, lower[pos]).a
+                    arr[rows[pos]:rows[pos + 1], cols[k]:cols[k + 1]] = (
+                        (-block) % p if i % 2 else block
+                    )
         diffs.append(Matrix._trusted(arr, p))
-    return KoszulComplex(a, dims, diffs, index_sets, meets, p)
+    return KoszulComplex(dims, diffs, index_sets, meets, p)
 
 
 def _koszul_homology(f, a):
     """Homology dimensions of the local Koszul complex, one per degree it
     has.  A module that is zero at a and at every meet the complex sums
     over gives none, without the complex."""
-    if not f.poset.parent_meets(a)[2] & f.support_bits:
+    if not f.poset.parent_meets(a)[3] & f.support_bits:
         return []
     return koszul(f, a).homology()
 

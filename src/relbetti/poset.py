@@ -388,68 +388,69 @@ class Poset:
         b0 = lower.bit_length() - 1
         return b0 if not lower & ~self.down_bits()[b0] else None
 
-    def parent_meets(self, a, parent_order=None):
-        """(index_sets, meets, touched): the terms of the Koszul complex
-        at a.
+    def parent_meets(self, a):
+        """(index_sets, meets, faces, touched): the Koszul complex at a.
 
         index_sets[d] lists the bounded-below subsets of a's parents of
-        size d (the empty subset stands for a itself) and meets[d] their
-        meets; touched is the bitset of a and every meet.  The subsets are
-        walked level by level: each one of size d extends one of size d-1
-        by a later parent, so they come out in itertools.combinations
-        order of parent_order.  A subset's common lower bounds are the AND
-        of its parents' down-set bitsets; it is bounded below iff that is
+        size d (the empty subset stands for a itself), meets[d] their
+        meets and faces[d], per subset, the positions in index_sets[d-1]
+        of the subset less each of its parents, in order; touched is the
+        bitset of a and every meet.  The subsets are walked level by
+        level: each one of size d extends one of size d-1 by a later
+        parent, so they come out in itertools.combinations order of the
+        parents.  A subset's common lower bounds are the AND of its
+        parents' down-set bitsets; it is bounded below iff that is
         nonzero, and its meet is meet_of_bits of it.  A bounded-below
         subset without a meet raises MeetHypothesisFailed.
 
-        The walk without a parent_order (the parents' own order) is kept
-        per element, as down_bits is; a walk in a given order, or one that
-        fails, is not.
+        The walk is kept per element, as down_bits is, unless it raises.
         """
+        walk = self._parent_meets[a]
+        if walk is not None:
+            return walk
         parents = self._parents[a]
-        keep = parent_order is None
-        if keep:
-            if self._parent_meets[a] is not None:
-                return self._parent_meets[a]
-            parent_order = parents
-        else:
-            parent_order = tuple(parent_order)
-            if sorted(parent_order) != sorted(parents):
-                raise ValueError("parent_order must permute the parents")
         down = self.down_bits()
         index_sets = [((),)]
         meets = [(a,)]
+        faces = [((),)]
         touched = 1 << a
+        # each subset's position in its level, for all levels at once
+        position = {}
         # (subset, position of its last parent, bitset of its lower bounds);
         # the empty subset is bounded by everything, and -1 has every bit set
         level = [((), -1, -1)]
         while True:
-            grown = []
-            mts = []
-            for s, last, lower in level:
-                for j in range(last + 1, len(parent_order)):
-                    x = parent_order[j]
+            grown, mts, fcs = [], [], []
+            for k, (s, last, lower) in enumerate(level):
+                for j in range(last + 1, len(parents)):
+                    x = parents[j]
                     below = lower & down[x]
                     if not below:
                         continue
+                    t = s + (x,)
                     mt = self.meet_of_bits(below)
                     if mt is None:
-                        names = [self.names[y] for y in s + (x,)]
+                        names = [self.names[y] for y in t]
                         raise MeetHypothesisFailed(
                             f"parents {names} of {self.names[a]!r} are "
                             "bounded below but have no meet"
                         )
-                    grown.append((s + (x,), j, below))
+                    position[t] = len(grown)
+                    grown.append((t, j, below))
                     mts.append(mt)
+                    # t less x is s, at k; t less s[i] is s less s[i], plus x
+                    fcs.append((*[position[s[:i] + s[i + 1:] + (x,)]
+                                  for i in range(len(s))], k))
                     touched |= 1 << mt
             if not grown:
                 break
             level = grown
             index_sets.append(tuple(s for s, _, _ in grown))
             meets.append(tuple(mts))
-        walk = (tuple(index_sets), tuple(meets), touched)
-        if keep:
-            self._parent_meets[a] = walk
+            faces.append(tuple(fcs))
+        walk = self._parent_meets[a] = (
+            tuple(index_sets), tuple(meets), tuple(faces), touched
+        )
         return walk
 
     def meet_bounded(self, elements):

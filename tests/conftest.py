@@ -11,7 +11,10 @@ it counts components of overlapping supports and solves no linear system.
 oracle_meet_bounded and oracle_koszul are the plain skeleton construction
 (itertools.combinations, numpy reductions over the order matrix) that the
 bitset walk in relbetti.poset.Poset.parent_meets and the complex
-relbetti.homalg.koszul assembles on it must match exactly.
+relbetti.homalg.koszul assembles on it must match exactly.  oracle_koszul
+also walks the parents in any given order; reindexed moves a module to
+an isomorphic poset whose index order lists them in that order, where
+relbetti.homalg.koszul must assemble the same complex (koszul_key).
 tampered_chain breaks a resolution in one named way, for the chain
 checks to refuse.
 oracle_nat_basis solves naturality over every component at once, one
@@ -164,7 +167,8 @@ def oracle_join(poset, elements):
 
 
 def oracle_koszul(f, a, parent_order=None):
-    """Local Koszul complex at a, every subset and block built directly."""
+    """Local Koszul complex at a, every subset and block built directly,
+    with the parents walked in parent_order (default: their own)."""
     from relbetti.errors import MeetHypothesisFailed
     from relbetti.fieldlin import Matrix
     from relbetti.homalg import KoszulComplex
@@ -227,7 +231,62 @@ def oracle_koszul(f, a, parent_order=None):
                     upper_off[j]:upper_off[j + 1],
                 ] = block.a
         diffs.append(Matrix(arr, f.p))
-    return KoszulComplex(a, dims, diffs, index_sets, meets, f.p)
+    return KoszulComplex(dims, diffs, tuple(index_sets), tuple(meets), f.p)
+
+
+def reindexed(m, a, order):
+    """(moved, new): m moved to an isomorphic poset whose index order
+    lists a's parents in the given order, a permutation of them, with
+    new[x] the new index of old element x.  The parents form an
+    antichain, so chaining them in that order keeps the order acyclic;
+    the index order is a linear extension of both, taking the smallest
+    old index first."""
+    import heapq
+
+    from relbetti.pmod import PersistenceModule
+    from relbetti.poset import Poset
+
+    poset = m.poset
+    order = tuple(order)
+    if sorted(order) != sorted(poset.parents(a)):
+        raise ValueError("order must permute the parents")
+    succ = [list(poset.children(x)) for x in range(poset.n)]
+    for x, y in zip(order, order[1:]):
+        succ[x].append(y)
+    indegree = [0] * poset.n
+    for ys in succ:
+        for y in ys:
+            indegree[y] += 1
+    ready = [x for x in range(poset.n) if not indegree[x]]
+    old = []
+    while ready:
+        x = heapq.heappop(ready)
+        old.append(x)
+        for y in succ[x]:
+            indegree[y] -= 1
+            if not indegree[y]:
+                heapq.heappush(ready, y)
+    new = {x: i for i, x in enumerate(old)}
+    covers = {(new[x], new[y]): (x, y) for x, y in poset.covers}
+    moved = Poset([poset.names[x] for x in old], list(covers))
+    maps = {c: m.cover_map(*xy) for c, xy in covers.items()}
+    return PersistenceModule(moved, m.p, [m.dims[x] for x in old], maps), new
+
+
+def koszul_key(k, new=None):
+    """A Koszul complex as comparable data: its subsets and meets, with
+    every element x read as new[x] when new is given, its dims and its
+    differentials' entries."""
+    def rename(x):
+        return x if new is None else new[x]
+
+    return (
+        tuple(tuple(tuple(map(rename, s)) for s in level)
+              for level in k.index_sets),
+        tuple(tuple(map(rename, ms)) for ms in k.meets),
+        tuple(k.dims),
+        tuple((g.p, g.a.shape, g.a.tolist()) for g in k.diffs),
+    )
 
 
 def _indicator_support(m):

@@ -25,7 +25,13 @@ from relbetti.collections import (
 )
 from relbetti.fieldlin import Matrix
 from relbetti.homalg import NatTransformation, betti, koszul
-from relbetti.pmod import PersistenceModule, constant, free, m0_demo
+from relbetti.pmod import (
+    PersistenceModule,
+    constant,
+    free,
+    m0_demo,
+    zero_module,
+)
 from relbetti.pmod import validate as validate_module
 from relbetti.poset import Poset
 from relbetti.relative import CollectionFunctor, relative_betti_diagram
@@ -390,6 +396,22 @@ class TestRresolve:
             stdin=run_cli("demo", "m0").stdout,
         )
         assert r.returncode == 4
+
+    def test_empty_chain_in_every_format(self):
+        # the collection sees nothing of a zero module: no terms at all
+        zero = envelope(zero_module(Poset.grid(1, 2), 2), 2)
+        argv = ["rresolve", "--collection", "lower_hooks", "--dmax", "2"]
+        out = {
+            fmt: run_cli(*argv, "--format", fmt, stdin=zero)
+            for fmt in ("json", "table", "dot")
+        }
+        assert all(r.returncode == 0 for r in out.values())
+        assert json.loads(out["json"].stdout)["terms"] == []
+        assert out["table"].stdout == "(empty chain)\n"
+        assert out["dot"].stdout == (
+            "digraph resolution {\n  rankdir=LR;\n"
+            '  M [shape=box, label="target (total dim 0)"];\n}\n'
+        )
 
 
 class TestKoszul:

@@ -33,7 +33,7 @@ from relbetti.collections import (
     spreads_omega,
     translated,
 )
-from relbetti.errors import NotSemilattice, SizeBoundExceeded
+from relbetti.errors import NameClash, NotSemilattice, SizeBoundExceeded
 from relbetti.fieldlin import Matrix, rank
 from relbetti.homalg import (
     NatTransformation,
@@ -523,18 +523,18 @@ class TestPairNameConstraints:
     )
     def test_separator_in_a_base_name_is_refused(self, build):
         base = Poset.from_covers(["a", "x|y"], [("a", "x|y")])
-        with pytest.raises(ValueError, match=r"'x\|y'"):
+        with pytest.raises(NameClash, match=r"'x\|y'"):
             build(base, 2)
 
     def test_separator_in_a_base_name_is_refused_by_spreads_omega(self):
         # its index names pair antichain names, which hold the base names
         base = Poset.from_covers(["a", "x|y"], [("a", "x|y")])
-        with pytest.raises(ValueError, match=r"'\{x\|y\}'"):
+        with pytest.raises(NameClash, match=r"'\{x\|y\}'"):
             spreads_omega(base, 2)
 
     def test_inf_base_name_is_refused_by_lower_hooks_inf(self):
         base = Poset.from_covers(["a", "inf"], [("a", "inf")])
-        with pytest.raises(ValueError, match="'inf'"):
+        with pytest.raises(NameClash, match="'inf'"):
             lower_hooks_inf(base, 2)
         # the other pair builders add no inf slot
         assert lower_hooks(base, 2).index.n == 3

@@ -12,6 +12,7 @@ from conftest import (
     hook_hom_dim,
     hook_pair_hom_dim,
     indicator_hom_dim,
+    koszul_key,
     longest_chain,
     oracle_cokernel,
     oracle_coords,
@@ -26,6 +27,7 @@ from conftest import (
     random_module,
     random_poset_covers,
     random_semilattice,
+    reindexed,
     tampered_chain,
 )
 from relbetti.collections import (
@@ -74,6 +76,7 @@ from relbetti.homalg import (
     is_exact,
     kernel,
     koszul,
+    koszul_betti_diagram,
     koszul_table,
     minimal_cover,
     minimal_resolution,
@@ -598,9 +601,9 @@ class TestKoszul:
              else indicator(cold, [top], 2))
         assembled = []
 
-        def counted(f, a, parent_order=None):
+        def counted(f, a):
             assembled.append(a)
-            return koszul(f, a, parent_order)
+            return koszul(f, a)
 
         monkeypatch.setattr("relbetti.homalg.koszul", counted)
         for _ in range(2):
@@ -616,13 +619,17 @@ class TestKoszul:
         assert betti_koszul(m, g.index("3,4"), 1) == [0, 0]
 
     def test_parent_order_invariance(self):
+        # m0 reindexed so that 3,2's parents come in every order: koszul
+        # assembles the oracle's complex in that order, with the same
+        # homology
         m = m0_demo(2)
-        g = m.poset
-        a = g.index("3,2")
-        parents = g.parents(a)
+        a = m.poset.index("3,2")
         base = koszul(m, a).homology()
-        for perm in itertools.permutations(parents):
-            assert koszul(m, a, parent_order=perm).homology() == base
+        for perm in itertools.permutations(m.poset.parents(a)):
+            moved, new = reindexed(m, a, perm)
+            k = koszul(moved, new[a])
+            assert koszul_key(k) == koszul_key(oracle_koszul(m, a, perm), new)
+            assert k.homology() == base
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -639,6 +646,36 @@ class TestKoszul:
             kos = betti_koszul(m, a, dmax)
             for d in range(dmax + 1):
                 assert b.get(d, a) == kos[d], (seed, a, d)
+
+    def test_betti_equals_koszul_wherever_every_walk_succeeds(self):
+        # betti --method koszul refuses a poset only where a meet is
+        # missing, not where a join is: random covers on 3-11 elements
+        # whose every walk succeeds, most of them not upper semilattices
+        rng = np.random.default_rng(28)
+        drawn = []
+        while len(drawn) < 150:
+            names, covers, _ = random_poset_covers(
+                rng, int(rng.integers(3, 12))
+            )
+            poset = Poset.from_covers(
+                names, [(names[x], names[y]) for x, y in covers]
+            )
+            try:
+                for a in range(poset.n):
+                    poset.parent_meets(a)
+            except MeetHypothesisFailed:
+                continue
+            drawn.append(poset)
+        for i, poset in enumerate(drawn):
+            p = (2, 3, 5)[i % 3]
+            if i % 2:
+                m = base_change(rng, random_interval_sum(rng, poset, p))
+            else:
+                m = random_module(rng, poset, p)
+            dmax = poset.n + 1
+            assert betti(m, dmax) == koszul_betti_diagram(m, dmax), i
+        off = sum(not poset.is_upper_semilattice() for poset in drawn)
+        assert off >= 100, off
 
 
     @settings(max_examples=20, deadline=None)
@@ -715,9 +752,11 @@ def _interval_module(rng, poset, p):
 def test_koszul_matches_oracle(seed, kind, p, module):
     # random covers include non-lattices; the meet hypothesis fails on
     # about one in nine of them at these sizes.  betti_koszul must give
-    # the padded oracle homology on a fresh poset (no walk recorded yet),
-    # after walks in permuted orders, and on other modules over the
-    # same poset, which then skip the complex wherever they vanish
+    # the padded oracle homology on a fresh poset (no walk kept yet),
+    # after koszul assembled the complex, and on other modules over the
+    # same poset, which then skip the complex wherever they vanish.
+    # koszul must give the oracle's complex in the parents' own order
+    # and, on a reindexed poset, in a random order of them
     rng = np.random.default_rng(seed)
     if kind == "covers":
         names, covers, _ = random_poset_covers(rng, int(rng.integers(4, 12)))
@@ -738,18 +777,23 @@ def test_koszul_matches_oracle(seed, kind, p, module):
     for a in range(poset.n):
         order = tuple(int(x) for x in rng.permutation(poset.parents(a)))
         expect = [_padded_homology(g, a, dmax) for g in [f, *others]]
-        permuted_first = bool(rng.integers(0, 2))
-        if not permuted_first:
+        assembled_first = bool(rng.integers(0, 2))
+        if not assembled_first:
             _assert_same_outcome(
                 _outcome(betti_koszul, f, a, dmax), expect[0]
             )
-        want = _outcome(oracle_koszul, f, a, order)
-        got = _outcome(koszul, f, a, order)
+        want = _outcome(oracle_koszul, f, a)
+        got = _outcome(koszul, f, a)
         for g, e in zip([f, *others], expect):
             _assert_same_outcome(_outcome(betti_koszul, g, a, dmax), e)
+        moved, new = reindexed(f, a, order)
+        want_moved = _outcome(oracle_koszul, f, a, order)
+        got_moved = _outcome(koszul, moved, new[a])
         if isinstance(want, Exception):
-            assert type(got) is type(want) and str(got) == str(want)
+            _assert_same_outcome(got, want)
+            _assert_same_outcome(got_moved, want_moved)
             continue
+        assert koszul_key(got_moved) == koszul_key(want_moved, new)
         assert got.index_sets == want.index_sets
         assert got.meets == want.meets
         assert got.dims == want.dims

@@ -334,15 +334,19 @@ class TestParentMeets:
                 continue
             kept = p.parent_meets(a)
             assert p.parent_meets(a) is kept
-            # a walk in a given order is never kept
-            assert p.parent_meets(a, list(p.parents(a))) == kept
-            reversed_walk = p.parent_meets(a, p.parents(a)[::-1])
-            assert reversed_walk[2] == kept[2]
-            assert p.parent_meets(a) is kept
             assert fresh.parent_meets(a) == kept
-            index_sets, meets, touched = kept
+            index_sets, meets, faces, touched = kept
             assert index_sets == want.index_sets
             assert meets == want.meets
+            # a subset's faces are the positions one level down of the
+            # subset less each of its parents, in order
+            assert faces[0] == ((),)
+            assert [len(f) for f in faces] == [len(s) for s in index_sets]
+            for d in range(1, len(index_sets)):
+                for s, face in zip(index_sets[d], faces[d]):
+                    assert [index_sets[d - 1][k] for k in face] == [
+                        tuple(y for y in s if y != x) for x in s
+                    ]
             bits = 0
             for x in itertools.chain.from_iterable(meets):
                 bits |= 1 << x
