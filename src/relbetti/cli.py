@@ -81,15 +81,27 @@ def _input_error(what=None):
         raise InputError(f"{what}: {exc}" if what else str(exc)) from None
 
 
-def _read_payload(path):
-    if path == "-":
-        text = sys.stdin.read()
+def _read_json(source, what, inline=False):
+    """The JSON object in a file, in stdin (source "-") or, inline, in
+    source itself.  Bytes that are not UTF-8, nesting too deep to parse,
+    a number with more digits than Python converts and a value that is
+    not an object are all malformed JSON; what names the input in that
+    last refusal."""
+    if inline:
+        text = source
+    elif source == "-":
+        text = sys.stdin.buffer.read()
     else:
-        with open(path) as fh:
+        with open(source, "rb") as fh:
             text = fh.read()
-    obj = json.loads(text)
+    try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"malformed JSON: {exc}") from None
     if not isinstance(obj, dict):
-        raise InputError("payload must be a JSON object")
+        raise InputError(f"malformed JSON: {what} must be an object")
     return obj
 
 
@@ -98,21 +110,10 @@ def _field(p, source):
         return check_modulus(p)
 
 
-def _resolve_p(obj, field):
-    stored = obj.get("p")
-    if stored is not None:
-        stored = _field(stored, "payload p")
-    if field is not None:
-        field = _field(field, "--field")
-    if stored is not None and field is not None and stored != field:
-        raise InputError(
-            f"payload says p={stored} but --field says {field}"
-        )
-    if stored is not None:
-        return stored
-    if field is not None:
-        return field
-    raise InputError('no characteristic: give a "p" key or --field')
+def _payload_p(obj):
+    if obj.get("p") is None:
+        raise InputError('payload has no "p"')
+    return _field(obj["p"], "payload p")
 
 
 def _nonnegative(text):
@@ -154,11 +155,6 @@ def _emit(payload):
     )
 
 
-def _only_json(args):
-    if args.format != "json":
-        raise InputError(f"this verb has no {args.format} rendering")
-
-
 # -- collection builders -----------------------------------------------
 
 _PLAIN_BUILTINS = {
@@ -179,7 +175,6 @@ BUILTIN_NAMES = sorted(
 _BUILTIN_PARAMS = {
     "singleton": {"member"},
     "translated": {"T"},
-    "rectangles_grid": {"n", "r"},
 }
 
 
@@ -211,30 +206,9 @@ def _build_builtin(name, params, base, p, bound):
                 base, [[parse_nonnegative(c) for c in t] for t in T], p
             )
     if name == "rectangles_grid":
-        if "n" in params or "r" in params:
-            if "n" not in params or "r" not in params:
-                raise InputError("rectangles_grid params need n and r")
-            with _input_error("rectangles_grid params"):
-                n = parse_nonnegative(params["n"])
-                r = parse_nonnegative(params["r"])
-            if r < 1:
-                raise InputError("rectangles_grid params need r >= 1")
-            # checked before building, since a large grid's collection
-            # allocates; a grid payload compares by shape alone
-            if (
-                base.grid_shape != (n, r) if base.grid_shape is not None
-                else Poset.grid(n, r) != base
-            ):
-                raise PosetMismatch(
-                    "rectangles_grid shape disagrees with the payload poset"
-                )
-        elif base.grid_shape is not None:
-            n, r = base.grid_shape
-        else:
-            raise InputError(
-                "rectangles_grid needs grid params or a grid-shaped poset"
-            )
-        return rectangles_grid(n, r, p)
+        if base.grid_shape is None:
+            raise InputError('rectangles_grid needs a {"grid": ...} poset')
+        return rectangles_grid(*base.grid_shape, p)
 
 
 def _collection_from_flag(text, base, p, bound):
@@ -243,21 +217,16 @@ def _collection_from_flag(text, base, p, bound):
     Returns (collection, label) where the label names the builtin or is
     "explicit" for a collection given in full.
     """
-    if text is None:
-        raise InputError("this verb needs --collection")
     if text.lstrip().startswith("{"):
-        obj = json.loads(text)
+        obj = _read_json(text, "--collection", inline=True)
     elif text in BUILTIN_NAMES:
         obj = {"builtin": text}
     elif os.path.exists(text):
-        with open(text) as fh:
-            obj = json.loads(fh.read())
+        obj = _read_json(text, "--collection")
     else:
         raise InputError(
             f"--collection {text!r} is not a builtin name, JSON, or file"
         )
-    if not isinstance(obj, dict):
-        raise InputError("--collection JSON must be an object")
     if "builtin" in obj:
         params = obj.get("params", {})
         if not isinstance(params, dict):
@@ -388,7 +357,7 @@ def _render_diagram(args, diagram, poset, dmax, fields):
 def _cmd_demo(args):
     if args.target != "m0":
         raise InputError(f"unknown demo target {args.target!r}; have: m0")
-    p = 2 if args.field is None else _field(args.field, "--field")
+    p = _field(args.field, "--field")
     m = m0_demo(p)
     if args.format == "json":
         _emit({"p": p, "module": m.to_json()})
@@ -407,13 +376,12 @@ def _cmd_demo(args):
 
 
 def _cmd_validate(args):
-    _only_json(args)
-    obj = _read_payload(args.input)
+    obj = _read_json(args.input, "payload")
     has_module = "module" in obj
     has_coll = "collection" in obj
     if has_module == has_coll:
         raise InputError('payload needs exactly one of "module", "collection"')
-    p = _resolve_p(obj, args.field)
+    p = _payload_p(obj)
     if has_module:
         _load_module(obj["module"], p)
         _emit({"ok": True, "kind": "module", "p": p})
@@ -424,8 +392,8 @@ def _cmd_validate(args):
 
 def _module_input(args):
     """The payload's module and the modulus it is read with."""
-    obj = _read_payload(args.input)
-    p = _resolve_p(obj, args.field)
+    obj = _read_json(args.input, "payload")
+    p = _payload_p(obj)
     return _load_module(obj.get("module"), p), p
 
 
@@ -476,10 +444,6 @@ def _cmd_resolve(args):
 def _cmd_rresolve(args):
     m, p = _module_input(args)
     coll, label = _collection_over(args, m, p)
-    if args.dmax is None:
-        raise InputError(
-            "rresolve needs --dmax: relative chains can be unbounded"
-        )
     res = relative_minimal_resolution(coll, m, args.dmax)
     _render_chain(
         args, res, coll.index, args.dmax, {"collection": label, "p": p}
@@ -487,10 +451,7 @@ def _cmd_rresolve(args):
 
 
 def _cmd_koszul(args):
-    _only_json(args)
     m, p = _module_input(args)
-    if args.at is None:
-        raise InputError("koszul needs --at NAME")
     if args.at not in m.poset.names:
         raise InputError(f"no element named {args.at!r}")
     a = m.poset.index(args.at)
@@ -522,9 +483,8 @@ def _check_record(fn, coll):
 
 
 def _cmd_check(args):
-    _only_json(args)
-    obj = _read_payload(args.input)
-    p = _resolve_p(obj, args.field)
+    obj = _read_json(args.input, "payload")
+    p = _payload_p(obj)
     if args.collection is not None:
         coll, label = _collection_from_flag(
             args.collection, _base_poset(obj), p, args.max_antichains
@@ -556,14 +516,10 @@ def _cmd_check(args):
 
 
 def _parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--field", type=int, default=None, metavar="P",
-        help="field characteristic; fills in a missing payload p",
-    )
-    common.add_argument(
+    rendering = argparse.ArgumentParser(add_help=False)
+    rendering.add_argument(
         "--format", choices=("json", "dot", "table"), default="json",
-        help="output rendering (default json; not every verb has all three)",
+        help="output rendering (default json)",
     )
 
     payload = argparse.ArgumentParser(add_help=False)
@@ -579,16 +535,18 @@ def _parser():
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    s = sub.add_parser("demo", parents=[common],
+    s = sub.add_parser("demo", parents=[rendering],
                        help="write a worked example payload")
     s.add_argument("target", help="which example; currently: m0")
+    s.add_argument("--field", type=int, default=2, metavar="P",
+                   help="field characteristic of the payload (default 2)")
     s.set_defaults(fn=_cmd_demo)
 
-    s = sub.add_parser("validate", parents=[common, payload],
+    s = sub.add_parser("validate", parents=[payload],
                        help="check a module or collection payload")
     s.set_defaults(fn=_cmd_validate)
 
-    s = sub.add_parser("betti", parents=[common, payload],
+    s = sub.add_parser("betti", parents=[rendering, payload],
                        help="standard multiplicity table")
     s.add_argument("--method", choices=("resolution", "koszul"),
                    default="resolution")
@@ -596,11 +554,11 @@ def _parser():
                    help="truncation degree (default: poset size)")
     s.set_defaults(fn=_cmd_betti)
 
-    s = sub.add_parser("rbetti", parents=[common, payload],
+    s = sub.add_parser("rbetti", parents=[rendering, payload],
                        help="relative multiplicity table")
     s.add_argument("--method", choices=("resolution", "koszul"),
                    default="koszul")
-    s.add_argument("--collection", default=None,
+    s.add_argument("--collection", required=True,
                    help="builtin name, inline JSON, or file")
     s.add_argument("--dmax", type=_nonnegative, default=None,
                    help="truncation degree (default: index size)")
@@ -610,24 +568,26 @@ def _parser():
     s.add_argument("--max-antichains", type=_nonnegative, default=None)
     s.set_defaults(fn=_cmd_rbetti)
 
-    s = sub.add_parser("resolve", parents=[common, payload],
+    s = sub.add_parser("resolve", parents=[rendering, payload],
                        help="minimal free resolution")
     s.add_argument("--dmax", type=_nonnegative, default=None)
     s.set_defaults(fn=_cmd_resolve)
 
-    s = sub.add_parser("rresolve", parents=[common, payload],
+    s = sub.add_parser("rresolve", parents=[rendering, payload],
                        help="relative minimal resolution")
-    s.add_argument("--collection", default=None)
-    s.add_argument("--dmax", type=_nonnegative, default=None)
+    s.add_argument("--collection", required=True)
+    s.add_argument("--dmax", type=_nonnegative, required=True,
+                   help="truncation degree; relative chains can be "
+                   "unbounded")
     s.add_argument("--max-antichains", type=_nonnegative, default=None)
     s.set_defaults(fn=_cmd_rresolve)
 
-    s = sub.add_parser("koszul", parents=[common, payload],
+    s = sub.add_parser("koszul", parents=[payload],
                        help="local complex at one element")
-    s.add_argument("--at", default=None, metavar="NAME")
+    s.add_argument("--at", required=True, metavar="NAME")
     s.set_defaults(fn=_cmd_koszul)
 
-    s = sub.add_parser("check", parents=[common, payload],
+    s = sub.add_parser("check", parents=[payload],
                        help="report collection properties")
     s.add_argument("--collection", default=None)
     s.add_argument("--thin", action="store_true")
@@ -644,9 +604,6 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         args.fn(args)
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
-        return 4
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

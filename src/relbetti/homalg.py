@@ -617,7 +617,7 @@ class Resolution:
 
     def _check_minimal(self):
         n = self.target.poset.n
-        for d in range(self.length + 1):
+        for d in range(len(self.terms)):
             rad = radical(self.terms[d])
             for a in range(n):
                 if d < self.length:
@@ -638,8 +638,11 @@ class Resolution:
 
 
 def minimal_resolution(m, dmax):
-    """Iterated minimal covers of successive kernels, up to degree dmax."""
+    """Iterated minimal covers of successive kernels, up to degree dmax;
+    a module with no support resolves by the empty chain."""
     def cover(cur):
+        if sum(cur.dims) == 0:
+            return None
         cov = minimal_cover(cur)
         return cov, cov.source.free_generators
     return Resolution.resolve(m, dmax, cover)

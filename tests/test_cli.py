@@ -7,6 +7,7 @@ the library suites already established through two independent routes,
 or direct comparisons against an in-process computation (the subprocess
 boundary is then the thing under test).
 """
+import argparse
 import json
 import os
 import subprocess
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_module
+from relbetti import cli
 from relbetti.collections import (
     lower_hooks,
     rectangles_grid,
@@ -217,21 +219,12 @@ class TestValidate:
         assert r.returncode == 1
         assert "error" in r.stderr
 
-    def test_field_fills_missing_p(self):
-        m = constant(chain(1), 3)
-        payload = json.dumps({"module": m.to_json()})
-        out = run_json("validate", "--field", "3", stdin=payload)
-        assert out["p"] == 3
-
-    def test_field_conflict_is_malformed(self):
-        r = run_cli("validate", "--field", "3",
-                    stdin=run_cli("demo", "m0").stdout)
-        assert r.returncode == 4
-
     def test_missing_p_is_malformed(self):
+        # the payload is the only source of p
         m = constant(chain(1), 3)
         r = run_cli("validate", stdin=json.dumps({"module": m.to_json()}))
-        assert r.returncode == 4
+        assert_input_error(r)
+        assert r.stderr == 'error: payload has no "p"\n'
 
     def test_garbage_is_malformed(self):
         assert run_cli("validate", stdin="not json").returncode == 4
@@ -398,20 +391,27 @@ class TestRresolve:
         assert r.returncode == 4
 
     def test_empty_chain_in_every_format(self):
-        # the collection sees nothing of a zero module: no terms at all
+        # a zero module resolves by the chain with no terms at all, in
+        # the standard resolution and relative to a collection
         zero = envelope(zero_module(Poset.grid(1, 2), 2), 2)
-        argv = ["rresolve", "--collection", "lower_hooks", "--dmax", "2"]
-        out = {
-            fmt: run_cli(*argv, "--format", fmt, stdin=zero)
-            for fmt in ("json", "table", "dot")
-        }
-        assert all(r.returncode == 0 for r in out.values())
-        assert json.loads(out["json"].stdout)["terms"] == []
-        assert out["table"].stdout == "(empty chain)\n"
-        assert out["dot"].stdout == (
-            "digraph resolution {\n  rankdir=LR;\n"
-            '  M [shape=box, label="target (total dim 0)"];\n}\n'
-        )
+        for argv in (
+            ["resolve"],
+            ["rresolve", "--collection", "lower_hooks", "--dmax", "2"],
+        ):
+            out = {
+                fmt: run_cli(*argv, "--format", fmt, stdin=zero)
+                for fmt in ("json", "table", "dot")
+            }
+            assert all(r.returncode == 0 for r in out.values())
+            got = json.loads(out["json"].stdout)
+            assert (got["terms"], got["length"], got["complete"]) == (
+                [], 0, True
+            )
+            assert out["table"].stdout == "(empty chain)\n"
+            assert out["dot"].stdout == (
+                "digraph resolution {\n  rankdir=LR;\n"
+                '  M [shape=box, label="target (total dim 0)"];\n}\n'
+            )
 
 
 class TestKoszul:
@@ -628,6 +628,71 @@ class TestUsageErrors:
         assert r.returncode == 4
 
 
+# each verb's options; the parser may hold no other
+VERB_OPTIONS = {
+    "demo": {"--field", "--format"},
+    "validate": set(),
+    "betti": {"--format", "--method", "--dmax"},
+    "rbetti": {"--format", "--method", "--collection", "--dmax", "--force",
+               "--max-antichains"},
+    "resolve": {"--format", "--dmax"},
+    "rresolve": {"--format", "--collection", "--dmax", "--max-antichains"},
+    "koszul": {"--at"},
+    "check": {"--collection", "--thin", "--flat", "--degeneracy",
+              "--max-antichains"},
+}
+REQUIRED_OPTIONS = {
+    "rbetti": {"--collection"},
+    "rresolve": {"--collection", "--dmax"},
+    "koszul": {"--at"},
+}
+
+
+class TestOptionSurface:
+    def test_each_verb_holds_exactly_its_options(self):
+        parser = cli._parser()
+        verbs = next(
+            a.choices for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        got, required = {}, {}
+        for verb, sub in verbs.items():
+            opts = [a for a in sub._actions if a.option_strings]
+            got[verb] = {
+                s for a in opts for s in a.option_strings
+            } - {"-h", "--help"}
+            if any(a.required for a in opts):
+                required[verb] = {a.option_strings[0] for a in opts
+                                  if a.required}
+        assert got == VERB_OPTIONS
+        assert required == REQUIRED_OPTIONS
+
+    @pytest.mark.parametrize(
+        "argv, payload, message",
+        [(["betti", "--field", "3"], "m0", "unrecognized arguments"),
+         (["validate", "--field", "3"], "m0", "unrecognized arguments"),
+         (["validate", "--format", "json"], "m0", "unrecognized arguments"),
+         (["rbetti", "--collection",
+           '{"builtin": "rectangles_grid", "params": {"n": 5, "r": 2}}'],
+          "m0", "builtin 'rectangles_grid' reads no param 'n'"),
+         (["betti"], "no-p", 'payload has no "p"'),
+         (["rresolve", "--collection", "lower_hooks"], "m0",
+          "the following arguments are required: --dmax"),
+         (["koszul"], "m0", "the following arguments are required: --at")],
+        ids=["betti-field", "validate-field", "validate-format",
+             "grid-params", "no-p", "rresolve-dmax", "koszul-at"],
+    )
+    def test_removed_input_is_refused(self, argv, payload, message):
+        # p comes from the payload, a grid's shape from its poset, and a
+        # verb's parser refuses every option it does not read
+        obj = json.loads(M0_PAYLOAD)
+        if payload == "no-p":
+            del obj["p"]
+        r = run_cli(*argv, stdin=json.dumps(obj))
+        assert_input_error(r)
+        assert message in r.stderr
+
+
 # the module with one element and one dimension there
 POINT_MODULE = {"poset": {"elements": ["0,0"], "covers": []},
                 "dims": {"0,0": 1}}
@@ -650,10 +715,31 @@ class TestInputErrors:
         assert_input_error(run_cli("betti", stdin=json.dumps(obj)))
 
     def test_nonprime_field_flag(self):
-        m = constant(chain(1), 3)
-        payload = json.dumps({"module": m.to_json()})
-        assert_input_error(run_cli("validate", "--field", "4", stdin=payload))
-        assert_input_error(run_cli("demo", "m0", "--field", "4"))
+        # --field belongs to demo, the one verb that has no payload
+        r = run_cli("demo", "m0", "--field", "4")
+        assert_input_error(r)
+        assert r.stderr == "error: --field: modulus must be prime, got 4\n"
+
+    @pytest.mark.parametrize(
+        "argv, stdin",
+        [(["betti", "FILE"], None),
+         (["rbetti", "--collection", "FILE"], "m0"),
+         (["betti"], "[" * 200000),
+         (["rbetti", "--collection", '{"a":' * 20000], "m0"),
+         (["betti"], '{"p": ' + "1" * 5000 + "}")],
+        ids=["payload-bytes", "collection-bytes", "payload-depth",
+             "collection-depth", "payload-digits"],
+    )
+    def test_unreadable_json_is_malformed(self, tmp_path, argv, stdin):
+        # bytes that are not UTF-8 in a payload or --collection file,
+        # nesting too deep to parse on stdin or in inline --collection
+        # JSON, and a number with more digits than Python converts
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff")
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        r = run_cli(*argv, stdin=M0_PAYLOAD if stdin == "m0" else stdin)
+        assert_input_error(r)
+        assert r.stderr.startswith("error: malformed JSON: ")
 
     @pytest.mark.parametrize("verb", ["rbetti", "rresolve", "check"])
     def test_negative_max_antichains(self, verb):
@@ -670,7 +756,7 @@ class TestInputErrors:
         [("all_subfunctors", {"max_antichains": 5}, "max_antichains"),
          ("lower_hooks", {"x": 1, "max_antichains": 5}, "max_antichains"),
          ("translated", {"t": [[0, 1], [1, 0]]}, "t"),
-         ("rectangles_grid", {"n": 5, "r": 2, "shift": 1}, "shift")],
+         ("rectangles_grid", {"shift": 1}, "shift")],
         ids=["leftover-bound", "first-sorted", "typo", "extra"],
     )
     def test_unread_builtin_params_refused(self, name, params, key):
@@ -688,37 +774,35 @@ class TestInputErrors:
         "params",
         [{"n": 5.5, "r": 2}, {"n": 5, "r": 2.0}, {"n": "5", "r": True},
          {"n": None, "r": 2}, {"n": -1, "r": 2}, {"n": 5, "r": 0},
-         {"n": 5}],
+         {"n": 5}, {"n": 1, "r": 10**40}, {"n": 99, "r": 2},
+         {"n": 4, "r": 2}],
         ids=["float-n", "float-r", "bool-r", "null-n", "negative-n",
-             "zero-r", "missing-r"],
+             "zero-r", "missing-r", "huge-r", "large-n", "other-shape"],
     )
     def test_bad_rectangles_grid_params(self, params):
-        demo = run_cli("demo", "m0").stdout
-        spec = {"builtin": "rectangles_grid", "params": params}
-        r = run_cli(
-            "rbetti", "--collection", json.dumps(spec), stdin=demo
-        )
-        assert_input_error(r)
-        assert "rectangles_grid" in r.stderr
-
-    @pytest.mark.parametrize(
-        "params",
-        [{"n": 1, "r": 10**40}, {"n": 99, "r": 2}, {"n": 4, "r": 2}],
-        ids=["huge-r", "large-n", "other-shape"],
-    )
-    def test_rectangles_grid_params_checked_before_building(self, params):
-        # a shape other than the payload's is refused before its
-        # collection (about 25 million members at n = 99) is built
+        # the grid's shape is the payload poset's, so a stated shape is an
+        # unread param, refused before any collection (about 25 million
+        # members at n = 99) is built
         demo = run_cli("demo", "m0").stdout
         spec = {"builtin": "rectangles_grid", "params": params}
         r = run_cli(
             "rbetti", "--collection", json.dumps(spec), stdin=demo,
             timeout=60,
         )
-        assert r.returncode == 1, r.stderr
-        assert r.stdout == ""
-        assert r.stderr.startswith("error: rectangles_grid shape disagrees")
-        assert len(r.stderr.splitlines()) == 1
+        assert_input_error(r)
+        assert r.stderr == (
+            "error: builtin 'rectangles_grid' reads no param 'n'\n"
+        )
+
+    def test_rectangles_grid_needs_a_grid_poset(self):
+        # an explicit poset states no shape, even when it is a grid's
+        module = constant(chain(1), 2).to_json()
+        r = run_cli("rbetti", "--collection", "rectangles_grid",
+                    stdin=json.dumps({"p": 2, "module": module}))
+        assert_input_error(r)
+        assert r.stderr == (
+            'error: rectangles_grid needs a {"grid": ...} poset\n'
+        )
 
     @pytest.mark.parametrize(
         "T",
@@ -1053,8 +1137,7 @@ _SPEC_PAYLOAD = json.dumps(
 @settings(max_examples=40, deadline=None)
 @given(
     part=st.sampled_from(
-        ["name", "n", "r", "T", "shift", "max_antichains", "member",
-         "params"]
+        ["name", "T", "shift", "max_antichains", "member", "params"]
     ),
     key=st.sampled_from(["poset", "dims", "maps"]),
     value=_JUNK,
@@ -1064,10 +1147,6 @@ def test_mutated_collection_spec(part, key, value):
     # a failure prints one error line and nothing on stdout
     if part == "name":
         spec = {"builtin": value}
-    elif part in ("n", "r"):
-        params = {"n": 1, "r": 2}
-        params[part] = value
-        spec = {"builtin": "rectangles_grid", "params": params}
     elif part == "T":
         spec = {"builtin": "translated", "params": {"T": value}}
     elif part == "shift":
@@ -1192,7 +1271,7 @@ def test_non_functorial_module_is_refused_by_every_verb(verb):
      lambda: singleton(constant(_SPEC_BASE, 2))),
     ("translated", {"T": [[0, 1], [1, 0]]},
      lambda: translated(_SPEC_BASE, [(0, 1), (1, 0)], 2)),
-    ("rectangles_grid", {"n": 1, "r": 2}, lambda: rectangles_grid(1, 2, 2)),
+    ("rectangles_grid", {}, lambda: rectangles_grid(1, 2, 2)),
     ("lower_hooks", {}, lambda: lower_hooks(_SPEC_BASE, 2)),
 ])
 def test_builtin_spec_with_the_params_it_reads(name, params, build):

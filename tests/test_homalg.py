@@ -397,6 +397,15 @@ class TestMinimalResolution:
         assert r.length == 0 and r.complete and r.minimal
         r.check()
 
+    def test_zero_module_resolves_by_the_empty_chain(self):
+        # the chain with no terms, as relative_minimal_resolution gives a
+        # module its collection cannot see
+        r = minimal_resolution(zero_module(diamond(), 2), 5)
+        assert (r.terms, r.generators, r.diffs) == ([], [], [])
+        assert r.length == 0 and r.complete and r.minimal
+        assert r.multiplicities() == BettiDiagram({})
+        r.check()
+
     def test_m0_betti_golden(self):
         m = m0_demo(2)
         g = m.poset
@@ -802,6 +811,23 @@ def test_koszul_matches_oracle(seed, kind, p, module):
             assert g.a.dtype == np.int64 and g.p == p
             assert g.a.min(initial=0) >= 0 and g.a.max(initial=0) < p
             assert np.array_equal(g.a, w.a)
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (2, 3), (1, 4)])
+def test_koszul_matches_oracle_past_the_last_face(shape):
+    # at an element with three or more parents every subset of size 3
+    # has faces that drop a parent other than its last; the random posets
+    # above rarely have such a subset with a nonzero value at its meet
+    poset = Poset.grid(*shape)
+    rng = np.random.default_rng(29)
+    modules = [constant(poset, 5)]
+    modules += [random_module(rng, poset, 5) for _ in range(4)]
+    elements = [a for a in range(poset.n) if len(poset.parents(a)) >= 3]
+    for f in modules:
+        for a in elements:
+            got, want = koszul(f, a), oracle_koszul(f, a)
+            assert koszul_key(got) == koszul_key(want)
+
 
 def _zero_one_source(rng, poset, p, kind):
     """A 0/1 module: an indicator on a convex support (the presentation
