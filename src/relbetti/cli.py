@@ -7,9 +7,10 @@ serialized with sorted keys and no whitespace, one object per line, so
 identical inputs give byte-identical output.  Errors go to stderr only.
 
 Exit codes: 0 success, 1 domain-level failure (validation, missing
-structure such as joins, mismatched posets), 2 refused shortcut (the
-degeneracy hypothesis failed and --force was not given), 3 size bound
-exceeded, 4 malformed input or usage error.
+structure such as joins, mismatched posets) or a closed stdout, 2
+refused shortcut (the degeneracy hypothesis failed and --force was not
+given), 3 size bound exceeded, 4 malformed input or usage error.  A
+closed stdout is pointed at os.devnull and exits 1 with no error line.
 """
 import argparse
 import contextlib
@@ -67,6 +68,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise InputError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        # an unknown option's value is read as a positional, which pushes
+        # a good word out: leftover options are named alone
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            options = [a for a in extras if a.startswith("-") and a != "-"]
+            self.error("unrecognized arguments: "
+                       + " ".join(options or extras))
+        return args
+
 
 @contextlib.contextmanager
 def _input_error(what=None):
@@ -86,14 +97,18 @@ def _read_json(source, what, inline=False):
     source itself.  Bytes that are not UTF-8, nesting too deep to parse,
     a number with more digits than Python converts and a value that is
     not an object are all malformed JSON; what names the input in that
-    last refusal."""
-    if inline:
-        text = source
-    elif source == "-":
-        text = sys.stdin.buffer.read()
-    else:
-        with open(source, "rb") as fh:
-            text = fh.read()
+    last refusal.  A source that cannot be opened or read is malformed
+    input too."""
+    try:
+        if inline:
+            text = source
+        elif source == "-":
+            text = sys.stdin.buffer.read()
+        else:
+            with open(source, "rb") as fh:
+                text = fh.read()
+    except OSError as exc:
+        raise InputError(str(exc)) from None
     try:
         if isinstance(text, bytes):
             text = text.decode("utf-8")
@@ -161,15 +176,12 @@ _PLAIN_BUILTINS = {
     "lower_hooks": lower_hooks,
     "lower_hooks_inf": lower_hooks_inf,
     "rectangles_naive": rectangles_naive,
-}
-_BOUNDED_BUILTINS = {
     "all_subfunctors": all_subfunctors,
     "spreads_omega": spreads_omega,
     "single_source_omega0": single_source_omega0,
 }
 BUILTIN_NAMES = sorted(
-    [*_PLAIN_BUILTINS, *_BOUNDED_BUILTINS,
-     "singleton", "translated", "rectangles_grid"]
+    [*_PLAIN_BUILTINS, "singleton", "translated", "rectangles_grid"]
 )
 # the params each builtin reads; the others read none
 _BUILTIN_PARAMS = {
@@ -178,7 +190,7 @@ _BUILTIN_PARAMS = {
 }
 
 
-def _build_builtin(name, params, base, p, bound):
+def _build_builtin(name, params, base, p):
     if name not in BUILTIN_NAMES:
         raise InputError(
             f"unknown builtin {name!r}; known: {', '.join(BUILTIN_NAMES)}"
@@ -195,8 +207,6 @@ def _build_builtin(name, params, base, p, bound):
         raise InputError(f"builtin {name!r} needs a poset in the payload")
     if name in _PLAIN_BUILTINS:
         return _PLAIN_BUILTINS[name](base, p)
-    if name in _BOUNDED_BUILTINS:
-        return _BOUNDED_BUILTINS[name](base, p, max_antichains=bound)
     if name == "translated":
         T = params.get("T")
         if not isinstance(T, list) or not all(isinstance(t, list) for t in T):
@@ -211,7 +221,7 @@ def _build_builtin(name, params, base, p, bound):
         return rectangles_grid(*base.grid_shape, p)
 
 
-def _collection_from_flag(text, base, p, bound):
+def _collection_from_flag(text, base, p):
     """Interpret --collection: builtin name, inline JSON, or a file path.
 
     Returns (collection, label) where the label names the builtin or is
@@ -234,7 +244,7 @@ def _collection_from_flag(text, base, p, bound):
         name = obj["builtin"]
         if not isinstance(name, str):
             raise InputError(f'"builtin" must be a name, got {name!r}')
-        return _build_builtin(name, params, base, p, bound), name
+        return _build_builtin(name, params, base, p), name
     if "J" in obj:
         return _load_collection_json(obj, p), "explicit"
     raise InputError('collection JSON needs "builtin" or an explicit "J"')
@@ -399,9 +409,7 @@ def _module_input(args):
 
 def _collection_over(args, m, p):
     """--collection, refused unless its members live over m's poset."""
-    coll, label = _collection_from_flag(
-        args.collection, m.poset, p, args.max_antichains
-    )
+    coll, label = _collection_from_flag(args.collection, m.poset, p)
     if coll.domain != m.poset:
         raise PosetMismatch("collection members live over a different poset")
     return coll, label
@@ -487,7 +495,7 @@ def _cmd_check(args):
     p = _payload_p(obj)
     if args.collection is not None:
         coll, label = _collection_from_flag(
-            args.collection, _base_poset(obj), p, args.max_antichains
+            args.collection, _base_poset(obj), p
         )
     elif "collection" in obj:
         coll = _load_collection_json(obj["collection"], p)
@@ -565,7 +573,6 @@ def _parser():
     s.add_argument("--force", action="store_true",
                    help="run the local route even if the degeneracy "
                    "hypothesis fails; output is then tagged unverified")
-    s.add_argument("--max-antichains", type=_nonnegative, default=None)
     s.set_defaults(fn=_cmd_rbetti)
 
     s = sub.add_parser("resolve", parents=[rendering, payload],
@@ -579,7 +586,6 @@ def _parser():
     s.add_argument("--dmax", type=_nonnegative, required=True,
                    help="truncation degree; relative chains can be "
                    "unbounded")
-    s.add_argument("--max-antichains", type=_nonnegative, default=None)
     s.set_defaults(fn=_cmd_rresolve)
 
     s = sub.add_parser("koszul", parents=[payload],
@@ -593,7 +599,6 @@ def _parser():
     s.add_argument("--thin", action="store_true")
     s.add_argument("--flat", action="store_true")
     s.add_argument("--degeneracy", action="store_true")
-    s.add_argument("--max-antichains", type=_nonnegative, default=None)
     s.set_defaults(fn=_cmd_check)
 
     return parser
@@ -604,7 +609,12 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         args.fn(args)
-    except (InputError, OSError) as exc:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout is gone: the flush at exit would fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except SizeBoundExceeded as exc:

@@ -20,12 +20,12 @@ two agree wherever the honest check is affordable.
 """
 import numpy as np
 
+from relbetti import poset
 from relbetti.errors import NameClash, NotSemilattice, SizeBoundExceeded
 from relbetti.homalg import NatTransformation
 from relbetti.pmod import cached_identity, indicator
 from relbetti.poset import (
     Poset,
-    antichain_bound,
     antichain_name,
     antichain_poset,
     antichains_within,
@@ -161,31 +161,31 @@ def rectangles_grid(n, r, p):
     )
 
 
-def _upset_slots(base, bound):
-    """(v, U) for every upset U of the base contained in up(v).
+def _upset_slots(base):
+    """(v, U) for every upset U of the base contained in up(v), at most
+    poset.DEFAULT_MAX_ANTICHAINS of them.
 
     Upsets inside up(v) are enumerated through their antichains of
     minimal elements, all of which lie in up(v)."""
+    bound = poset.DEFAULT_MAX_ANTICHAINS
     slots = []
     for v in range(base.n):
         slots.append((v, frozenset()))
         for s in antichains_within(base, sorted(base.up(v))):
             slots.append((v, base.upset_of(s)))
             if len(slots) > bound:
-                raise SizeBoundExceeded(
-                    f"more than {bound} upset slots; raise max_antichains"
-                )
+                raise SizeBoundExceeded(f"more than {bound} upset slots")
     slots.sort(key=lambda s: (s[0], -len(s[1]), tuple(sorted(s[1]))))
     return slots
 
 
-def single_source_omega0(base, p, max_antichains=None):
+def single_source_omega0(base, p):
     """Members coker(K_U inside free(v)) for upsets U contained in up(v).
 
     The index poset is ordered by v <= v' together with U containing U';
     joins are (v join v', U intersect U')."""
     _require_semilattice(base)
-    slots = _upset_slots(base, antichain_bound(max_antichains))
+    slots = _upset_slots(base)
     names = [
         f"{base.names[v]}|{antichain_name(base, base.min_elements(u))}"
         for v, u in slots
@@ -205,13 +205,14 @@ def single_source_omega0(base, p, max_antichains=None):
     )
 
 
-def spreads_omega(base, p, max_antichains=None):
+def spreads_omega(base, p):
     """Members are all spreads coker(K_G inside K_F) for nested upsets,
     indexed by comparable pairs in the antichain lattice.  No status is
     claimed: the family stops being thin as soon as the base contains an
-    incomparable pair."""
-    ap = antichain_poset(base, max_antichains)
-    bound = antichain_bound(max_antichains)
+    incomparable pair.  The nested pairs count against
+    poset.DEFAULT_MAX_ANTICHAINS too."""
+    ap = antichain_poset(base)
+    bound = poset.DEFAULT_MAX_ANTICHAINS
     count = sum(up.bit_count() for up in ap.up_bits())
     if count > bound:
         raise SizeBoundExceeded(
@@ -223,12 +224,12 @@ def spreads_omega(base, p, max_antichains=None):
     return _indicator_collection(base, _pair_index(ap, slots), supports, p)
 
 
-def all_subfunctors(base, p, max_antichains=None):
+def all_subfunctors(base, p):
     """Members are all subfunctors of the constant module: one indicator
     per upset, graded by the antichain lattice with the zero subfunctor
     as its top.  Flat when the base has a unique maximal element; with
     two maxima thinness already fails, so nothing is claimed then."""
-    ap = antichain_poset(base, max_antichains)
+    ap = antichain_poset(base)
     supports = [base.upset_of(s) for s in ap.antichains]
     claims = {}
     if len(base.max_elements(frozenset(range(base.n)))) == 1:

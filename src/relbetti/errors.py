@@ -1,8 +1,13 @@
 """Shared exception hierarchy.
 
-Every error raised by this package derives from RelbettiError so callers can
-catch one base class. Concrete classes live here (leaf module, no imports)
-and are re-exported by the module that raises them.
+Not every error derives from RelbettiError.  A malformed argument or
+payload part raises ValueError (a missing key or a value of the wrong
+type may surface as KeyError or TypeError), and so do some mathematical
+refusals, such as a transition asked for between incomparable elements.
+The CLI turns those of the input it reads into InputError, exit 4,
+through cli._input_error.  The other refusals raise the RelbettiError
+subclasses below.  They live here (leaf module, no imports) and are
+re-exported by the module that raises them.
 """
 
 

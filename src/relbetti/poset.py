@@ -30,7 +30,6 @@ __all__ = [
     "NotSemilattice",
     "DEFAULT_MAX_ANTICHAINS",
     "DEFAULT_MAX_ELEMENTS",
-    "antichain_bound",
     "parse_nonnegative",
 ]
 
@@ -60,18 +59,6 @@ def json_object(value, what):
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be an object, got {type(value).__name__}")
     return value
-
-
-def antichain_bound(max_antichains=None):
-    """The antichain bound: max_antichains when given, else
-    DEFAULT_MAX_ANTICHAINS; a malformed value raises ValueError naming
-    max_antichains."""
-    if max_antichains is None:
-        return DEFAULT_MAX_ANTICHAINS
-    try:
-        return parse_nonnegative(max_antichains)
-    except ValueError as exc:
-        raise ValueError(f"max_antichains: {exc}") from None
 
 
 def bit_elements(mask):
@@ -316,8 +303,11 @@ class Poset:
         return f"{self.names[a]}<{self.names[b]}"
 
     def parse_key(self, key):
-        """(a, b) from key(a, b); KeyError carries a name of no element."""
-        na, _, nb = key.partition("<")
+        """(a, b) from key(a, b); ValueError for a key without "<",
+        KeyError carrying a name of no element."""
+        na, sep, nb = key.partition("<")
+        if not sep:
+            raise ValueError(f"key {key!r} is not of the form a<b")
         return self.index(na), self.index(nb)
 
     def leq(self, a, b):
@@ -510,18 +500,6 @@ class Poset:
         mask = mask_of(subset)
         return all(not self._up[a] & ~mask for a in bit_elements(mask))
 
-    def antichain_list(self, max_antichains=None):
-        """All antichains as frozensets, enumeration order; bounded."""
-        bound = antichain_bound(max_antichains)
-        # the empty antichain counts against the bound too
-        walk = antichains_within(self, range(self.n))
-        out = [frozenset(), *itertools.islice(walk, bound)]
-        if len(out) > bound:
-            raise SizeBoundExceeded(
-                f"more than {bound} antichains; raise max_antichains"
-            )
-        return out
-
     def __eq__(self, other):
         if self is other:
             return True
@@ -560,17 +538,21 @@ def antichain_name(p, antichain):
     return "{" + inner + "}"
 
 
-def antichain_poset(p, max_antichains=None):
+def antichain_poset(p):
     """The lattice of antichains of p, ordered by reverse upset containment.
 
     S <= T iff upset(S) contains upset(T); the empty antichain is the
     maximum. Element order: larger upsets first, ties broken by the sorted
-    element tuple, which is a linear extension.
+    element tuple, which is a linear extension.  More than
+    DEFAULT_MAX_ANTICHAINS antichains raise SizeBoundExceeded.
     """
-    chains = sorted(
-        p.antichain_list(max_antichains),
-        key=lambda s: (-len(p.upset_of(s)), tuple(sorted(s))),
-    )
+    bound = DEFAULT_MAX_ANTICHAINS
+    # the empty antichain counts against the bound too
+    walk = antichains_within(p, range(p.n))
+    chains = [frozenset(), *itertools.islice(walk, bound)]
+    if len(chains) > bound:
+        raise SizeBoundExceeded(f"more than {bound} antichains")
+    chains.sort(key=lambda s: (-len(p.upset_of(s)), tuple(sorted(s))))
     ups = [p.upset_of(s) for s in chains]
     pos = {s: i for i, s in enumerate(chains)}
     names = [antichain_name(p, s) for s in chains]

@@ -481,17 +481,21 @@ class TestCheck:
         assert out["checks"]["thin"]["holds"] is True
 
     def test_size_bound_flag(self):
-        payload = json.dumps({"p": 2, "poset": Poset.grid(1, 2).to_json()})
-        r = run_cli(
-            "check", "--collection", "spreads_omega", "--thin",
-            "--max-antichains", "2", stdin=payload,
-        )
+        # 17 incomparable elements have 2**17 = 131072 antichains, past
+        # the fixed bound of 100000
+        names = [f"e{i}" for i in range(17)]
+        payload = json.dumps({"p": 2, "poset": {"elements": names,
+                                                "covers": []}})
+        r = run_cli("check", "--collection", "all_subfunctors",
+                    stdin=payload)
         assert r.returncode == 3
+        assert r.stdout == ""
+        assert r.stderr == "error: more than 100000 antichains\n"
 
     @pytest.mark.parametrize("value", ["2", "-1"])
     def test_environment_sets_no_bound(self, value):
-        # the bound is --max-antichains alone: a variable that once set
-        # it changes no exit code and no byte
+        # the antichain bound is a constant: a variable that once set it
+        # changes no exit code and no byte
         payload = json.dumps({"p": 2, "poset": Poset.grid(1, 2).to_json()})
         args = ("check", "--collection", "spreads_omega", "--thin")
         want = run_cli(*args, stdin=payload)
@@ -614,6 +618,24 @@ class TestDeterminism:
         assert demo.stderr == ""
         json.loads(demo.stdout)
 
+    @pytest.mark.parametrize("argv", [["demo", "m0"], ["betti", "FILE"]])
+    def test_closed_stdout_exits_one(self, tmp_path, argv):
+        # a reader that is gone before the first write, as in
+        # `relbetti demo m0 | true`: exit 1 with nothing on stderr, not
+        # the exit 4 of malformed input
+        path = tmp_path / "m0.json"
+        path.write_text(M0_PAYLOAD)
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            r = subprocess.run(CLI + argv, stdout=write,
+                               stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(write)
+        assert r.returncode == 1
+        assert r.stderr == ""
+
 
 class TestUsageErrors:
     def test_unknown_verb(self):
@@ -633,13 +655,11 @@ VERB_OPTIONS = {
     "demo": {"--field", "--format"},
     "validate": set(),
     "betti": {"--format", "--method", "--dmax"},
-    "rbetti": {"--format", "--method", "--collection", "--dmax", "--force",
-               "--max-antichains"},
+    "rbetti": {"--format", "--method", "--collection", "--dmax", "--force"},
     "resolve": {"--format", "--dmax"},
-    "rresolve": {"--format", "--collection", "--dmax", "--max-antichains"},
+    "rresolve": {"--format", "--collection", "--dmax"},
     "koszul": {"--at"},
-    "check": {"--collection", "--thin", "--flat", "--degeneracy",
-              "--max-antichains"},
+    "check": {"--collection", "--thin", "--flat", "--degeneracy"},
 }
 REQUIRED_OPTIONS = {
     "rbetti": {"--collection"},
@@ -692,6 +712,28 @@ class TestOptionSurface:
         assert_input_error(r)
         assert message in r.stderr
 
+    @pytest.mark.parametrize(
+        "argv, leftover",
+        [(["betti", "--field", "3", "FILE"], "--field"),
+         (["rbetti", "--collection", "lower_hooks", "--max-antichains", "5",
+           "FILE"], "--max-antichains"),
+         (["betti", "FILE", "FILE"], "FILE")],
+        ids=["option-takes-path", "removed-bound", "two-paths"],
+    )
+    def test_leftover_option_is_named_alone(self, tmp_path, argv, leftover):
+        # an option the verb lacks leaves its value to be read as the
+        # payload path and the real path over; the refusal names the
+        # option, and names other leftover words only when no option is
+        # left over
+        path = tmp_path / "m0.json"
+        path.write_text(M0_PAYLOAD)
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        r = run_cli(*argv)
+        assert_input_error(r)
+        if leftover == "FILE":
+            leftover = str(path)
+        assert r.stderr == f"error: unrecognized arguments: {leftover}\n"
+
 
 # the module with one element and one dimension there
 POINT_MODULE = {"poset": {"elements": ["0,0"], "covers": []},
@@ -743,13 +785,39 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("verb", ["rbetti", "rresolve", "check"])
     def test_negative_max_antichains(self, verb):
+        # the antichain bound is a constant, so no verb has the option;
+        # the -1 after it is read as the payload path and not named
         demo = run_cli("demo", "m0").stdout
+        dmax = ["--dmax", "2"] if verb == "rresolve" else []
         r = run_cli(
-            verb, "--collection", "all_subfunctors",
+            verb, "--collection", "all_subfunctors", *dmax,
             "--max-antichains", "-1", stdin=demo,
         )
         assert_input_error(r)
-        assert "--max-antichains" in r.stderr
+        assert r.stderr == "error: unrecognized arguments: --max-antichains\n"
+
+    @pytest.mark.parametrize("where", ["payload", "collection"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_source_is_named(self, tmp_path, where, kind):
+        # a path that cannot be opened is malformed input, named as the
+        # operating system names it
+        path = tmp_path / "in"
+        if kind == "directory":
+            path.mkdir()
+        if where == "payload":
+            r = run_cli("betti", str(path))
+        else:
+            r = run_cli("rbetti", "--collection", str(path),
+                        stdin=M0_PAYLOAD)
+        assert_input_error(r)
+        if kind == "missing" and where == "payload":
+            want = f"[Errno 2] No such file or directory: {str(path)!r}"
+        elif kind == "missing":
+            want = (f"--collection {str(path)!r} is not a builtin name, "
+                    "JSON, or file")
+        else:
+            want = f"[Errno 21] Is a directory: {str(path)!r}"
+        assert r.stderr == f"error: {want}\n"
 
     @pytest.mark.parametrize(
         "name, params, key",
@@ -760,8 +828,8 @@ class TestInputErrors:
         ids=["leftover-bound", "first-sorted", "typo", "extra"],
     )
     def test_unread_builtin_params_refused(self, name, params, key):
-        # a builtin reads only its own params; the antichain bound is
-        # --max-antichains, not a param
+        # a builtin reads only its own params; the antichain bound is a
+        # constant, not a param
         spec = {"builtin": name, "params": params}
         r = run_cli("rbetti", "--collection", json.dumps(spec),
                     stdin=M0_PAYLOAD)
@@ -965,6 +1033,25 @@ class TestInputErrors:
             module = constant(Poset.grid(1, 2), 2).to_json()
             want = (f"bad collection payload: arrow {bad!r} names no "
                     "index element 'z'")
+        r = run_cli("rbetti" if args else "betti", *args,
+                    stdin=json.dumps({"p": 2, "module": module}))
+        assert_input_error(r)
+        assert r.stderr == f"error: {want}\n"
+
+    @pytest.mark.parametrize("part", ["map", "arrow"])
+    def test_key_without_separator_is_named(self, part):
+        # a key that is not of the form a<b names the key, not an empty
+        # element
+        module = constant(Poset.grid(1, 2), 2).to_json()
+        args = []
+        if part == "map":
+            module["maps"] = {"0,0": [[1]]}
+            want = "bad module payload: key '0,0' is not of the form a<b"
+        else:
+            coll = self._explicit()
+            coll["arrows"]["x"] = {}
+            args = ["--collection", json.dumps(coll)]
+            want = "bad collection payload: key 'x' is not of the form a<b"
         r = run_cli("rbetti" if args else "betti", *args,
                     stdin=json.dumps({"p": 2, "module": module}))
         assert_input_error(r)

@@ -22,6 +22,7 @@ from conftest import (
     random_module,
     random_semilattice,
 )
+from relbetti import poset as poset_module
 from relbetti.collections import (
     all_subfunctors,
     lower_hooks,
@@ -702,17 +703,20 @@ class TestSingleSourceOmega0:
         with pytest.raises(NotSemilattice):
             single_source_omega0(vee(), 2)
 
-    def test_size_bound(self):
+    def test_size_bound(self, monkeypatch):
+        monkeypatch.setattr(poset_module, "DEFAULT_MAX_ANTICHAINS", 10)
         with pytest.raises(SizeBoundExceeded):
-            single_source_omega0(Poset.grid(2, 2), 2, max_antichains=10)
+            single_source_omega0(Poset.grid(2, 2), 2)
 
-    def test_bound_admits_exactly_the_slot_count(self):
+    def test_bound_admits_exactly_the_slot_count(self, monkeypatch):
         # grid(1, 2) has 14 slots (v, U), the empty upset at each v included
         g = Poset.grid(1, 2)
-        assert single_source_omega0(g, 2, max_antichains=14).index.n == 14
+        monkeypatch.setattr(poset_module, "DEFAULT_MAX_ANTICHAINS", 14)
+        assert single_source_omega0(g, 2).index.n == 14
+        monkeypatch.setattr(poset_module, "DEFAULT_MAX_ANTICHAINS", 13)
         with pytest.raises(SizeBoundExceeded,
-                           match="^more than 13 upset slots; "):
-            single_source_omega0(g, 2, max_antichains=13)
+                           match="^more than 13 upset slots$"):
+            single_source_omega0(g, 2)
 
 
 class TestSpreadsOmega:
@@ -747,17 +751,20 @@ class TestSpreadsOmega:
             flag, witness = is_thin(spreads_omega(base, 2))
             assert not flag and witness is not None
 
-    def test_size_bound(self):
+    def test_size_bound(self, monkeypatch):
+        monkeypatch.setattr(poset_module, "DEFAULT_MAX_ANTICHAINS", 4)
         with pytest.raises(SizeBoundExceeded):
-            spreads_omega(Poset.grid(1, 2), 2, max_antichains=4)
+            spreads_omega(Poset.grid(1, 2), 2)
 
-    def test_bound_admits_exactly_the_nested_pair_count(self):
+    def test_bound_admits_exactly_the_nested_pair_count(self, monkeypatch):
         # 6 antichains fit under the bound, so the 20 nested pairs decide
         g = Poset.grid(1, 2)
-        assert spreads_omega(g, 2, max_antichains=20).index.n == 20
+        monkeypatch.setattr(poset_module, "DEFAULT_MAX_ANTICHAINS", 20)
+        assert spreads_omega(g, 2).index.n == 20
+        monkeypatch.setattr(poset_module, "DEFAULT_MAX_ANTICHAINS", 19)
         with pytest.raises(SizeBoundExceeded,
                            match="^20 nested-pair slots exceed the bound 19$"):
-            spreads_omega(g, 2, max_antichains=19)
+            spreads_omega(g, 2)
 
 
 class TestAllSubfunctors:

@@ -9,13 +9,11 @@ from relbetti.collections import rectangles_grid, translated
 from relbetti.errors import MeetHypothesisFailed
 from relbetti.pmod import zero_module
 from relbetti.poset import (
-    DEFAULT_MAX_ANTICHAINS,
     CyclicCovers,
     NotSemilattice,
     Poset,
     RedundantCover,
     SizeBoundExceeded,
-    antichain_bound,
     antichain_poset,
 )
 from conftest import oracle_join, oracle_koszul, random_poset_covers
@@ -532,32 +530,24 @@ class TestAntichainPoset:
             uj = g.upset_of(ap.antichains[j])
             assert g.upset_of(ap.antichains[k]) == ui & uj
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
+        monkeypatch.setattr(poset_module, "DEFAULT_MAX_ANTICHAINS", 10)
         with pytest.raises(SizeBoundExceeded):
-            antichain_poset(Poset.grid(5, 2), max_antichains=10)
+            antichain_poset(Poset.grid(5, 2))
 
-    def test_bound_admits_exactly_the_antichain_count(self):
+    def test_bound_admits_exactly_the_antichain_count(self, monkeypatch):
         # grid(1, 2) has 6 antichains and the empty poset 1, the empty
         # antichain included: the bound counts it too
         for poset, count in [(Poset.grid(1, 2), 6),
                              (Poset.from_covers([], []), 1)]:
-            assert len(poset.antichain_list(count)) == count
+            monkeypatch.setattr(poset_module, "DEFAULT_MAX_ANTICHAINS", count)
+            assert len(antichain_poset(poset).antichains) == count
+            monkeypatch.setattr(
+                poset_module, "DEFAULT_MAX_ANTICHAINS", count - 1
+            )
             with pytest.raises(SizeBoundExceeded,
-                               match=f"^more than {count - 1} antichains; "):
-                poset.antichain_list(count - 1)
-
-    @pytest.mark.parametrize("value", ["2", "-1", "x"])
-    def test_bound_is_an_argument_only(self, value, monkeypatch):
-        # the process environment sets no bound
-        monkeypatch.setenv("RELBETTI_MAX_ANTICHAINS", value)
-        assert antichain_bound() == DEFAULT_MAX_ANTICHAINS
-        assert antichain_bound(7) == 7
-        assert len(antichain_poset(Poset.grid(1, 2)).antichains) == 6
-
-    @pytest.mark.parametrize("value", [2.5, True, [1], -3, "x"])
-    def test_bad_override_bound_refused(self, value):
-        with pytest.raises(ValueError, match="^max_antichains: "):
-            antichain_bound(value)
+                               match=f"^more than {count - 1} antichains$"):
+                antichain_poset(poset)
 
 
 class TestPosetJson:
