@@ -6,7 +6,8 @@ column the first nonzero row wins, so every basis this module emits is a
 function of the input entries alone. Matrices are dense, immutable and carry
 their modulus.
 
-All arithmetic stays in int64 and is exact: entries are residues below
+All arithmetic is exact.  rref eliminates on Python ints, which cannot
+overflow.  Array arithmetic stays in int64: entries are residues below
 p < 2^31, so one product of two entries stays below 2^62.  Two unreduced
 products still fit in int64 and three do not, so a sum holds at most one
 unreduced product: every other term is reduced before it is added.
@@ -198,41 +199,43 @@ def rref(m):
     """Reduced row echelon form. Returns (Matrix, pivot column tuple).
 
     Deterministic: columns scanned left to right, first nonzero row at or
-    below the current row becomes the pivot. Each pivot clears its column
-    in every other row with one rank-one update (in the last column, only
-    setting it to 0), skipped when the pivot is the only nonzero there;
-    left of the pivot column the pivot row is zero, so only the columns
-    from it on change. An empty matrix is its own form, returned as it is.
+    below the current row becomes the pivot. Gauss-Jordan on the rows as
+    lists of Python ints: the pivot row is scaled from its column on, and
+    each other row with a nonzero there is cleared by one pass over the
+    columns from it on; left of the pivot column the pivot row is zero,
+    so nothing there changes. An empty matrix is its own form, returned
+    as it is.
     """
     p = m.p
     rows, cols = m.a.shape
     if not rows or not cols:
         return m, ()
-    a = m.a.copy()
+    a = m.a.tolist()
     pivots = []
     r = 0
     for c in range(cols):
-        if r >= rows:
+        if r == rows:
             break
-        nz = a[r:, c].nonzero()[0]
-        if not nz.size:
+        for i in range(r, rows):
+            if a[i][c]:
+                break
+        else:
             continue
-        i = r + int(nz[0])
+        top = a[i]
         if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        if inv != 1:
-            a[r, c:] = (a[r, c:] * inv) % p
-        hit = a[:, c].nonzero()[0]
-        if hit.size > 1:
-            hit = hit[hit != r]
-            if c + 1 < cols:
-                a[hit, c:] = (a[hit, c:] - a[hit, c, None] * a[r, c:]) % p
-            else:
-                a[hit, c] = 0
+            a[i] = a[r]
+            a[r] = top
+        if top[c] != 1:
+            inv = pow(top[c], -1, p)
+            top[c:] = [x * inv % p for x in top[c:]]
+        tail = top[c:]
+        for j, row in enumerate(a):
+            f = row[c]
+            if f and j != r:
+                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
         pivots.append(c)
         r += 1
-    return Matrix._trusted(a, p), tuple(pivots)
+    return Matrix._trusted(np.array(a, dtype=np.int64), p), tuple(pivots)
 
 
 def rank(m):

@@ -653,7 +653,9 @@ def betti(m, dmax):
 
 
 def is_exact(seq):
-    """Pointwise exactness at the inner terms of a composable sequence."""
+    """Pointwise exactness at the inner terms of a composable sequence:
+    each composite is zero, so each image lies in the next kernel, and
+    the two have one dimension."""
     seq = list(seq)
     for i in range(len(seq) - 1):
         mid = seq[i].target
@@ -662,9 +664,8 @@ def is_exact(seq):
     for i in range(len(seq) - 1):
         mid = seq[i].target
         for a in range(mid.poset.n):
-            img = rank(seq[i].component(a))
-            ker = mid.dims[a] - rank(seq[i + 1].component(a))
-            if img != ker:
+            f, g = seq[i].component(a), seq[i + 1].component(a)
+            if not (g @ f).is_zero() or rank(f) != mid.dims[a] - rank(g):
                 return False
     return True
 

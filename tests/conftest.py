@@ -3,9 +3,9 @@
 sympy_rank is the independent linear-algebra oracle: sympy's DomainMatrix
 over GF(p) knows nothing about our RREF, so agreements are meaningful.
 oracle_rref, oracle_kernel_basis, oracle_solve and oracle_kron are the
-plain elimination kernel (one row at a time, object-dtype Kronecker
-product) that the vectorised one in relbetti.fieldlin must match bit for
-bit.
+plain elimination kernel (one numpy row at a time, object-dtype
+Kronecker product) that relbetti.fieldlin's Gauss-Jordan on Python int
+rows and its broadcast Kronecker product must match bit for bit.
 indicator_hom_dim is the independent Hom oracle for 0/1 indicator modules:
 it counts components of overlapping supports and solves no linear system.
 oracle_meet_bounded and oracle_koszul are the plain skeleton construction
@@ -16,7 +16,8 @@ also walks the parents in any given order; reindexed moves a module to
 an isomorphic poset whose index order lists them in that order, where
 relbetti.homalg.koszul must assemble the same complex (koszul_key).
 tampered_chain breaks a resolution in one named way, for the chain
-checks to refuse.
+checks to refuse; its "padded" kind keeps the chain exact and natural
+and breaks only minimality.
 oracle_nat_basis solves naturality over every component at once, one
 Kronecker block row per cover; relbetti.homalg.nat_basis solves at the
 source's generators and must give the same basis bit for bit.
@@ -949,20 +950,25 @@ def oracle_path_independence(coll):
     return coll
 
 
-def tampered_chain(res, how):
+def tampered_chain(res, how, d=0):
     """A copy of a resolution (standard or relative) changed one way:
 
     "missing-top"  drops the top term but still claims completeness;
     "truncated"    drops the top term and is marked truncated;
     "zero-augmentation" / "zero-middle" replace differential 0 / 1 by 0;
     "empty"        keeps no term but claims completeness;
-    "empty-truncated" keeps no term and is marked truncated.
+    "empty-truncated" keeps no term and is marked truncated;
+    "padded"       (a standard resolution with terms d and d + 1) adds a
+                   free summand on the first degree-d generator in both,
+                   the identity between them, and stays marked minimal.
     """
     from relbetti.homalg import zero_nat
 
     terms, gens, diffs = list(res.terms), list(res.generators), list(res.diffs)
     complete = how not in ("truncated", "empty-truncated")
-    if how in ("missing-top", "truncated"):
+    if how == "padded":
+        _pad(res.target, terms, gens, diffs, d)
+    elif how in ("missing-top", "truncated"):
         terms, gens, diffs = terms[:-1], gens[:-1], diffs[:-1]
     elif how in ("empty", "empty-truncated"):
         terms, gens, diffs = [], [], []
@@ -972,3 +978,35 @@ def tampered_chain(res, how):
         diffs[1] = zero_nat(terms[1], terms[0])
     return type(res)(res.target, terms, gens, diffs,
                      minimal=res.minimal, complete=complete)
+
+
+def _pad(target, terms, gens, diffs, d):
+    """Add a split free summand on x = gens[d][0] to terms d and d + 1 in
+    place: its coordinate comes last wherever x lies below, the identity
+    joins the two copies, and the differentials out of term d and into
+    term d + 1 are zero on it."""
+    from relbetti.fieldlin import Matrix
+    from relbetti.homalg import NatTransformation
+    from relbetti.pmod import free_on
+
+    poset, p = target.poset, target.p
+    x = gens[d][0]
+    for k in (d, d + 1):
+        gens[k] = (*gens[k], x)
+        terms[k] = free_on(poset, gens[k], p)
+
+    def widen(f, source, dest, extra_rows, extra_cols):
+        comps = {}
+        for a in range(poset.n):
+            c = f.component(a).a
+            if poset.leq(x, a):
+                c = np.pad(c, ((0, extra_rows), (0, extra_cols)))
+                if extra_rows and extra_cols:
+                    c[-1, -1] = 1
+            comps[a] = Matrix(c, p)
+        return NatTransformation(source, dest, comps)
+
+    diffs[d] = widen(diffs[d], terms[d], diffs[d].target, 0, 1)
+    diffs[d + 1] = widen(diffs[d + 1], terms[d + 1], terms[d], 1, 1)
+    if d + 2 < len(diffs):
+        diffs[d + 2] = widen(diffs[d + 2], diffs[d + 2].source, terms[d + 1], 1, 0)

@@ -54,6 +54,13 @@ class TestFieldConfig:
     def test_accepts_odd_prime(self):
         assert check_modulus(5) == 5
 
+    @pytest.mark.parametrize("n", [9, 25, 49, 46337 * 46337])
+    def test_rejects_odd_prime_square(self, n):
+        # the trial division must reach d * d == n; 46337^2 < 2^31 is the
+        # largest such square a modulus could be
+        with pytest.raises(ValueError, match="prime"):
+            check_modulus(n)
+
 
 class TestModulus:
     def test_matrix_rejects_composite(self):
@@ -318,7 +325,7 @@ def test_euler_characteristic_property(d0, d1, p, seed):
     assert all(h >= 0 for h in hs)
 
 
-# -- the vectorised kernel against the row-at-a-time oracle ------------
+# -- the Python-row kernel against the row-at-a-time numpy oracle -------
 
 ORACLE_PRIMES = [2, 3, 5, (1 << 31) - 1]
 
@@ -372,6 +379,56 @@ def test_kernel_bit_identical_to_oracle(data):
         assert_same(solve(m, mb), expect_x, p)
 
     assert_same(kron(m, mc), oracle_kron(a, c, p), p)
+
+
+def seeded_residues(rng, rows, cols, p):
+    """Entries mod p: uniform, mostly 0, 1 and p - 1, or of rank at most 2."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return rng.integers(0, p, size=(rows, cols))
+    if kind == 1:
+        picks = np.array([0, 0, 0, 1, p - 1], dtype=np.int64)
+        a = picks[rng.integers(0, 5, size=(rows, cols))]
+        odd = rng.random((rows, cols)) < 0.1
+        a[odd] = rng.integers(0, p, size=int(odd.sum()))
+        return a
+    u = rng.integers(0, p, size=(rows, 2)).astype(object)
+    v = rng.integers(0, p, size=(2, cols)).astype(object)
+    return ((u @ v) % p).astype(np.int64)
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+@pytest.mark.parametrize("shape", ["wide", "square"])
+def test_larger_kernels_bit_identical_to_oracle(p, shape):
+    # beyond residue_arrays' 6x6: 1-3 rows by up to 64 columns, as the
+    # Hom solves give, and squares up to 12x12
+    rng = np.random.default_rng([p, int(shape == "wide")])
+    for _ in range(100):
+        if shape == "wide":
+            rows, cols = int(rng.integers(1, 4)), int(rng.integers(1, 65))
+        else:
+            rows = cols = int(rng.integers(7, 13))
+        a = seeded_residues(rng, rows, cols, p)
+        b = seeded_residues(rng, rows, int(rng.integers(1, 3)), p)
+        if rng.integers(2):
+            x = rng.integers(0, p, size=(cols, b.shape[1])).astype(object)
+            b = ((a.astype(object) @ x) % p).astype(np.int64)
+        m = Matrix(a, p)
+
+        r, pivots = rref(m)
+        expect_r, expect_pivots = oracle_rref(a, p)
+        assert pivots == expect_pivots
+        assert_same(r, expect_r, p)
+
+        assert_same(kernel_basis(m), oracle_kernel_basis(a, p), p)
+
+        expect_x = oracle_solve(a, b, p)
+        if isinstance(expect_x, str):
+            with pytest.raises(NoSolution) as err:
+                solve(m, Matrix(b, p))
+            assert str(err.value) == expect_x
+        else:
+            assert_same(solve(m, Matrix(b, p)), expect_x, p)
 
 
 @settings(max_examples=300, deadline=None)

@@ -447,6 +447,22 @@ class TestMinimalResolution:
         with pytest.raises(ValueError):
             tampered_chain(r, how).check()
 
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_check_refuses_a_split_summand(self, d):
+        # a free summand with the identity between degrees d and d + 1
+        # keeps the chain exact and natural; only minimality refuses it
+        r = minimal_resolution(m0_demo(2), 5)
+        padded = tampered_chain(r, "padded", d)
+        assert padded.minimal and padded.complete
+        x = r.generators[d][0]
+        before, after = r.multiplicities(), padded.multiplicities()
+        for k in (d, d + 1):
+            assert after.get(k, x) == before.get(k, x) + 1
+        Resolution(padded.target, padded.terms, padded.generators,
+                   padded.diffs, minimal=False, complete=True).check()
+        with pytest.raises(ValueError, match=f"into term {d} misses the radical"):
+            padded.check()
+
     def test_check_refuses_a_nonzero_composite(self):
         # d2 sends the generator at 3,4 to those at 0,4 and 3,2, and the
         # one at 4,2 to those at 3,2 and 4,0.  Keeping only 0,4 and 4,0
@@ -1466,6 +1482,17 @@ class TestIsExact:
         m = constant(p, 2)
         z = zero_module(p, 2)
         assert not is_exact([zero_nat(z, m), zero_nat(m, m)])
+
+    def test_nonzero_composite_is_not_exact(self):
+        # k -> k^2 -> k by (1, 0)^T then (1 0): the image and the kernel
+        # both have dimension 1, but g f = 1, so the image is not the kernel
+        p = chain(1)
+        k, k2 = PersistenceModule(p, 3, [1], {}), PersistenceModule(p, 3, [2], {})
+        f = NatTransformation(k, k2, {0: Matrix([[1], [0]], 3)})
+        g = NatTransformation(k2, k, {0: Matrix([[1, 0]], 3)})
+        assert not (g @ f).is_zero()
+        assert not is_exact([f, g])
+        assert is_exact([f, NatTransformation(k2, k, {0: Matrix([[0, 1]], 3)})])
 
 
 class TestContainments:

@@ -84,6 +84,23 @@ class TestValidate:
         with pytest.raises(FunctorialityViolation):
             validate(m)
 
+    def test_disagreement_through_a_second_child(self):
+        # a < x, y; x < t; y < z, t.  map(a, t) runs through x, and every
+        # check through a first child agrees: only y's second child t sees
+        # that the square a, x, y, t does not commute
+        p = Poset.from_covers(
+            ["a", "x", "y", "z", "t"],
+            [("a", "x"), ("a", "y"), ("x", "t"), ("y", "z"), ("y", "t")],
+        )
+        a, x, y, z, t = map(p.index, "axyzt")
+        assert p.step_toward(a, t) == x and p.children(y) == (z, t)
+        maps = {cover: Matrix([[1]], 3) for cover in p.covers}
+        maps[(y, t)] = Matrix([[-1]], 3)
+        m = PersistenceModule(p, 3, [1] * p.n, maps)
+        with pytest.raises(FunctorialityViolation,
+                           match="to 't' from 'a' disagree through 'y'"):
+            validate(m)
+
     def test_m0_ok(self):
         validate(m0_demo(2))
 
